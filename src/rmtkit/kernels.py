@@ -1,9 +1,5 @@
-"""Pure-Python (numpy) implementations of the hot numerical kernels.
-
-These are the reference implementations; ``rmtkit.kernels`` transparently
-swaps in the compiled versions from ``_fast`` when the extension is built.
-Both backends implement identical algorithms and must agree to ~1e-8.
-"""
+"""Hot numerical kernels: the resolvent grids behind the EWMA and dressed
+spectra, and the EWMA tracker of the top eigenpair."""
 
 from __future__ import annotations
 
@@ -11,14 +7,32 @@ import cmath
 
 import numpy as np
 
+__all__ = [
+    "BACKEND",
+    "KernelConvergenceError",
+    "ewma_resolvent_grid",
+    "dressed_resolvent_grid",
+    "track_top",
+]
+
 BACKEND = "python"
+
+EWMA_TOL = 1e-12
+EWMA_MAX_ITER = 200
+DRESSED_DAMPING = 0.5
+POWER_TOL = 1e-10
+# With a clear top gap a warm-started step converges in about 10 iterations
+# (at most 14 at N=2); steps with a near-degenerate top pair would need
+# hundreds, and are handed to eigh, which costs less than iterating them out.
+POWER_MAX_ITER = 50
+FULL_EVERY = 100
 
 
 class KernelConvergenceError(RuntimeError):
     pass
 
 
-def ewma_resolvent_grid(grid, q, eps, tol=1e-12, max_iter=200):
+def ewma_resolvent_grid(grid, q, eps):
     """Solve lambda*q*G = q - log(1 - q*G) for complex G at lambda - i*eps.
 
     Newton iteration with continuation along a descending walk of the grid;
@@ -30,7 +44,7 @@ def ewma_resolvent_grid(grid, q, eps, tol=1e-12, max_iter=200):
     prev = None
     for i in range(grid.size - 1, -1, -1):
         z = grid[i] - 1j * eps
-        g = _ewma_newton(z, q, g, tol, max_iter)
+        g = _ewma_newton(z, q, g)
         if prev is not None and abs(g - prev) > 0.5 * (1.0 + abs(prev)):
             raise KernelConvergenceError(
                 f"branch jump detected at lambda={grid[i]:.6g}")
@@ -39,12 +53,12 @@ def ewma_resolvent_grid(grid, q, eps, tol=1e-12, max_iter=200):
     return out
 
 
-def _ewma_newton(z, q, g0, tol, max_iter):
+def _ewma_newton(z, q, g0):
     g = g0
-    for _ in range(max_iter):
+    for _ in range(EWMA_MAX_ITER):
         u = 1.0 - q * g
         f = z * q * g - q + cmath.log(u)
-        if abs(f) < tol:
+        if abs(f) < EWMA_TOL:
             return g
         fp = z * q - q / u
         if fp == 0:
@@ -58,7 +72,7 @@ def _ewma_newton(z, q, g0, tol, max_iter):
 
 
 def dressed_resolvent_grid(grid, q, eps, c_grid, c_density, c_atom_loc,
-                           c_atom_mass, damping=0.5, tol=1e-10, max_iter=500):
+                           c_atom_mass, tol=1e-10, max_iter=500):
     """Self-consistent resolvent of the sample matrix for a true spectrum.
 
     Per grid point solves the fixed point
@@ -94,7 +108,7 @@ def dressed_resolvent_grid(grid, q, eps, c_grid, c_density, c_atom_loc,
     worst = None
     for i in range(grid.size - 1, -1, -1):
         z = grid[i] - 1j * eps
-        d = damping
+        d = DRESSED_DAMPING
         prev_res = np.inf
         ok = False
         # phase 1: damped iteration to get inside the Newton basin
@@ -142,14 +156,15 @@ def dressed_resolvent_grid(grid, q, eps, c_grid, c_density, c_atom_loc,
     return out
 
 
-def track_top(returns, epsilon, v_ref, e_init=None, power_tol=1e-10,
-              full_every=100):
+def track_top(returns, epsilon, v_ref, e_init=None):
     """EWMA covariance tracking of the top eigenpair.
 
     Updates ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` and extracts the top
     eigenpair each step by power iteration warm-started from the previous
-    vector, with a full eigendecomposition refresh every ``full_every`` steps.
-    Consecutive eigenvectors are sign-aligned.
+    vector.  A full eigendecomposition takes the step instead every
+    ``FULL_EVERY`` steps and whenever the power iteration has not converged
+    within ``POWER_MAX_ITER`` iterations.  Consecutive eigenvectors are
+    sign-aligned.
 
     Returns ``(lambda1, theta, vectors)`` where ``theta`` is the angle to
     ``v_ref`` in radians.
@@ -171,29 +186,25 @@ def track_top(returns, epsilon, v_ref, e_init=None, power_tol=1e-10,
         r = returns[t]
         E *= (1.0 - epsilon)
         E += epsilon * np.outer(r, r)
-        if full_every and (t + 1) % full_every == 0:
-            vals, vecs = np.linalg.eigh(E)
-            w = vecs[:, -1]
-            if w @ v < 0:
-                w = -w
-            v = w.copy()
-            lam = vals[-1]
-        else:
-            lam = 0.0
-            for _ in range(200):
+        converged = False
+        if (t + 1) % FULL_EVERY:
+            for _ in range(POWER_MAX_ITER):
                 w = E @ v
                 lam = np.linalg.norm(w)
                 if lam == 0:
-                    w = v
                     break
                 w /= lam
                 if w @ v < 0:
                     w = -w
-                if np.linalg.norm(w - v) < power_tol:
-                    v = w
-                    break
+                converged = np.linalg.norm(w - v) < POWER_TOL
                 v = w
-            v = w
+                if converged:
+                    break
+        if not converged:
+            vals, vecs = np.linalg.eigh(E)
+            w = vecs[:, -1]
+            v = -w if w @ v < 0 else w.copy()
+            lam = vals[-1]
         lam_out[t] = lam
         v_out[t] = v
         theta_out[t] = np.arccos(np.clip(v @ v_ref, -1.0, 1.0))
