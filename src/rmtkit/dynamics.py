@@ -41,10 +41,25 @@ class EigenTrack:
 def track_top(panel: ReturnPanel, epsilon: float,
               v_ref: np.ndarray, e_init: np.ndarray | None = None) -> EigenTrack:
     """Update E_t = (1-eps) E_{t-1} + eps r_t r_t^T from E_0 = I (or
-    ``e_init``) and record the top eigenpair at each step."""
+    ``e_init``) and record the top eigenpair at each step.
+
+    ``v_ref`` must be a finite, non-zero vector of length N and ``e_init`` a
+    finite symmetric N x N matrix; anything else raises ``ValueError``."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    N = panel.N
     v_ref = np.asarray(v_ref, dtype=float)
+    if v_ref.shape != (N,) or not np.all(np.isfinite(v_ref)):
+        raise ValueError(f"v_ref must be a finite vector of length {N}")
+    if not np.any(v_ref):
+        raise ValueError("v_ref must be non-zero")
+    if e_init is not None:
+        e_init = np.asarray(e_init, dtype=float)
+        if e_init.shape != (N, N) or not np.all(np.isfinite(e_init)):
+            raise ValueError(f"e_init must be a finite {N} x {N} matrix")
+        # the tracker reads one triangle only
+        if np.abs(e_init - e_init.T).max() > 1e-12 * np.abs(e_init).max():
+            raise ValueError("e_init must be symmetric")
     v_ref = v_ref / np.linalg.norm(v_ref)
     lam, theta, vecs = kernels.track_top(
         np.ascontiguousarray(panel.values), epsilon, v_ref,

@@ -19,29 +19,34 @@ __all__ = [
 
 
 def read_panel_csv(path) -> ReturnPanel:
-    """Panel CSV: header ``date,TICKER1,...``, one row per day, no gaps."""
+    """Panel CSV: header ``date,TICKER1,...``, one row per day, no gaps.
+
+    Blank lines and lines starting with ``#`` are skipped.  Rows are parsed
+    as the reader yields them, and errors name the line of the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader
-                if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise EstimatorError(f"{path}: empty panel file")
-    header = rows[0]
-    if len(header) < 2 or header[0].strip().lower() != "date":
-        raise EstimatorError(f"{path}: first header column must be 'date'")
-    assets = tuple(h.strip() for h in header[1:])
-    dates, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise EstimatorError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        dates.append(row[0].strip())
-        try:
-            values.append([float(x) for x in row[1:]])
-        except ValueError as exc:
-            raise EstimatorError(
-                f"{path}:{lineno}: non-numeric return value") from exc
-    arr = np.asarray(values, dtype=float)
+        rows = (row for row in reader
+                if row and not row[0].lstrip().startswith("#"))
+        header = next(rows, None)
+        if header is None:
+            raise EstimatorError(f"{path}: empty panel file")
+        if len(header) < 2 or header[0].strip().lower() != "date":
+            raise EstimatorError(f"{path}: first header column must be 'date'")
+        assets = tuple(h.strip() for h in header[1:])
+        dates, values = [], []
+        for row in rows:
+            if len(row) != len(header):
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}")
+            dates.append(row[0].strip())
+            try:
+                values.append(np.array(row[1:], dtype=float))
+            except ValueError as exc:
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: non-numeric return value"
+                ) from exc
+    arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise EstimatorError(f"{path}: missing values are forbidden")
     return ReturnPanel(arr, assets, tuple(dates))

@@ -4,8 +4,10 @@ spectra, and the EWMA tracker of the top eigenpair."""
 from __future__ import annotations
 
 import cmath
+import logging
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "BACKEND",
@@ -17,15 +19,26 @@ __all__ = [
 
 BACKEND = "python"
 
+logger = logging.getLogger(__name__)
+
 EWMA_TOL = 1e-12
 EWMA_MAX_ITER = 200
 DRESSED_DAMPING = 0.5
 POWER_TOL = 1e-10
-# With a clear top gap a warm-started step converges in about 10 iterations
-# (at most 14 at N=2); steps with a near-degenerate top pair would need
-# hundreds, and are handed to eigh, which costs less than iterating them out.
+# With a clear top gap a warm-started step converges in about 10 iterations;
+# steps with a near-degenerate top pair would need hundreds, and are handed
+# to dsyevr, which costs less than iterating them out.
 POWER_MAX_ITER = 50
 FULL_EVERY = 100
+# track_top takes every step from a stacked eigh up to this many assets.
+# Measured crossover (T=4000, eps=0.02, one BLAS thread): the stacked path is
+# faster up to N=16 on pure noise and up to N=18 on a one-factor panel.
+STACKED_MAX_N = 16
+# steps per chunk of the stacked path: at N=16 a 128 x N x N buffer is 256 kB
+STACK_STEPS = 128
+# the per-step path folds the EWMA decay into a scalar until it falls below
+# this value
+RESCALE_BELOW = 1e-30
 
 
 class KernelConvergenceError(RuntimeError):
@@ -159,12 +172,16 @@ def dressed_resolvent_grid(grid, q, eps, c_grid, c_density, c_atom_loc,
 def track_top(returns, epsilon, v_ref, e_init=None):
     """EWMA covariance tracking of the top eigenpair.
 
-    Updates ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` and extracts the top
-    eigenpair each step by power iteration warm-started from the previous
-    vector.  A full eigendecomposition takes the step instead every
-    ``FULL_EVERY`` steps and whenever the power iteration has not converged
-    within ``POWER_MAX_ITER`` iterations.  Consecutive eigenvectors are
-    sign-aligned.
+    Follows ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` from ``E_0 = I`` (or
+    ``e_init``, of which only the lower triangle is read) and returns the
+    exact top eigenpair of every ``E_t``.  Up to ``STACKED_MAX_N`` assets a
+    chunk of steps is built at once and decomposed by one stacked ``eigh``;
+    above it each step is a warm-started power iteration on the lower
+    triangle of ``E``, handed to LAPACK ``dsyevr`` (top pair only) every
+    ``FULL_EVERY`` steps and whenever the iteration cannot reach
+    ``POWER_TOL`` within ``POWER_MAX_ITER`` iterations.  Consecutive
+    eigenvectors are sign-aligned, the first one to the top eigenvector of
+    ``E_0``.
 
     Returns ``(lambda1, theta, vectors)`` where ``theta`` is the angle to
     ``v_ref`` in radians.
@@ -173,39 +190,113 @@ def track_top(returns, epsilon, v_ref, e_init=None):
     T, N = returns.shape
     v_ref = np.asarray(v_ref, dtype=float)
     v_ref = v_ref / np.linalg.norm(v_ref)
-
     E = np.eye(N) if e_init is None else np.array(e_init, dtype=float)
-    vals, vecs = np.linalg.eigh(E)
-    v = vecs[:, -1].copy()
+    v0 = np.linalg.eigh(E)[1][:, -1]
+    if N <= STACKED_MAX_N:
+        lam, vecs, stats = _track_stacked(returns, epsilon, E, v0)
+    else:
+        lam, vecs, stats = _track_per_step(returns, epsilon, E, v0)
+    logger.debug("track_top: path=%(path)s N=%(n)d steps=%(steps)d "
+                 "power_iterations=%(power_iterations)d "
+                 "give_ups=%(give_ups)d exact_steps=%(exact_steps)d", stats)
+    theta = np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0))
+    return lam, theta, vecs
 
-    lam_out = np.empty(T)
-    theta_out = np.empty(T)
-    v_out = np.empty((T, N))
 
+def _track_stacked(returns, epsilon, E, v0):
+    """Every E_t of a chunk of steps from the unrolled recurrence
+    ``E_{s+k} = (1-eps)^{k+1} E_{s-1} + sum_j eps (1-eps)^{k-j} r r^T``,
+    then all top pairs from one stacked ``eigh``."""
+    T, N = returns.shape
+    n = max(1, min(T, STACK_STEPS))
+    k = np.arange(n)
+    W = np.tril(epsilon * (1.0 - epsilon) ** np.abs(np.subtract.outer(k, k)))
+    decay = (1.0 - epsilon) ** (k + 1)
+    lam = np.empty(T)
+    vecs = np.empty((T, N))
+    for s in range(0, T, n):
+        m = min(n, T - s)
+        R = returns[s:s + m]
+        outer = (R[:, :, None] * R[:, None, :]).reshape(m, N * N)
+        stack = (W[:m, :m] @ outer).reshape(m, N, N)
+        stack += decay[:m, None, None] * E
+        w, u = np.linalg.eigh(stack)
+        lam[s:s + m] = w[:, -1]
+        vecs[s:s + m] = u[:, :, -1]
+        E = stack[-1]
+    # v_t = s_t u_t with s_t = s_{t-1} sign(u_t . u_{t-1}) keeps every
+    # v_t . v_{t-1} >= 0, as the per-step path does
+    dots = np.einsum("ij,ij->i", vecs, np.vstack([v0, vecs])[:-1])
+    vecs *= np.cumprod(np.where(dots < 0, -1.0, 1.0))[:, None]
+    return lam, vecs, dict(path="stacked", n=N, steps=T, power_iterations=0,
+                           give_ups=0, exact_steps=T)
+
+
+def _track_per_step(returns, epsilon, E, v):
+    """Warm-started power iteration per step on the lower triangle of E,
+    with the exact top pair from ``dsyevr`` when it cannot converge."""
+    T, N = returns.shape
+    # E_t = c * F: the decay goes into the scalar c, so a step touches only
+    # the lower triangle of F (one dsyr); F is rescaled before c underflows
+    F = np.asfortranarray(np.tril(E))
+    c = 1.0
+    lam = np.empty(T)
+    vecs = np.empty((T, N))
+    iterations = give_ups = exact = 0
     for t in range(T):
-        r = returns[t]
-        E *= (1.0 - epsilon)
-        E += epsilon * np.outer(r, r)
-        converged = False
+        c *= 1.0 - epsilon
+        if c < RESCALE_BELOW:
+            F *= c
+            c = 1.0
+        blas.dsyr(epsilon / c, returns[t], lower=1, a=F, overwrite_a=1)
+        w = None
         if (t + 1) % FULL_EVERY:
-            for _ in range(POWER_MAX_ITER):
-                w = E @ v
-                lam = np.linalg.norm(w)
-                if lam == 0:
-                    break
-                w /= lam
-                if w @ v < 0:
-                    w = -w
-                converged = np.linalg.norm(w - v) < POWER_TOL
-                v = w
-                if converged:
-                    break
-        if not converged:
-            vals, vecs = np.linalg.eigh(E)
-            w = vecs[:, -1]
-            v = -w if w @ v < 0 else w.copy()
-            lam = vals[-1]
-        lam_out[t] = lam
-        v_out[t] = v
-        theta_out[t] = np.arccos(np.clip(v @ v_ref, -1.0, 1.0))
-    return lam_out, theta_out, v_out
+            top, w, k = _power(F, c, v)
+            iterations += k
+            give_ups += w is None
+        if w is None:
+            top, w = _top_exact(F)
+            top *= c
+            exact += 1
+            if w @ v < 0:
+                w = -w
+        lam[t] = top
+        vecs[t] = v = w
+    return lam, vecs, dict(path="per-step", n=N, steps=T,
+                           power_iterations=iterations, give_ups=give_ups,
+                           exact_steps=exact)
+
+
+def _power(F, c, v):
+    """Power iteration on ``c * F`` (lower triangle) from ``v``.
+
+    Returns ``(lambda, vector, iterations)``, with ``vector`` None when the
+    iteration gives up: as soon as the observed contraction rate
+    ``rho = |d_k| / |d_{k-1}|`` of its steps says ``POWER_TOL`` cannot be
+    reached within ``POWER_MAX_ITER`` iterations, or when ``F v = 0``."""
+    prev = np.inf
+    for k in range(1, POWER_MAX_ITER + 1):
+        w = blas.dsymv(c, F, v, lower=1)
+        top = blas.dnrm2(w)
+        if top == 0:
+            break
+        # level-1 BLAS in place: np.linalg.norm costs 10x dnrm2 at this size
+        blas.dscal(-1.0 / top if blas.ddot(w, v) < 0 else 1.0 / top, w)
+        step = blas.dnrm2(w - v)
+        if step < POWER_TOL:
+            return top, w, k
+        rho = step / prev
+        if rho >= 1.0 or step * rho ** (POWER_MAX_ITER - k) >= POWER_TOL:
+            break
+        prev = step
+        v = w
+    return top, None, k
+
+
+def _top_exact(F):
+    """Top eigenpair of the symmetric matrix whose lower triangle is F."""
+    N = F.shape[0]
+    w, z, _, _, info = lapack.dsyevr(F, range="I", il=N, iu=N, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return w[0], z[:, 0]

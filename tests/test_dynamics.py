@@ -43,10 +43,20 @@ class TestTrackTop:
         folded = np.minimum(track.theta[500:], np.pi - track.theta[500:])
         assert np.mean(folded) < 0.5
 
-    def test_epsilon_validation(self):
+    @pytest.mark.parametrize("epsilon, v_ref, e_init", [
+        (1.5, np.ones(4), None),
+        (0.02, np.ones(3), None),
+        (0.02, np.zeros(4), None),
+        (0.02, np.array([1.0, np.nan, 0.0, 0.0]), None),
+        (0.02, np.ones(4), np.eye(3)),
+        (0.02, np.ones(4), np.diag([1.0, np.inf, 1.0, 1.0])),
+        (0.02, np.ones(4), np.triu(np.ones((4, 4)))),
+    ], ids=["epsilon", "v_ref-length", "v_ref-zero", "v_ref-nan",
+            "e_init-shape", "e_init-inf", "e_init-asymmetric"])
+    def test_epsilon_validation(self, epsilon, v_ref, e_init):
         p = ReturnPanel(np.random.default_rng(0).standard_normal((10, 4)))
         with pytest.raises(ValueError):
-            dynamics.track_top(p, 1.5, np.ones(4))
+            dynamics.track_top(p, epsilon, v_ref, e_init=e_init)
 
 
 class TestStationaryAngleDensity:

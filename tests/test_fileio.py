@@ -39,11 +39,20 @@ class TestPanelCsv:
         path.write_text("date,AAA,BBB\nd1,0.5\n")
         with pytest.raises(EstimatorError, match=r"x\.csv:2"):
             fileio.read_panel_csv(path)
+        # skipped comment and blank lines still count as lines of the file
+        path.write_text("# command: test\n# params: a=1\n"
+                        "date,AAA,BBB\n\nd1,0.5,0.25\nd2,0.5\n")
+        with pytest.raises(EstimatorError, match=r"x\.csv:6:"):
+            fileio.read_panel_csv(path)
 
     def test_non_numeric_error_names_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("date,AAA\nd1,0.5\nd2,oops\n")
         with pytest.raises(EstimatorError, match=r"x\.csv:3"):
+            fileio.read_panel_csv(path)
+        path.write_text("# command: test\n# params: a=1\n"
+                        "date,AAA\nd1,0.5\nd2,oops\n")
+        with pytest.raises(EstimatorError, match=r"x\.csv:5:"):
             fileio.read_panel_csv(path)
 
     def test_missing_values_forbidden(self, tmp_path):
