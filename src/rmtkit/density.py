@@ -142,11 +142,16 @@ class SpectralDensity:
         return min(los), max(his)
 
     def cdf(self, x: float) -> float:
+        """Mass at or below ``x``: the atoms there plus the integral of the
+        continuous part, piecewise linear between grid points as the
+        trapezoid rule assumes."""
         mass = sum(m for loc, m in self.atoms if loc <= x)
-        if self.grid.size >= 2:
-            sel = self.grid <= x
-            if sel.sum() >= 2:
-                mass += float(np.trapezoid(self.density[sel], self.grid[sel]))
+        if self.grid.size >= 2 and x > self.grid[0]:
+            k = np.searchsorted(self.grid, x)
+            x = min(x, self.grid[-1])
+            mass += float(np.trapezoid(
+                np.append(self.density[:k], self.interpolate(x)),
+                np.append(self.grid[:k], x)))
         return mass
 
     # -- manipulation ------------------------------------------------------

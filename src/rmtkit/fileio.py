@@ -18,6 +18,14 @@ __all__ = [
 ]
 
 
+def _data_rows(reader):
+    """The rows of a CSV reader, without blank rows and ``#`` comment lines.
+
+    ``reader.line_num`` still counts the skipped lines."""
+    return (row for row in reader
+            if row and not row[0].lstrip().startswith("#"))
+
+
 def read_panel_csv(path) -> ReturnPanel:
     """Panel CSV: header ``date,TICKER1,...``, one row per day, no gaps.
 
@@ -25,8 +33,7 @@ def read_panel_csv(path) -> ReturnPanel:
     as the reader yields them, and errors name the line of the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = (row for row in reader
-                if row and not row[0].lstrip().startswith("#"))
+        rows = _data_rows(reader)
         header = next(rows, None)
         if header is None:
             raise EstimatorError(f"{path}: empty panel file")
@@ -63,16 +70,30 @@ def write_panel_csv(path, panel: ReturnPanel, header_lines=()) -> None:
 
 
 def read_matrix_csv(path) -> CorrelationMatrix:
-    """Dense matrix CSV with a header row of asset ids."""
+    """Dense matrix CSV with a header row of asset ids.
+
+    Blank lines and lines starting with ``#`` are skipped.  Rows are parsed
+    as the reader yields them, and errors name the line of the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader
-                if row and not row[0].lstrip().startswith("#")]
-    if len(rows) < 2:
+        rows = _data_rows(reader)
+        header = next(rows, None)
+        assets = tuple(h.strip() for h in header or ())
+        values = []
+        for row in rows:
+            if len(row) != len(assets):
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: expected {len(assets)} "
+                    f"fields, got {len(row)}")
+            try:
+                values.append(np.array(row, dtype=float))
+            except ValueError as exc:
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: non-numeric matrix value"
+                ) from exc
+    if not values:
         raise EstimatorError(f"{path}: empty matrix file")
-    assets = tuple(h.strip() for h in rows[0])
-    values = np.asarray([[float(x) for x in row] for row in rows[1:]],
-                        dtype=float)
+    values = np.array(values)
     if values.shape != (len(assets), len(assets)):
         raise EstimatorError(f"{path}: matrix shape does not match header")
     return CorrelationMatrix(values, {"asset_ids": assets})

@@ -76,6 +76,12 @@ class TestQueries:
         assert d.cdf(0.5) == pytest.approx(0.5, abs=1e-2)
         assert d.cdf(2) == pytest.approx(1.0)
 
+    def test_cdf_between_grid_points(self):
+        # uniform density on the coarsest grid: all mass lies between points
+        d = SpectralDensity(np.array([0.0, 1.0]), np.ones(2))
+        assert d.cdf(0.25) == 0.25
+        assert d.cdf(0.5) == 0.5
+
     def test_cdf_counts_atoms(self):
         d = SpectralDensity.atom(1.0)
         assert d.cdf(0.5) == 0.0

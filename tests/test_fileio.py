@@ -84,6 +84,20 @@ class TestMatrixCsv:
         with pytest.raises(EstimatorError, match="shape"):
             fileio.read_matrix_csv(path)
 
+    def test_field_count_error_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        # the skipped comment line still counts as a line of the file
+        path.write_text("# command: test\nX,Y\n1.0,0.3\n0.3\n")
+        with pytest.raises(EstimatorError,
+                           match=r"m\.csv:4: expected 2 fields, got 1"):
+            fileio.read_matrix_csv(path)
+
+    def test_non_numeric_error_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# command: test\nX,Y\n1.0,0.3\n0.3,oops\n")
+        with pytest.raises(EstimatorError, match=r"m\.csv:4: non-numeric"):
+            fileio.read_matrix_csv(path)
+
 
 class TestMetadataHeader:
     def test_sorted_and_stable(self):

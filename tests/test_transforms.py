@@ -141,6 +141,18 @@ class TestFreeAdd:
         assert out.variance() == pytest.approx(
             mp025.variance() + semicircle.variance(), abs=0.05)
 
+    def test_unconverged_points_raise(self, mp025, semicircle, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_SWEEPS", 2)
+        with pytest.raises(ConvergenceError, match=r"\d+ grid points"):
+            transforms.free_add(mp025, semicircle)
+
+    def test_atoms_only_raise(self):
+        # two atoms each: the fixed point contracts at a rate of 1 - O(eps)
+        bernoulli = SpectralDensity(np.array([-1.0, 1.0]), np.zeros(2),
+                                    ((-1.0, 0.5), (1.0, 0.5)))
+        with pytest.raises(ConvergenceError, match=r"\d+ grid points"):
+            transforms.free_add(bernoulli, bernoulli)
+
 
 class TestFreeMultiply:
     def test_atom_scaling_shortcut(self, mp025):
@@ -155,6 +167,13 @@ class TestFreeMultiply:
         other = spectra.mp_density(0.1)
         out = transforms.free_multiply(mp025, other)
         assert out.mean() == pytest.approx(1.0, abs=0.01)
+        # variances of mean-one laws add under free multiplication: q1 + q2
+        assert out.variance() == pytest.approx(0.35, abs=0.05)
+
+    def test_unconverged_points_raise(self, mp025, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_SWEEPS", 2)
+        with pytest.raises(ConvergenceError, match=r"\d+ grid points"):
+            transforms.free_multiply(mp025, spectra.mp_density(0.1))
 
     def test_mp_product_matches_sample_of_wishart_of_wishart(self, mp025):
         # E = sample matrix (q=0.25) of data whose true covariance is itself
