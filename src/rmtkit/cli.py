@@ -17,7 +17,6 @@ from . import crosscorr, dynamics, fileio, portfolio, spectra, spikes, synth
 from .cleaning import SCHEME_KINDS, CleaningScheme, apply_scheme
 from .density import DensityError
 from .estimators import EstimatorError, pearson, standardize
-from .kernels import KernelConvergenceError
 from .transforms import TransformError
 
 __all__ = ["main", "run"]
@@ -305,8 +304,8 @@ _COMMANDS = {
     "spikes": _cmd_spikes,
 }
 
-_NUMERICAL_ERRORS = (KernelConvergenceError, TransformError, DensityError,
-                     np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL_ERRORS = (TransformError, DensityError, np.linalg.LinAlgError,
+                     FloatingPointError)
 
 
 def run(argv=None) -> int:

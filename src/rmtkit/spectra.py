@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln, roots_genlaguerre
 
-from . import kernels
+from . import transforms
 from .density import SpectralDensity
 from .transforms import ConvergenceError
 
@@ -39,6 +39,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ATOM_Q = 1e-8  # below this q the densities collapse to an atom at 1
+# largest distance of an EWMA density's mean from its exact value 1
+EWMA_MEAN_TOL = 5e-3
 
 
 def _edge_grid(lo: float, hi: float, npoints: int) -> np.ndarray:
@@ -120,7 +122,18 @@ def ewma_blue(q: float):
 
 
 def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
-    """Spectrum of the exponentially weighted estimator at q = N * epsilon."""
+    """Spectrum of the exponentially weighted estimator at q = N * epsilon.
+
+    Solves ``f(G) = z q G - q + log(1 - q G) = 0`` on the line
+    ``z = lambda - i eps`` by Newton steps on every grid point at once, run
+    as the fixed point of ``w = 1/G`` by ``transforms._subordinate`` from
+    ``G = 1/z``.  A point's step is halved while ``|q dG| > |1 - q G| / 2``,
+    which keeps ``1 - q G`` off the branch cut of the logarithm.  The law has
+    mean 1; a result whose mean is off by more than ``EWMA_MEAN_TOL`` raises
+    ``ConvergenceError``.  That happens from q of about 9, where the lower
+    edge comes within a few ``eps`` of zero and the grid cannot resolve the
+    mass near it.
+    """
     if q <= 0:
         raise ValueError("q must be positive")
     if q < ATOM_Q:
@@ -128,25 +141,40 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
     lo, hi = ewma_edges(q)
     grid = _edge_grid(lo, hi, npoints)
     eps = 1e-6 * (hi - lo)
-    try:
-        g = kernels.ewma_resolvent_grid(grid, q, eps)
-    except kernels.KernelConvergenceError as exc:
-        raise ConvergenceError(str(exc)) from exc
-    rho = np.clip(np.asarray(g).imag / np.pi, 0.0, None)
-    return SpectralDensity.from_unnormalized(grid, rho)
+
+    def newton(w, z):
+        g = 1.0 / w
+        u = 1.0 - q * g
+        dg = -(z * q * g - q + np.log(u)) / (z * q - q / u)
+        # a non-finite step is not halved: the point fails the stop rule
+        over = np.isfinite(dg) & (np.abs(q * dg) > 0.5 * np.abs(u))
+        while over.any():
+            dg[over] *= 0.5
+            over[over] = np.abs(q * dg[over]) > 0.5 * np.abs(u[over])
+        return 1.0 / (g + dg)
+
+    w = transforms._subordinate(newton, grid - 1j * eps, grid, "ewma_density")
+    rho = np.clip((1.0 / w).imag / np.pi, 0.0, None)
+    out = SpectralDensity.from_unnormalized(grid, rho)
+    if abs(out.mean() - 1.0) > EWMA_MEAN_TOL:
+        raise ConvergenceError(
+            f"ewma_density: mean {out.mean():.6g} differs from 1 at q={q:g}; "
+            "the grid does not resolve the lower edge")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Dressed spectrum for a general true correlation density
 
 def dressed_spectrum(rho_c: SpectralDensity, q: float,
-                     npoints: int = 2000, tol: float = 1e-9,
-                     max_iter: int = 3000) -> SpectralDensity:
+                     npoints: int = 2000) -> SpectralDensity:
     """Sample-matrix spectrum for true spectrum ``rho_c`` at aspect ratio q.
 
-    Solves ``G_E(z) = int rho_C(x)/(z - x (1 - q + q z G_E(z))) dx`` on the
-    line ``z = lambda - i eps`` by damped fixed-point iteration with
-    continuation in lambda.
+    The solution of ``G_E(z) = int rho_C(x)/(z - x (1 - q + q z G_E(z))) dx``
+    is the free product of ``rho_c`` and MP(q) (Burda, Jurkiewicz & Waclaw,
+    Phys. Rev. E 71, 2005), computed by ``transforms._product`` on the line
+    ``z = lambda - i eps``.  For q > 1 it holds an atom of mass 1 - 1/q at
+    zero.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -168,17 +196,7 @@ def dressed_spectrum(rho_c: SpectralDensity, q: float,
     else:
         grid = np.linspace(lo, hi, npoints)
     eps = 1e-4 * (bulk_hi - lo)
-    atom_loc = np.array([a for a, _ in rho_c.atoms])
-    atom_mass = np.array([m for _, m in rho_c.atoms])
-    try:
-        g = kernels.dressed_resolvent_grid(
-            grid, q, eps, rho_c.grid, rho_c.density, atom_loc, atom_mass,
-            tol=tol, max_iter=max_iter)
-    except kernels.KernelConvergenceError as exc:
-        raise ConvergenceError(str(exc)) from exc
-    rho = np.clip(np.asarray(g).imag / np.pi, 0.0, None)
-    atoms = ((0.0, 1.0 - 1.0 / q),) if q > 1 else ()
-    return SpectralDensity.from_unnormalized(grid, rho, atoms)
+    return transforms._product(rho_c, mp_density(q), grid, eps)
 
 
 def _quantile(dens: SpectralDensity, p: float) -> float:

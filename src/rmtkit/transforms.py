@@ -442,14 +442,30 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
                   npoints: int = 2000) -> SpectralDensity:
     """Density whose S-transform is S_a * S_b (free multiplicative convolution).
 
-    With y = 1/z, psi_{ab}(y) = psi_a(w), where w is the fixed point of
-    w <- y * h_b(y * h_a(w)) with h = eta/id and eta = psi/(1 + psi);
-    then G_{ab}(z) = y * (1 + psi_a(w)).
+    Subordination (see ``_product``) on an even grid of ``npoints`` over
+    [lo_a lo_b / 2, 1.1 hi_a hi_b].
     """
     for d in (a, b):
         if d.support()[0] < -1e-10:
             raise TransformError(
                 "free multiplication requires non-negative matrices")
+    lo_a, hi_a = a.support()
+    lo_b, hi_b = b.support()
+    lo = max(lo_a * lo_b * 0.5, 0.0)
+    hi = hi_a * hi_b * 1.1 + 1e-9
+    return _product(a, b, np.linspace(lo, hi, npoints), 1e-4 * (hi - lo))
+
+
+def _product(a: SpectralDensity, b: SpectralDensity, grid,
+             eps: float) -> SpectralDensity:
+    """Free product a (x) b read on ``grid - i*eps``.
+
+    With y = 1/z, psi_{ab}(y) = psi_a(w), where w is the fixed point of
+    w <- y * h_b(y * h_a(w)) with h = eta/id and eta = psi/(1 + psi);
+    then G_{ab}(z) = y * (1 + psi_a(w)).  The product holds an atom at zero
+    of mass m0 = max(a({0}), b({0})); its part m0 * y of G is taken out
+    before the density is read.
+    """
     if a.is_atomic and len(a.atoms) == 1:
         return b.scaled(a.atoms[0][0])
     if b.is_atomic and len(b.atoms) == 1:
@@ -459,13 +475,9 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
         p = _psi(d, w)
         return p / ((1.0 + p) * w)
 
-    lo_a, hi_a = a.support()
-    lo_b, hi_b = b.support()
-    lo = max(lo_a * lo_b * 0.5, 0.0)
-    hi = hi_a * hi_b * 1.1 + 1e-9
-    grid = np.linspace(lo, hi, npoints)
-    y = 1.0 / (grid - 1j * 1e-4 * (hi - lo))
+    y = 1.0 / (grid - 1j * eps)
     w = _subordinate(lambda w, y: y * h(b, y * h(a, w)), y, grid,
                      "free_multiply")
-    rho = (y * (1.0 + _psi(a, w))).imag / np.pi
-    return SpectralDensity.from_unnormalized(grid, rho)
+    m0 = max(sum(m for loc, m in d.atoms if loc == 0.0) for d in (a, b))
+    rho = (y * (1.0 + _psi(a, w) - m0)).imag / np.pi
+    return SpectralDensity.from_unnormalized(grid, rho, ((0.0, m0),))

@@ -57,10 +57,10 @@ class TestExitCodes:
         assert run(["spikes", "--matrix", str(mat), "--q", "0.5"]) == 1
 
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        from rmtkit.kernels import KernelConvergenceError
+        from rmtkit.transforms import ConvergenceError
 
         def boom(*args, **kwargs):
-            raise KernelConvergenceError("fixed point did not converge")
+            raise ConvergenceError("fixed point did not converge")
 
         monkeypatch.setattr(cli.spectra, "mp_density", boom)
         out = tmp_path / "s.csv"

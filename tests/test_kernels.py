@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from rmtkit import synth
-from rmtkit.kernels import (FULL_EVERY, STACKED_MAX_N, KernelConvergenceError,
-                            dressed_resolvent_grid, ewma_resolvent_grid,
-                            track_top)
-from rmtkit.spectra import PowerLawPrior, powerlaw_prior_density
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return np.linspace(0.05, 3.0, 400)
+from rmtkit.kernels import FULL_EVERY, STACKED_MAX_N, track_top
 
 
 def _exact_top(returns, epsilon, e_init=None, chunk=250):
@@ -50,19 +42,6 @@ def _spiked(N, T):
 
 
 class TestKernelBehaviour:
-    def test_ewma_density_positive_in_band(self, grid):
-        g = ewma_resolvent_grid(grid, 0.5, 1e-6)
-        inside = (grid > 0.35) & (grid < 2.3)
-        assert np.all(g.imag[inside] > 0)
-
-    def test_dressed_raises_on_nonconvergence(self, grid):
-        prior = powerlaw_prior_density(PowerLawPrior(0.35))
-        empty = np.array([])
-        with pytest.raises(KernelConvergenceError):
-            dressed_resolvent_grid(
-                grid, 0.5, 1e-3, prior.grid, prior.density, empty, empty,
-                max_iter=2)
-
     # The pure-noise panels have a small top gap: there the power iteration
     # gives up and takes the exact step at almost every step.  On the spiked
     # N=50 panel it converges at almost every step.  N=2, the crossover N and

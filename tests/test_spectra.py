@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rmtkit import spectra
+from rmtkit import spectra, transforms
 from rmtkit.density import SpectralDensity
+from rmtkit.transforms import ConvergenceError
 
 
 class TestMarchenkoPastur:
@@ -78,6 +79,17 @@ class TestEwma:
     def test_tiny_q_atom(self):
         assert spectra.ewma_density(1e-12).is_atomic
 
+    def test_density_positive_in_band(self):
+        d = spectra.ewma_density(0.5)
+        assert np.all(d.density[1:-1] > 0)
+
+    def test_unresolved_lower_edge_raises(self):
+        # at q = 20 the lower edge (7.6e-10) lies below the evaluation
+        # offset eps, so the mass near zero cannot be resolved
+        with pytest.raises(ConvergenceError):
+            spectra.ewma_density(20.0)
+        assert spectra.ewma_density(5.0).mean() == pytest.approx(1.0, abs=5e-3)
+
 
 class TestDressedSpectrum:
     def test_atom_prior_recovers_mp(self):
@@ -94,6 +106,19 @@ class TestDressedSpectrum:
         prior = spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35))
         out = spectra.dressed_spectrum(prior, 0.5)
         assert out.variance() > prior.variance()
+
+    def test_q_above_one(self):
+        # rank deficit: mass 1 - 1/q sits at zero, and the mean is kept
+        prior = spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35))
+        out = spectra.dressed_spectrum(prior, 2.0)
+        assert out.atoms == ((0.0, pytest.approx(0.5)),)
+        assert out.mean() == pytest.approx(prior.mean(), abs=0.005)
+
+    def test_unconverged_points_raise(self, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_SWEEPS", 2)
+        prior = spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35))
+        with pytest.raises(ConvergenceError, match=r"\d+ grid points"):
+            spectra.dressed_spectrum(prior, 0.5)
 
 
 class TestPowerLawPrior:

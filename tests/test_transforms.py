@@ -175,6 +175,13 @@ class TestFreeMultiply:
         with pytest.raises(ConvergenceError, match=r"\d+ grid points"):
             transforms.free_multiply(mp025, spectra.mp_density(0.1))
 
+    def test_atom_at_zero(self, mp025):
+        # the product holds the larger of the two atoms at zero: here the
+        # mass 1 - 1/2 of MP(2); means of mean-one laws multiply to 1
+        out = transforms.free_multiply(mp025, spectra.mp_density(2.0))
+        assert out.atoms == ((0.0, pytest.approx(0.5, abs=1e-9)),)
+        assert out.mean() == pytest.approx(1.0, abs=0.01)
+
     def test_mp_product_matches_sample_of_wishart_of_wishart(self, mp025):
         # E = sample matrix (q=0.25) of data whose true covariance is itself
         # a q=0.1 Wishart: spectrum = free product of the two MP laws
