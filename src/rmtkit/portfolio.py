@@ -93,11 +93,31 @@ class BacktestRow:
     out_risk2: float
 
 
-def _windows(T: int, window: int, horizon: int, step: int):
-    t = window
-    while t + horizon < T:
-        yield t
-        t += step
+def _window_estimates(panel: ReturnPanel, scheme: CleaningScheme | None,
+                      window: int, horizon: int, step: int):
+    """Checks the arguments, then yields (t, sigma, X, E) at each rebalance
+    date t: the trailing ``window`` days X standardized by their volatility
+    sigma, and their correlation matrix E cleaned with ``scheme``."""
+    if panel.T < window + horizon + 1:
+        raise EstimatorError(
+            f"insufficient history: need {window + horizon + 1} days, "
+            f"have {panel.T}")
+    if step < 1:
+        raise ValueError("step must be a positive number of days")
+
+    def estimates():
+        for t in range(window, panel.T - horizon, step):
+            hist = panel.values[t - window:t]
+            sigma = hist.std(axis=0)
+            if np.any(sigma < 1e-15):
+                raise EstimatorError("constant column inside backtest window")
+            X = (hist - hist.mean(axis=0)) / sigma
+            E = CorrelationMatrix(_corr(X))
+            if scheme is not None:
+                E = apply_scheme(E, scheme)
+            yield t, sigma, X, E
+
+    return estimates()
 
 
 def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
@@ -115,29 +135,18 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
     ``predictor='random'`` replaces g by a unit-norm random vector (requires
     a seed).
     """
-    T, N = panel.T, panel.N
-    if T < window + horizon + 1:
-        raise EstimatorError(
-            f"insufficient history: need {window + horizon + 1} days, have {T}")
+    estimates = _window_estimates(panel, scheme, window, horizon, step)
     if predictor not in ("momentum", "random"):
         raise ValueError("predictor must be 'momentum' or 'random'")
     rng = np.random.default_rng(seed) if predictor == "random" else None
     if predictor == "random" and seed is None:
         raise ValueError("random predictor requires a seed")
     rows = []
-    for t in _windows(T, window, horizon, step):
-        hist = panel.values[t - window:t]
-        sigma = hist.std(axis=0)
-        if np.any(sigma < 1e-15):
-            raise EstimatorError("constant column inside backtest window")
-        X = (hist - hist.mean(axis=0)) / sigma
-        E = CorrelationMatrix(_corr(X))
-        if scheme is not None:
-            E = apply_scheme(E, scheme)
+    for t, sigma, _, E in estimates:
         if predictor == "momentum":
             g = panel.values[t] / sigma
         else:
-            g = rng.standard_normal(N)
+            g = rng.standard_normal(panel.N)
         g = g / np.linalg.norm(g)
         Einv_g = E.inverse() @ g
         denom = g @ Einv_g
@@ -163,18 +172,9 @@ def residual_test(panel: ReturnPanel, scheme: CleaningScheme | None,
     both near 1 means the cleaned matrix explains cross-sectional structure
     well.
     """
-    T, N = panel.T, panel.N
-    if T < window + horizon + 1:
-        raise EstimatorError(
-            f"insufficient history: need {window + horizon + 1} days, have {T}")
     in_ratios, out_ratios = [], []
-    for t in _windows(T, window, horizon, step):
-        hist = panel.values[t - window:t]
-        sigma = hist.std(axis=0)
-        X = (hist - hist.mean(axis=0)) / sigma
-        E = CorrelationMatrix(_corr(X))
-        if scheme is not None:
-            E = apply_scheme(E, scheme)
+    for t, sigma, X, E in _window_estimates(panel, scheme, window, horizon,
+                                            step):
         Einv = E.inverse()
         d = np.diag(Einv)
         predicted = 1.0 / d

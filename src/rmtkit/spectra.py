@@ -335,25 +335,24 @@ def elliptic_student_density(p: EllipticParams, npoints: int = 2000,
     bulk = np.linspace(1e-6, min(bulk_hi, lam_max), npoints - n_tail)
     eps = 1e-5
     out = np.empty(bulk.size, dtype=complex)
+
+    def solve(z, g):
+        return transforms._damped_newton(lambda x: 1.0 / x + R(x) - z,
+                                         lambda x: -1.0 / x**2 + Rp(x), g)
+
     g = 1.0 / (bulk[-1] - 1j * eps)
     bad = []
     for i in range(bulk.size - 1, -1, -1):
         lam = bulk[i]
         try:
-            g = _newton_complex(
-                lambda x: 1.0 / x + R(x) - (lam - 1j * eps),
-                lambda x: -1.0 / x**2 + Rp(x),
-                g)
+            g = solve(lam - 1j * eps, g)
         except ConvergenceError:
             # near-stationary points (spectral edges) stall the iteration;
             # restart further from the real axis and walk eps back down
             try:
                 g = 1.0 / (lam - 0.5j)
                 for ee in np.geomspace(0.5, eps, 12):
-                    g = _newton_complex(
-                        lambda x: 1.0 / x + R(x) - (lam - 1j * ee),
-                        lambda x: -1.0 / x**2 + Rp(x),
-                        g)
+                    g = solve(lam - 1j * ee, g)
             except ConvergenceError:
                 bad.append(lam)
                 out[i] = np.nan
@@ -451,40 +450,6 @@ def _elliptic_tail_density(tail_grid: np.ndarray, mu: float,
         out[i] = mu * pdf(q * mu * g) * g * g / denom
         g_prev = g
     return out
-
-
-def _newton_complex(f, fp, x0, tol=1e-12, max_iter=200):
-    """Damped Newton for the resolvent branch Im(x) >= 0.
-
-    Steps are clamped to stay local (the discretized transforms have spurious
-    real roots between quadrature poles) and never cross the real axis.
-    """
-    x = complex(x0)
-    if x.imag < 0:
-        x = x.conjugate()
-    r = f(x)
-    for _ in range(max_iter):
-        if abs(r) < tol:
-            return x
-        step = -r / fp(x)
-        limit = 0.3 * (abs(x) + 0.1)
-        if abs(step) > limit:
-            step *= limit / abs(step)
-        for _ in range(60):
-            xn = x + step
-            if xn.imag < 0:
-                step *= 0.5
-                continue
-            rn = f(xn)
-            if abs(rn) < abs(r):
-                x, r = xn, rn
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(f"stalled, residual {abs(r):.3e}")
-    if abs(r) < 1e-8:
-        return x
-    raise ConvergenceError(f"no convergence, residual {abs(r):.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ R- and S-transforms, location of spectrum edges from stationary points of the
 Blue function, and free additive/multiplicative convolution by subordination
 (Belinschi & Bercovici, J. Anal. Math. 101, 2007): one fixed point per grid
 point, iterated over the whole grid at once from forward evaluations of the
-Cauchy transform or of psi alone.
+Cauchy transform or of psi alone.  One inversion engine, ``blue``, serves
+both inverse transforms: S inverts psi through ``blue`` of the size-biased law.
 
 Conventions: densities are evaluated on the line ``z = lambda - i*eps`` with
 small ``eps > 0``; on that line ``Im G > 0`` and ``rho = Im G / pi``.  For
@@ -169,9 +170,14 @@ def density_from_resolvent(g, grid, eps: float) -> SpectralDensity:
 def _damped_newton(f, fprime, x0, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
     """Newton iteration with residual-decrease backtracking.
 
-    Works for complex-valued holomorphic maps of one complex variable.
+    Works for complex-valued holomorphic maps of one complex variable.  Two
+    guards keep it on the branch of its start, because the quadrature-
+    discretized transforms have spurious real roots between their poles: a
+    step never leaves the half-plane of ``x0`` (the upper one when
+    ``Im x0 = 0``), and each step is clamped to ``0.3(|x| + 0.1)``.
     """
     x = complex(x0)
+    side = -1.0 if x.imag < 0 else 1.0
     r = f(x)
     for _ in range(max_iter):
         if abs(r) < tol:
@@ -180,12 +186,16 @@ def _damped_newton(f, fprime, x0, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
         if d == 0 or not np.isfinite(d):
             raise ConvergenceError(f"singular derivative, residual {abs(r):.3e}")
         step = -r / d
+        limit = 0.3 * (abs(x) + 0.1)
+        if abs(step) > limit:
+            step *= limit / abs(step)
         for _ in range(60):
             xn = x + step
-            rn = f(xn)
-            if abs(rn) < abs(r):
-                x, r = xn, rn
-                break
+            if side * xn.imag >= 0:
+                rn = f(xn)
+                if abs(rn) < abs(r):
+                    x, r = xn, rn
+                    break
             step *= 0.5
         else:
             raise ConvergenceError(f"line search stalled, residual {abs(r):.3e}")
@@ -199,8 +209,8 @@ def blue(density: SpectralDensity, w: complex) -> complex:
     """Functional inverse of the resolvent: the z with G(z) = w.
 
     Real w is solved by bracketed root-finding on the physical branch outside
-    the support (G is monotone there); complex w by damped Newton seeded at
-    ``1/w + mean``.
+    the support (G is monotone there); complex w by ``_damped_newton`` seeded
+    at ``1/w + mean``, which lies in the half-plane of the root.
     """
     w = complex(w)
     if w == 0:
@@ -239,10 +249,8 @@ def _blue_real(density: SpectralDensity, w: float) -> float:
                 f"no z with G(z) = {w:.6g}: beyond the fold point "
                 f"G(edge-) = {g_a:.6g}")
         b = lo - max(-2.0 / w, span)
-    for _ in range(200):
-        if (resolvent(density, b).real - w) * (g_a - w) <= 0:
-            break
-        b = a + 2.0 * (b - a)
+    # |G(z)| <= 1/dist(z, [lo, hi]) for a probability measure, so G(b) lies
+    # between 0 and w/2 at these b: [a, b] always brackets the root.
     return brentq(lambda z: resolvent(density, z).real - w, a, b,
                   xtol=1e-14, rtol=8.9e-16)
 
@@ -261,61 +269,14 @@ def _psi(density: SpectralDensity, y):
     return _integrate(density, y, _psi_kernel)
 
 
-def _psi_derivative(density: SpectralDensity, y: complex) -> complex:
-    return complex(_integrate(density, complex(y),
-                              lambda y, x: x / (1.0 - x * y) ** 2))
-
-
-def _psi_inverse_real(density: SpectralDensity, w: float) -> float:
-    """Bracketed inverse of psi on its monotone real branch.
-
-    For a density supported on [0, hi], psi is strictly increasing on
-    (0, 1/hi), covering (0, psi(1/hi^-)), and on (-inf, 0), covering
-    (-continuous mass, 0).
-    """
-    lo, hi = density.support()
-    if density.grid.size:
-        hi = max(hi, float(density.grid[-1]))
-    if lo < 0:
-        raise TransformError("real psi inversion requires non-negative support")
-    if w > 0:
-        b = (1.0 - 1e-9) / hi
-        w_max = _psi(density, b).real
-        if w_max <= w:
-            raise ConvergenceError(
-                f"no y with psi(y) = {w:.6g}: branch tops out at {w_max:.6g}")
-        a = 1e-12 / hi
-    else:
-        a = -1e-12 / hi
-        b = -1.0 / hi
-        for _ in range(200):
-            if _psi(density, b).real <= w:
-                break
-            b *= 2.0
-        else:
-            raise ConvergenceError(f"no y with psi(y) = {w:.6g}")
-    return brentq(lambda y: _psi(density, y).real - w, a, b,
-                  xtol=1e-15, rtol=8.9e-16)
-
-
-def _psi_inverse(density: SpectralDensity, w: complex) -> complex:
-    mean = density.mean()
-    if abs(mean) < 1e-14:
-        raise TransformError("S-transform requires a density with non-zero mean")
-    if abs(w.imag) <= 1e-12 * abs(w.real) and w.real != 0:
-        return complex(_psi_inverse_real(density, w.real))
-    try:
-        return _damped_newton(
-            lambda y: _psi(density, y) - w,
-            lambda y: _psi_derivative(density, y),
-            w / mean)  # psi(y) ~ mean*y near the origin
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"psi inversion failed at w={w}: {exc}") from exc
-
-
 def s_transform(density: SpectralDensity, w: complex) -> complex:
     """S(w) = (1+w)/w * psi^{-1}(w), the multiplicative free transform.
+
+    Defined for densities on [0, inf) with non-zero mean m.  With
+    nu(dx) = x rho(dx)/m the size-biased law, psi(1/z) = m G_nu(z), so
+    psi^{-1}(w) = 1/B_nu(w/m) and S(w) = (1+w)/w / B_nu(w/m).  On the
+    principal branch psi maps y < 0 onto (-(1 - rho({0})), 0); real w at or
+    below that bound raise ConvergenceError.
 
     Equivalent to the eta-transform formulation S(w) = -((1+w)/w)
     eta^{-1}(1+w) with eta(y) = -(1/y) G(-1/y); the sign placement here makes
@@ -326,8 +287,20 @@ def s_transform(density: SpectralDensity, w: complex) -> complex:
         raise TransformError("S-transform is defined for w != 0")
     if density.is_atomic and len(density.atoms) == 1:
         return 1.0 / density.atoms[0][0]
-    chi = _psi_inverse(density, w)
-    return (1.0 + w) / w * chi
+    mean = density.mean()
+    if abs(mean) < 1e-14:
+        raise TransformError("S-transform requires a density with non-zero mean")
+    if density.support()[0] < 0:
+        raise TransformError("S-transform requires non-negative support")
+    floor = sum(m for loc, m in density.atoms if loc == 0.0) - 1.0
+    if abs(w.imag) <= 1e-12 * abs(w.real) and w.real <= floor:
+        raise ConvergenceError(
+            f"no y with psi(y) = {w.real:.6g}: psi maps y < 0 onto "
+            f"({floor:.6g}, 0)")
+    nu = SpectralDensity(
+        density.grid, density.grid * density.density / mean,
+        tuple((loc, loc * m / mean) for loc, m in density.atoms))
+    return (1.0 + w) / w / blue(nu, w / mean)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,12 @@ class TestBacktest:
         with pytest.raises(EstimatorError, match="insufficient history"):
             portfolio.backtest(p, None, window=300, horizon=50)
 
+    def test_step_must_be_positive(self, panel):
+        for step in (0, -100):
+            with pytest.raises(ValueError, match="step"):
+                portfolio.backtest(panel, None, window=300, horizon=50,
+                                   step=step)
+
     def test_random_predictor_requires_seed(self, panel):
         with pytest.raises(ValueError, match="seed"):
             portfolio.backtest(panel, None, window=300, horizon=50,
@@ -132,3 +138,10 @@ class TestResidualTest:
         # in-window the fit is flattered; out-of-window it deteriorates
         assert in_ratio > out_ratio
         assert 0.5 < out_ratio < 1.05
+
+    def test_constant_column_raises(self):
+        values = np.random.default_rng(0).standard_normal((400, 5))
+        values[:250, 2] = 0.0
+        with pytest.raises(EstimatorError, match="constant column"):
+            portfolio.residual_test(ReturnPanel(values), None, window=200,
+                                    horizon=50, step=50)

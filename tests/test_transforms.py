@@ -17,6 +17,11 @@ def semicircle():
     return spectra.wigner_semicircle(1.0)
 
 
+# complex w whose preimages under G (and psi) lie off the support
+W_OFF_AXIS = [0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.3j, -0.2 - 0.05j, 0.05 + 0.01j]
+MP_QS = [0.25, 0.5, 2.0]
+
+
 class TestResolvent:
     def test_far_field_decay(self, mp025):
         z = 1000.0
@@ -47,10 +52,20 @@ class TestResolvent:
 
 
 class TestBlue:
-    def test_round_trip(self, mp025):
+    def test_round_trip(self, mp025, semicircle):
         for w in [0.05, 0.2, -0.3, 0.1 + 0.2j]:
             z = transforms.blue(mp025, w)
             assert transforms.resolvent(mp025, z) == pytest.approx(w, abs=1e-8)
+        # closed forms: B = 1/w + 1/(1 - qw) for MP(q), w + 1/w for the unit
+        # semicircle; B(w) lies in the half-plane opposite to w's
+        laws = [(spectra.mp_density(q), lambda w, q=q: 1 / w + 1 / (1 - q * w))
+                for q in MP_QS]
+        laws.append((semicircle, lambda w: w + 1 / w))
+        for d, exact in laws:
+            for w in W_OFF_AXIS:
+                z = transforms.blue(d, w)
+                assert z == pytest.approx(exact(w), rel=1e-9)
+                assert np.sign(z.imag) == -np.sign(w.imag)
 
     def test_atom_closed_form(self):
         d = SpectralDensity.atom(1.5)
@@ -111,11 +126,26 @@ class TestSTransform:
             s = transforms.s_transform(mp025, w)
             assert complex(s).real == pytest.approx(1.0 / (1.0 + 0.25 * w),
                                                     abs=1e-6)
+        for q in MP_QS:
+            d = spectra.mp_density(q)
+            for w in W_OFF_AXIS:
+                assert transforms.s_transform(d, w) == pytest.approx(
+                    1.0 / (1.0 + q * w), rel=1e-9)
 
     def test_unreachable_branch_raises(self, mp025):
         # chi(w) would exceed 1/lambda_max: no preimage on the real branch
         with pytest.raises(ConvergenceError):
             transforms.s_transform(mp025, 5.0)
+
+    def test_principal_branch_bound(self, mp025):
+        # psi maps y < 0 onto (-1, 0): w <= -1 has no preimage there
+        for w in (-1.5, -1.0):
+            with pytest.raises(ConvergenceError):
+                transforms.s_transform(mp025, w)
+
+    def test_negative_support_raises(self, semicircle):
+        with pytest.raises(TransformError, match="non-negative support"):
+            transforms.s_transform(semicircle.shifted(1.0), 0.1 + 0.1j)
 
 
 class TestFreeAdd:
