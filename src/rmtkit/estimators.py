@@ -3,10 +3,13 @@ statistics."""
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas, lapack
 from scipy.stats import kurtosis
 
 __all__ = [
@@ -25,6 +28,14 @@ __all__ = [
 
 class EstimatorError(ValueError):
     pass
+
+
+logger = logging.getLogger(__name__)
+
+# student_ml extrapolates each weight vector from this many past steps of the
+# weight map (Anderson mixing); the estimated contraction rate is the largest
+# secant ratio among as many recent iterates
+ANDERSON_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -178,36 +189,106 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
     """Maximum-likelihood correlation matrix under the multivariate Student
     model with tail index mu.
 
-    Fixed point of ``C = ((N+mu)/T) sum_t r_t r_t^T / (mu + r_t^T C^{-1} r_t)``
-    iterated from the Pearson start, with damping 0.5 if the residual
-    oscillates.
+    The fixed point of ``C = ((N+mu)/T) sum_t r_t r_t^T / (mu + r_t^T C^{-1}
+    r_t)`` is found as a fixed point of the T Student weights
+    ``w_t = (N+mu) / (T (mu + r_t^T C(w)^{-1} r_t))`` with
+    ``C(w) = R^T diag(w) R``, from the Pearson start ``w = 1/T``.  The
+    quadratic forms come from one Cholesky factor of ``C(w)`` and one
+    triangular solve.  Each new weight vector is the Anderson mixture of the
+    last ``ANDERSON_DEPTH`` steps of the weight map; the plain step is taken
+    instead (and counted as a fallback) when a mixed iterate has a weight
+    <= 0 or a larger residual than the current one.
+
+    ``tol`` bounds the distance to the fixed point, in max-abs entries of C:
+    the loop stops when the plain-map step ``s`` satisfies
+    ``s / (1 - rho) <= tol``, with ``rho`` the largest secant contraction
+    ratio of the map observed over the recent iterates, and returns the plain
+    image of the last iterate.  Raises ``EstimatorError`` on a singular
+    iterate and after ``max_iter`` iterations.
     """
     if mu <= 2:
         raise EstimatorError("mu must exceed 2")
+    if not panel.is_standardized(tol=1e-6):
+        raise EstimatorError("student_ml requires a standardized panel")
+    started = time.perf_counter()
     R = panel.values
     T, N = R.shape
-    C = pearson(panel).values
-    damping = 1.0
-    prev_res = np.inf
-    for _ in range(max_iter):
-        try:
-            sol = np.linalg.solve(C, R.T)
-        except np.linalg.LinAlgError as exc:
-            raise EstimatorError("singular iterate in student_ml") from exc
-        quad = np.einsum("ti,it->t", R, sol)
-        weights = (N + mu) / (T * (mu + quad))
-        Cn = (R * weights[:, None]).T @ R
-        res = np.max(np.abs(Cn - C))
-        if res < tol:
-            return CorrelationMatrix(
-                Cn, {"estimator": "student_ml", "mu": mu})
-        if res > prev_res:
-            damping = 0.5
-        prev_res = res
-        C = C + damping * (Cn - C)
+    # one T x N buffer holds the scaled panel of each Gram matrix and the
+    # right-hand sides of each triangular solve
+    work = np.empty((T, N))
+
+    def gram(w):
+        # lower triangle of R^T diag(w) R; the upper one stays zero
+        np.multiply(R, np.sqrt(w)[:, None], out=work)
+        return blas.dsyrk(1.0, work.T, lower=1)
+
+    def weight_map(C):
+        L, info = lapack.dpotrf(C, lower=1)
+        if info == 0:
+            np.copyto(work, R)
+            Y, info = lapack.dtrtrs(L, work.T, lower=1, overwrite_b=1)
+        if info != 0:
+            raise EstimatorError("singular iterate in student_ml")
+        return (N + mu) / (T * (mu + np.einsum("ij,ij->j", Y, Y)))
+
+    def evaluate(w):
+        C = gram(w)
+        g = weight_map(C)
+        Cg = gram(g)
+        return w, C, g, Cg, _max_gap(Cg, C)
+
+    state = evaluate(np.full(T, 1.0 / T))
+    d_res, d_img, rates = [], [], []
+    stats = dict(n=N, t=T, iterations=0, step=state[-1], bound=np.inf,
+                 fallbacks=0)
+    for iteration in range(1, max_iter + 1):
+        w, C, g, Cg, step = state
+        rho = max(rates, default=1.0)
+        bound = step / (1.0 - rho) if rho < 1.0 else np.inf
+        stats.update(iterations=iteration, step=step, bound=bound)
+        if bound <= tol:
+            _log_student_ml(stats, started)
+            return CorrelationMatrix(Cg + np.tril(Cg, -1).T,
+                                     {"estimator": "student_ml", "mu": mu})
+        mixed = None
+        if d_res:
+            gamma = np.linalg.lstsq(np.column_stack(d_res), g - w,
+                                    rcond=None)[0]
+            candidate = g - np.column_stack(d_img) @ gamma
+            if np.all(candidate > 0):
+                mixed = evaluate(candidate)
+            if mixed is None or mixed[-1] > step:
+                stats["fallbacks"] += 1
+                mixed = None
+                d_res.clear()
+                d_img.clear()
+        state = mixed or evaluate(g)
+        w_new, C_new, g_new, Cg_new, _ = state
+        d_res.append((g_new - w_new) - (g - w))
+        d_img.append(g_new - g)
+        moved = _max_gap(C_new, C)
+        # a secant across a move at rounding level measures only noise
+        if moved > 1e-13 * np.max(np.abs(C)):
+            rates.append(_max_gap(Cg_new, Cg) / moved)
+        del d_res[:-ANDERSON_DEPTH], d_img[:-ANDERSON_DEPTH]
+        del rates[:-ANDERSON_DEPTH]
+    _log_student_ml(stats, started)
     raise EstimatorError(
         f"student_ml did not converge in {max_iter} iterations "
-        f"(last residual {prev_res:.2e})")
+        f"(last residual {stats['step']:.2e}, "
+        f"error bound {stats['bound']:.2e})")
+
+
+def _max_gap(A, B):
+    gap = A - B
+    return float(np.max(np.abs(gap, out=gap)))
+
+
+def _log_student_ml(stats, started):
+    stats["seconds"] = time.perf_counter() - started
+    logger.debug("student_ml: N=%(n)d T=%(t)d iterations=%(iterations)d "
+                 "step=%(step).3e bound=%(bound).3e fallbacks=%(fallbacks)d "
+                 "seconds=%(seconds).3f", stats)
 
 
 def dual_spectrum_check(panel: ReturnPanel):

@@ -210,7 +210,9 @@ def blue(density: SpectralDensity, w: complex) -> complex:
 
     Real w is solved by bracketed root-finding on the physical branch outside
     the support (G is monotone there); complex w by ``_damped_newton`` seeded
-    at ``1/w + mean``, which lies in the half-plane of the root.
+    at ``1/w + mean``, which lies in the half-plane of the root.  A complex
+    root closer to the support than the local grid step is a root of the
+    quadrature sum, not of G, and raises ``ConvergenceError``.
     """
     w = complex(w)
     if w == 0:
@@ -220,10 +222,21 @@ def blue(density: SpectralDensity, w: complex) -> complex:
         return density.atoms[0][0] + 1.0 / w
     if abs(w.imag) <= 1e-12 * abs(w.real):
         return complex(_blue_real(density, w.real))
-    return _damped_newton(
+    z = _damped_newton(
         lambda z: resolvent(density, z) - w,
         lambda z: resolvent_derivative(density, z),
         1.0 / w + density.mean())
+    # closer to the support than one grid step, the quadrature sum has roots
+    # among its poles that G itself does not have: w has no preimage there
+    x, grid = z.real, density.grid
+    if grid.size >= 2 and grid[0] <= x <= grid[-1]:
+        i = min(max(int(np.searchsorted(grid, x)), 1), grid.size - 1)
+        if (abs(z.imag) < grid[i] - grid[i - 1]
+                and density.interpolate(x) > 1e-12):
+            raise ConvergenceError(
+                f"no z off the support with G(z) = {w:.6g}: the root "
+                f"{z:.6g} lies within one grid step of the support")
+    return z
 
 
 def _blue_real(density: SpectralDensity, w: float) -> float:

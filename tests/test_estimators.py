@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,39 @@ class TestStudentML:
     def test_mu_validation(self, gauss_panel):
         with pytest.raises(EstimatorError):
             estimators.student_ml(gauss_panel, 2.0)
+
+    @pytest.fixture(scope="class")
+    def heavy_panel(self):
+        # q = N/T = 0.5, where the plain fixed-point map contracts at ~0.98
+        from rmtkit import synth
+        C = synth.build_true_correlation(
+            synth.TrueCorrelationSpec("identity", 100))
+        return synth.student_panel(C, 5.0, 200, seed=0)
+
+    def test_error_bounded(self, heavy_panel):
+        # tol bounds the distance to the fixed point, not the last step
+        ref = estimators.student_ml(heavy_panel, 5.0, tol=1e-12,
+                                    max_iter=2000)
+        ml = estimators.student_ml(heavy_panel, 5.0, tol=3e-5, max_iter=2000)
+        assert np.max(np.abs(ml.values - ref.values)) <= 3e-5
+
+    def test_max_iter_names_last_residual(self, heavy_panel):
+        with pytest.raises(EstimatorError, match=r"last residual \d"):
+            estimators.student_ml(heavy_panel, 5.0, tol=3e-5, max_iter=2)
+
+    def test_fewer_observations_than_assets_is_singular(self):
+        rng = np.random.default_rng(3)
+        panel = standardize(ReturnPanel(rng.standard_normal((40, 60))))
+        with pytest.raises(EstimatorError, match="singular"):
+            estimators.student_ml(panel, 5.0)
+
+    def test_logs_iterations_and_bound(self, heavy_panel, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.estimators"):
+            estimators.student_ml(heavy_panel, 5.0, tol=3e-5, max_iter=2000)
+        (record,) = [r for r in caplog.records
+                     if r.getMessage().startswith("student_ml:")]
+        assert record.args["iterations"] >= 1
+        assert record.args["bound"] <= 3e-5
 
 
 class TestDiagnostics:

@@ -80,6 +80,13 @@ class TestBlue:
         with pytest.raises(ConvergenceError):
             transforms.blue(semicircle, 1.5)
 
+    @pytest.mark.parametrize("w", [1 + 1j, 2 - 1j])
+    def test_no_preimage_off_axis_raises(self, semicircle, w):
+        # |G| <= 1 for the unit semicircle; the quadrature sum still has
+        # roots among its poles, within a grid step of the support
+        with pytest.raises(ConvergenceError, match="grid step"):
+            transforms.blue(semicircle, w)
+
     def test_r_transform_mean_at_origin(self, mp025):
         r = transforms.r_transform(mp025, 1e-4)
         assert complex(r).real == pytest.approx(mp025.mean(), abs=1e-2)
