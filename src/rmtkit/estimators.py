@@ -108,15 +108,19 @@ class CorrelationMatrix:
 
     @cached_property
     def _eig(self):
-        vals, vecs = np.linalg.eigh(self.values)
-        order = np.argsort(vals)[::-1]
+        handed = self.__dict__.pop("_handed_eig", None)
+        if handed is None:
+            vals, vecs = np.linalg.eigh(self.values)
+            order = np.argsort(vals)[::-1]
+        else:
+            vals, vecs = handed
+            order = np.argsort(-vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
         if vals[-1] < -1e-10:
             raise EstimatorError(f"matrix is not PSD (min eigenvalue {vals[-1]:.2e})")
-        for k in range(vecs.shape[1]):
-            j = np.argmax(np.abs(vecs[:, k]))
-            if vecs[j, k] < 0:
-                vecs[:, k] = -vecs[:, k]
+        cols = np.arange(vecs.shape[1])
+        flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0
+        vecs[:, flip] *= -1.0
         return vals, vecs
 
     @property
@@ -128,18 +132,34 @@ class CorrelationMatrix:
         return self._eig[1]
 
     def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
-        """Rebuild the matrix with modified eigenvalues, same eigenvectors."""
+        """Rebuild the matrix with modified eigenvalues, same eigenvectors.
+
+        The new matrix takes these eigenpairs, sorted to descending order, as
+        its own, so it is not decomposed again; they are checked for PSD when
+        first read."""
         vals, vecs = self._eig
         new_eigenvalues = np.asarray(new_eigenvalues, dtype=float)
         m = (vecs * new_eigenvalues) @ vecs.T
-        return CorrelationMatrix(m, metadata or dict(self.metadata))
+        out = CorrelationMatrix(m, metadata or dict(self.metadata))
+        out.__dict__["_handed_eig"] = (new_eigenvalues, vecs)
+        return out
 
-    def inverse(self) -> np.ndarray:
+    def _invertible_eig(self):
         vals, vecs = self._eig
         if vals[-1] <= 1e-12:
             raise EstimatorError(
                 "matrix is singular; clean it before inverting")
+        return vals, vecs
+
+    def inverse(self) -> np.ndarray:
+        vals, vecs = self._invertible_eig()
         return (vecs / vals) @ vecs.T
+
+    def solve(self, b) -> np.ndarray:
+        """E^{-1} b for a vector b, as V((V^T b)/lambda), without forming
+        the inverse."""
+        vals, vecs = self._invertible_eig()
+        return vecs @ ((vecs.T @ b) / vals)
 
     def sqrt(self) -> np.ndarray:
         vals, vecs = self._eig
@@ -159,7 +179,8 @@ def standardize(panel: ReturnPanel) -> ReturnPanel:
     if bad.size:
         raise EstimatorError(
             f"constant column for asset {panel.asset_ids[bad[0]]}")
-    out = (values - values.mean(axis=0)) / std
+    out = values - values.mean(axis=0)
+    out /= std
     return ReturnPanel(out, panel.asset_ids, panel.time_ids)
 
 

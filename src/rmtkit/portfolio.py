@@ -48,7 +48,7 @@ def markowitz_weights(C: CorrelationMatrix, g: np.ndarray,
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         raise ValueError("predicted-gain vector g must be non-zero")
-    Cg = C.inverse() @ g
+    Cg = C.solve(g)
     w = G * Cg / (g @ Cg)
     return PortfolioWeights(w, G)
 
@@ -63,12 +63,12 @@ def risk_triple(E: CorrelationMatrix, C_true: CorrelationMatrix | None,
     are risks (square roots).
     """
     g = np.asarray(g, dtype=float)
-    Einv_g = E.inverse() @ g
+    Einv_g = E.solve(g)
     denom = g @ Einv_g
     r_in = G / math.sqrt(denom)
     if C_true is None:
         return RiskReport(r_in, float("nan"))
-    r_true = G / math.sqrt(g @ (C_true.inverse() @ g))
+    r_true = G / math.sqrt(g @ C_true.solve(g))
     r_out = G * math.sqrt(Einv_g @ (C_true.values @ Einv_g)) / denom
     return RiskReport(r_in, r_out, r_true)
 
@@ -148,7 +148,7 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
         else:
             g = rng.standard_normal(panel.N)
         g = g / np.linalg.norm(g)
-        Einv_g = E.inverse() @ g
+        Einv_g = E.solve(g)
         denom = g @ Einv_g
         w = Einv_g / denom
         in_risk2 = 1.0 / denom

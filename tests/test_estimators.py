@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from rmtkit import estimators
+from rmtkit import cleaning, estimators
 from rmtkit.estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
                                ewma_estimator, pearson, standardize)
 
@@ -45,6 +45,11 @@ class TestStandardize:
         with pytest.raises(EstimatorError, match="A0001"):
             standardize(ReturnPanel(vals))
 
+    def test_matches_out_of_place_formula_bitwise(self):
+        vals = 3.0 + 2.0 * np.random.default_rng(1).standard_normal((300, 7))
+        expected = (vals - vals.mean(axis=0)) / vals.std(axis=0)
+        assert np.array_equal(standardize(ReturnPanel(vals)).values, expected)
+
 
 class TestCorrelationMatrix:
     def test_requires_symmetry(self):
@@ -75,6 +80,70 @@ class TestCorrelationMatrix:
         E = pearson(gauss_panel)
         again = E.with_spectrum(E.eigenvalues)
         assert np.allclose(again.values, E.values, atol=1e-12)
+
+    def test_sign_convention_matches_per_column_rule(self, gauss_panel):
+        E = pearson(gauss_panel)
+        vals, vecs = np.linalg.eigh(E.values)
+        vecs = vecs[:, np.argsort(vals)[::-1]]
+        for k in range(vecs.shape[1]):
+            j = np.argmax(np.abs(vecs[:, k]))
+            if vecs[j, k] < 0:
+                vecs[:, k] = -vecs[:, k]
+        assert np.array_equal(E.eigenvectors, vecs)
+
+    @pytest.mark.parametrize("clean", [
+        lambda E: cleaning.clip(E, 0.5),  # a degenerate bulk
+        lambda E: cleaning.powerlaw_clean(E, 0.35),  # an unsorted spectrum
+    ])
+    def test_with_spectrum_hands_over_eigenpairs(self, gauss_panel, clean):
+        cleaned = clean(pearson(gauss_panel))
+        fresh = CorrelationMatrix(cleaned.values.copy())
+        vals, vecs = cleaned.eigenvalues, cleaned.eigenvectors
+        assert np.all(np.diff(vals) <= 0)
+        assert np.allclose(vals, fresh.eigenvalues, rtol=1e-12, atol=0)
+        # compare the projector onto each distinct eigenvalue: within a
+        # degenerate eigenspace any orthonormal basis is valid
+        starts = np.flatnonzero(np.r_[True, np.diff(vals) != 0])
+        for a, b in zip(starts, np.r_[starts[1:], len(vals)]):
+            P = vecs[:, a:b] @ vecs[:, a:b].T
+            Q = fresh.eigenvectors[:, a:b] @ fresh.eigenvectors[:, a:b].T
+            assert np.max(np.abs(P - Q)) <= 1e-10
+        j = np.argmax(np.abs(vecs), axis=0)
+        assert np.all(vecs[j, np.arange(vecs.shape[1])] > 0)
+
+    def test_unsorted_spectrum_comes_back_descending(self, gauss_panel):
+        E = pearson(gauss_panel)
+        # the power-law ladder sets eigenvalue 2 above the kept market one
+        out = cleaning.powerlaw_clean(E, 0.35)
+        assert out.eigenvalues[0] > E.eigenvalues[0]
+        assert np.all(np.diff(out.eigenvalues) <= 0)
+        # each eigenvalue keeps its own vector through the sort
+        out = E.with_spectrum(E.eigenvalues[::-1])
+        assert np.array_equal(out.eigenvalues, E.eigenvalues)
+        assert np.array_equal(out.eigenvectors, E.eigenvectors[:, ::-1])
+
+    def test_handed_negative_eigenvalue_raises(self, gauss_panel):
+        E = pearson(gauss_panel)
+        vals = E.eigenvalues.copy()
+        vals[3] = -0.5
+        bad = E.with_spectrum(vals)
+        with pytest.raises(EstimatorError, match="PSD"):
+            bad.eigenvalues
+
+    def test_solve_matches_inverse(self, gauss_panel):
+        E = pearson(gauss_panel)
+        g = np.random.default_rng(3).standard_normal(E.N)
+        ref = E.inverse() @ g
+        assert np.max(np.abs(E.solve(g) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        cleaned = cleaning.clip(E, 0.5)
+        ref = cleaned.inverse() @ g
+        assert (np.max(np.abs(cleaned.solve(g) - ref))
+                <= 1e-12 * np.max(np.abs(ref)))
+
+    def test_singular_solve_message(self):
+        E = CorrelationMatrix(np.ones((3, 3)))
+        with pytest.raises(EstimatorError, match="clean it"):
+            E.solve(np.ones(3))
 
 
 class TestPearson:
