@@ -128,11 +128,12 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
     ``z = lambda - i eps`` by Newton steps on every grid point at once, run
     as the fixed point of ``w = 1/G`` by ``transforms._subordinate`` from
     ``G = 1/z``.  A point's step is halved while ``|q dG| > |1 - q G| / 2``,
-    which keeps ``1 - q G`` off the branch cut of the logarithm.  The law has
-    mean 1; a result whose mean is off by more than ``EWMA_MEAN_TOL`` raises
-    ``ConvergenceError``.  That happens from q of about 9, where the lower
-    edge comes within a few ``eps`` of zero and the grid cannot resolve the
-    mass near it.
+    which keeps ``1 - q G`` off the branch cut of the logarithm; the number
+    of halvings comes at once from the binary exponents of both sides.  The
+    law has mean 1; a result whose mean is off by more than ``EWMA_MEAN_TOL``
+    raises ``ConvergenceError``.  That happens from q of about 9, where the
+    lower edge comes within a few ``eps`` of zero and the grid cannot
+    resolve the mass near it.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -146,11 +147,15 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
         g = 1.0 / w
         u = 1.0 - q * g
         dg = -(z * q * g - q + np.log(u)) / (z * q - q / u)
-        # a non-finite step is not halved: the point fails the stop rule
-        over = np.isfinite(dg) & (np.abs(q * dg) > 0.5 * np.abs(u))
-        while over.any():
-            dg[over] *= 0.5
-            over[over] = np.abs(q * dg[over]) > 0.5 * np.abs(u[over])
+        # halve the step j times, j the least with |q dG| 2^-j <= |u|/2:
+        # with m = |q dG| = fm 2^em and |u|/2 = fh 2^eh (frexp), that is
+        # j = em - eh + (fm > fh).  A non-finite step is not halved: the
+        # point fails the stop rule.
+        m, half_u = np.abs(q * dg), 0.5 * np.abs(u)
+        over = np.isfinite(dg) & (m > half_u)
+        if over.any():
+            (fm, em), (fh, eh) = np.frexp(m[over]), np.frexp(half_u[over])
+            dg[over] *= np.ldexp(1.0, eh - em - (fm > fh))
         return 1.0 / (g + dg)
 
     w = transforms._subordinate(newton, grid - 1j * eps, grid, "ewma_density")

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,138 @@ def semicircle():
 # complex w whose preimages under G (and psi) lie off the support
 W_OFF_AXIS = [0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.3j, -0.2 - 0.05j, 0.05 + 0.01j]
 MP_QS = [0.25, 0.5, 2.0]
+
+
+def _trapezoid_nodes(d):
+    """Nodes and weights of the trapezoid rule on d's grid, plus its atoms."""
+    half = np.diff(d.grid) / 2
+    weights = np.zeros_like(d.grid)
+    weights[:-1] += half
+    weights[1:] += half
+    x = np.concatenate([d.grid, [loc for loc, _ in d.atoms]])
+    c = np.concatenate([weights * d.density, [m for _, m in d.atoms]])
+    return x, c
+
+
+class TestQuadrature:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        # a continuous part plus atoms at 0 and 2
+        grid = np.linspace(0.5, 1.5, 201)
+        return SpectralDensity.from_unnormalized(
+            grid, 1 - 4 * (grid - 1) ** 2, ((0.0, 0.2), (2.0, 0.3)))
+
+    def test_cauchy_matches_complex_sum(self, mixed):
+        x, c = _trapezoid_nodes(mixed)
+        z = np.array([0.3 - 0.01j, 1.0 - 0.01j, 1.7 + 0.01j, 3.0, -1 + 2j])
+        direct = np.array([np.sum(c / (zz - x)) for zz in z])
+        got = transforms._cauchy(*transforms._nodes(mixed), z)
+        assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
+
+    def test_psi_matches_direct_sum(self, mixed):
+        x, c = _trapezoid_nodes(mixed)
+        y = np.concatenate([1 / (np.array([0.3, 1.0, 1.7, 3.0]) - 0.01j),
+                            [0.4 + 0.3j, -0.5 + 0.2j, 2.0 - 1.0j]])
+        direct = np.array([np.sum(c * x * yy / (1 - x * yy)) for yy in y])
+        got = transforms._psi(*transforms._nodes(mixed), y)
+        assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
+
+
+def _plain_fixed_point(f, z, grid, name, tol=1e-14):
+    """w <- f(w, z) from w = z with no acceleration, each point until its
+    step is below tol (1 + |w|): the reference for ``_subordinate``."""
+    w = z.copy()
+    active = np.arange(z.size)
+    for _ in range(20000):
+        new = f(w[active], z[active])
+        step = np.abs(new - w[active])
+        w[active] = new
+        active = active[step >= tol * (1 + np.abs(new))]
+        if not active.size:
+            return w
+    raise AssertionError(f"{name}: {active.size} points still moving")
+
+
+def _subordinate_record(caplog, caller):
+    (record,) = [r for r in caplog.records
+                 if r.getMessage().startswith("subordinate:")
+                 and r.args["caller"] == caller]
+    return record.args
+
+
+SUBORDINATED = {
+    "free_add": lambda: transforms.free_add(spectra.mp_density(0.25),
+                                            spectra.wigner_semicircle(1.0)),
+    "free_multiply": lambda: transforms.free_multiply(
+        spectra.mp_density(0.25), spectra.mp_density(0.1)),
+    "dressed_q0.5": lambda: spectra.dressed_spectrum(
+        spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 0.5),
+    "dressed_q2": lambda: spectra.dressed_spectrum(
+        spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 2.0),
+}
+
+
+class TestSubordinate:
+    @pytest.mark.parametrize("case", SUBORDINATED)
+    def test_matches_plain_fixed_point(self, case, monkeypatch):
+        fast = SUBORDINATED[case]()
+        monkeypatch.setattr(transforms, "_subordinate", _plain_fixed_point)
+        ref = SUBORDINATED[case]()
+        assert fast.atoms == ref.atoms
+        assert fast.l1_distance(ref) < 1e-10
+
+    @pytest.mark.parametrize("rho", [0.99, 0.95 * np.exp(0.5j), -0.9])
+    def test_error_bound(self, rho):
+        # a map with a known fixed point that contracts by |rho| there; a
+        # stop on the ratio of successive steps, which secant steps shrink
+        # faster than the map contracts, or on the step alone, misses it
+        grid = np.linspace(0.0, 1.0, 2000)
+        z = grid - 0.5j
+        fixed = z + 0.3
+
+        def f(w, z):
+            e = w - (z + 0.3)
+            return z + 0.3 + rho * e + 0.5 * e ** 2
+
+        w = transforms._subordinate(f, z, grid, "test")
+        assert np.all(np.abs(w - fixed)
+                      <= transforms.NEWTON_TOL * (1 + np.abs(fixed)))
+
+    @pytest.mark.parametrize("q", [0.56, 3.0])
+    def test_newton_map_matches_plain_fixed_point(self, q, monkeypatch):
+        # EWMA's map is a damped Newton step; unguarded secant steps sent
+        # points at these q to the root with Im G < 0.  Its rounding floor
+        # is about 5e-14, so the reference stops at 1e-13.
+        fast = spectra.ewma_density(q)
+        monkeypatch.setattr(
+            transforms, "_subordinate",
+            lambda *args: _plain_fixed_point(*args, tol=1e-13))
+        assert fast.l1_distance(spectra.ewma_density(q)) < 1e-10
+
+    def test_logs_sweeps_and_bound(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            SUBORDINATED["free_add"]()
+        stats = _subordinate_record(caplog, "free_add")
+        assert stats["points"] == 2000
+        assert stats["sweeps"] >= 1
+        assert 0 <= stats["bound"] <= transforms.NEWTON_TOL
+        assert stats["seconds"] > 0
+
+    @pytest.mark.parametrize("case", ["free_add", "free_multiply"])
+    def test_sweeps_pinned(self, case, caplog):
+        # the plain fixed point takes 270 (free_add) and 473 sweeps
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            SUBORDINATED[case]()
+        stats = _subordinate_record(caplog, case)
+        assert stats["sweeps"] <= 60
+        assert stats["secant_steps"] > 0
+
+    @pytest.mark.parametrize("q, sweeps", [(0.3, 26), (0.5, 40), (0.7, 37)])
+    def test_newton_map_not_slowed(self, q, sweeps, caplog):
+        # the EWMA map is a damped Newton step: secant steps must not slow it
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            spectra.ewma_density(q)
+        assert _subordinate_record(caplog, "ewma_density")["sweeps"] <= sweeps
 
 
 class TestResolvent:
