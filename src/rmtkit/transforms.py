@@ -531,12 +531,15 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
     lo_b, hi_b = b.support()
     lo = max(lo_a * lo_b * 0.5, 0.0)
     hi = hi_a * hi_b * 1.1 + 1e-9
-    return _product(a, b, np.linspace(lo, hi, npoints), 1e-4 * (hi - lo))
+    return _product(a, b, np.linspace(lo, hi, npoints), 1e-4 * (hi - lo),
+                    "free_multiply")
 
 
-def _product(a: SpectralDensity, b: SpectralDensity, grid,
-             eps: float) -> SpectralDensity:
-    """Free product a (x) b read on ``grid - i*eps``.
+def _product(a: SpectralDensity, b: SpectralDensity, grid, eps: float,
+             name: str) -> SpectralDensity:
+    """Free product a (x) b read on ``grid - i*eps``, eps a scalar or one
+    value per grid point; ``name``, the caller, labels the DEBUG record of
+    ``_subordinate``.
 
     With y = 1/z, psi_{ab}(y) = psi_a(w), where w is the fixed point of
     w <- y * h_b(y * h_a(w)) with h = eta/id and eta = psi/(1 + psi);
@@ -557,7 +560,7 @@ def _product(a: SpectralDensity, b: SpectralDensity, grid,
 
     y = 1.0 / (grid - 1j * eps)
     w = _subordinate(lambda w, y: y * h(xb, cb, y * h(xa, ca, w)), y, grid,
-                     "free_multiply")
+                     name)
     m0 = max(sum(m for loc, m in d.atoms if loc == 0.0) for d in (a, b))
     rho = (y * (1.0 + _psi(xa, ca, w) - m0)).imag / np.pi
     return SpectralDensity.from_unnormalized(grid, rho, ((0.0, m0),))

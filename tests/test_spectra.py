@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from rmtkit import spectra, transforms
 from rmtkit.density import SpectralDensity
@@ -82,6 +85,21 @@ class TestEwma:
     def test_density_positive_in_band(self):
         d = spectra.ewma_density(0.5)
         assert np.all(d.density[1:-1] > 0)
+
+    def test_root_below_the_axis_raises(self, monkeypatch):
+        # a point whose iterate converged to the root with Im G < 0 would
+        # read as rho < 0; it must raise, not be clipped to zero
+        solve = transforms._subordinate
+
+        def conjugate_one(f, z, grid, name):
+            w = solve(f, z, grid, name)
+            w[700] = w[700].conjugate()
+            return w
+
+        monkeypatch.setattr(transforms, "_subordinate", conjugate_one)
+        with pytest.raises(ConvergenceError,
+                           match=r"Im G <= 0 at q=0\.5, first lambda="):
+            spectra.ewma_density(0.5)
 
     def test_unresolved_lower_edge_raises(self):
         # at q = 20 the lower edge (7.6e-10) lies below the evaluation
@@ -173,6 +191,76 @@ class TestEllipticStudent:
             spectra.elliptic_student_density(spectra.EllipticParams(1.5, 4.0))
         with pytest.raises(ValueError):
             spectra.EllipticParams(0.5, 2.0)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("mu", [4.0, 10.0])
+    def test_mean_is_exact(self, q, mu):
+        # the part of the mean beyond lam_max = 1000 is below 0.2% of it here
+        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        assert d.mean() == pytest.approx(mu / (mu - 2.0), rel=1e-2)
+
+    @pytest.mark.parametrize("q, mu", [(0.25, 2.5), (0.75, 3.0)])
+    def test_heaviest_tails_return(self, q, mu):
+        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        assert np.all(np.isfinite(d.density))
+        assert d.mass() == pytest.approx(1.0, abs=1e-6)
+
+    def test_bulk_matches_monte_carlo(self):
+        # E = (1/T) sum_t d_t xi_t xi_t^T, d_t = mu/s_t, s_t ~ chi2(mu); over
+        # six seeds the mass of every bin lies within 1.6e-3 of the density's
+        q, mu, N, T, draws = 0.5, 4.0, 400, 800, 50
+        rng = np.random.default_rng(0)
+        eigs = []
+        for _ in range(draws):
+            X = rng.standard_normal((T, N))
+            d = mu / rng.chisquare(mu, size=T)
+            eigs.append(np.linalg.eigvalsh((X.T * d) @ X / T))
+        edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
+        sample = np.histogram(np.concatenate(eigs), edges)[0] / (N * draws)
+        dens = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        mass = np.diff([dens.cdf(e) for e in edges])
+        assert np.abs(mass - sample).max() < 2.5e-3
+
+    @pytest.mark.parametrize("q, mu, lam", [
+        (0.5, 4.0, 20.0), (0.5, 4.0, 50.0), (0.5, 4.0, 200.0),
+        (0.25, 2.5, 50.0), (0.25, 2.5, 200.0)])
+    def test_tail_matches_adaptive_quadrature(self, q, mu, lam):
+        # the tail's fixed pole-subtracted quadrature against adaptive quad:
+        # PV R(g) = mu int P(s)/(s - x) ds with x = q mu g, R' by central
+        # differences, g from lambda = 1/g + PV R(g) by brentq
+        k = mu / 2.0
+
+        def P(s):
+            return np.exp((k - 1.0) * np.log(s) - 0.5 * s - gammaln(k)
+                          - k * np.log(2.0))
+
+        def pv_r(g):
+            x = q * mu * g
+            inner = quad(lambda s: (P(s) - P(x)) / (s - x), 0.0, 2.0 * x,
+                         points=[x], limit=200)[0]
+            outer = quad(lambda s: P(s) / (s - x), 2.0 * x, np.inf,
+                         limit=200)[0]
+            return mu * (inner + outer)
+
+        g = brentq(lambda g: 1.0 / g + pv_r(g) - lam, 0.5 / lam, 2.0 / lam,
+                   xtol=1e-15)
+        h = 1e-4 * g
+        rp = (pv_r(g + h) - pv_r(g - h)) / (2.0 * h)
+        rho = mu * P(q * mu * g) * g * g / (1.0 - g * g * rp)
+        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        assert d.interpolate(lam) == pytest.approx(rho, rel=1e-3)
+
+    def test_splice_is_continuous(self):
+        # the bulk's grid is finer than the tail's, so the splice is where
+        # the step grows most; the tail, extrapolated back along its own
+        # log-log slope to the last bulk point, must meet the bulk there
+        d = spectra.elliptic_student_density(spectra.EllipticParams(0.5, 4.0))
+        x, r = d.grid, d.density
+        step = np.diff(x)
+        i = int(np.argmax(step[1:] / step[:-1])) + 1
+        slope = np.log(r[i + 2] / r[i + 1]) / np.log(x[i + 2] / x[i + 1])
+        tail = r[i + 1] * (x[i] / x[i + 1]) ** slope
+        assert tail == pytest.approx(r[i], rel=0.02)
 
 
 class TestRsvdBenchmark:

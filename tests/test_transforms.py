@@ -139,6 +139,22 @@ class TestSubordinate:
         assert 0 <= stats["bound"] <= transforms.NEWTON_TOL
         assert stats["seconds"] > 0
 
+    @pytest.mark.parametrize("caller, run", [
+        ("free_multiply", SUBORDINATED["free_multiply"]),
+        ("dressed_spectrum", SUBORDINATED["dressed_q0.5"]),
+        ("elliptic_student_density",
+         lambda: spectra.elliptic_student_density(
+             spectra.EllipticParams(0.5, 4.0)))],
+        ids=["free_multiply", "dressed_spectrum", "elliptic_student_density"])
+    def test_product_record_names_caller(self, caller, run, caplog):
+        # each caller of _product labels its own record
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            run()
+        callers = [r.args["caller"] for r in caplog.records
+                   if r.getMessage().startswith("subordinate:")]
+        assert callers == [caller]
+        assert _subordinate_record(caplog, caller)["sweeps"] >= 1
+
     @pytest.mark.parametrize("case", ["free_add", "free_multiply"])
     def test_sweeps_pinned(self, case, caplog):
         # the plain fixed point takes 270 (free_add) and 473 sweeps
