@@ -95,6 +95,7 @@ def _build_parser() -> _Parser:
     sk.add_argument("--q", type=float)
     sk.add_argument("--u", type=float)
     sk.add_argument("--out")
+    p.commands = sub.choices
     return p
 
 
@@ -131,19 +132,29 @@ def _load_config(path) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    """Apply precedence flags > config > defaults for every None field."""
+def _resolve(args: argparse.Namespace, config: dict,
+             parser: _Parser) -> argparse.Namespace:
+    """Apply precedence flags > config > defaults for every None field.
+
+    A config value is cast with its option's argparse ``type`` (str when
+    the option has none) and checked against its ``choices``, as the flag
+    would be.
+    """
     defaults = DEFAULTS.get(args.command, {})
+    actions = {a.dest: a for a in parser.commands[args.command]._actions}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is not None:
             continue
         if key in config:
-            raw = config[key]
-            caster = type(fallback) if fallback is not None else str
+            action = actions[key]
             try:
-                value = caster(raw) if caster is not bool else raw == "true"
+                value = (action.type or str)(config[key])
             except ValueError as exc:
                 raise _InputError(f"config field {key}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise _InputError(
+                    f"config field {key}: {value!r} is not one of "
+                    f"{', '.join(action.choices)}")
             setattr(args, key, value)
         else:
             setattr(args, key, fallback)
@@ -313,7 +324,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config) if args.config else {}
-        args = _resolve(args, config)
+        args = _resolve(args, config, parser)
         return _COMMANDS[args.command](args)
     except (_InputError, EstimatorError, OSError, ValueError) as exc:
         if isinstance(exc, _NUMERICAL_ERRORS):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,20 +30,16 @@ __all__ = [
     "PoleOnSupportError",
     "ConvergenceError",
     "resolvent",
-    "resolvent_derivative",
-    "density_from_resolvent",
     "blue",
     "r_transform",
     "s_transform",
     "free_add",
     "free_multiply",
     "spectrum_edges",
-    "default_eps",
 ]
 
 logger = logging.getLogger(__name__)
 
-MAX_NEWTON_ITER = 200
 NEWTON_TOL = 1e-12
 # Subordination sweeps before giving up.  The free convolutions of the tests
 # need at most 44; inputs made only of atoms contract at a rate of
@@ -69,13 +64,6 @@ class PoleOnSupportError(TransformError):
 
 class ConvergenceError(TransformError):
     pass
-
-
-def default_eps(density: SpectralDensity) -> float:
-    """Imaginary offset for on-axis evaluation: 1e-4 of the spectral span."""
-    lo, hi = density.support()
-    span = hi - lo
-    return 1e-4 * span if span > 0 else 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +136,6 @@ def resolvent(density: SpectralDensity, z: complex) -> complex:
     return complex(_cauchy(*_nodes(density), z))
 
 
-def resolvent_derivative(density: SpectralDensity, z: complex) -> complex:
-    x, c = _nodes(density)
-    return complex(-np.sum(c / (complex(z) - x) ** 2))
-
-
 def _check_off_support(density: SpectralDensity, z: complex) -> None:
     if abs(z.imag) > 1e-12:
         return
@@ -166,85 +149,19 @@ def _check_off_support(density: SpectralDensity, z: complex) -> None:
             raise PoleOnSupportError("pole on support")
 
 
-def density_from_resolvent(g, grid, eps: float) -> SpectralDensity:
-    """Extract rho(lambda) = Im g(lambda - i*eps) / pi on the given grid.
-
-    Renormalizes silently when total mass is within 2% of one, warns (and
-    still renormalizes) otherwise.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = np.asarray(grid, dtype=float)
-    z = grid - 1j * eps
-    try:
-        vals = np.asarray(g(z), dtype=complex)
-        if vals.shape != z.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([g(zz) for zz in z], dtype=complex)
-    rho = vals.imag / np.pi
-    scale = max(rho.max(), 1.0)
-    if rho.min() < -1e-8 * scale:
-        raise TransformError("non-Herglotz evaluator")
-    rho = np.clip(rho, 0.0, None)
-    mass = np.trapezoid(rho, grid)
-    if mass <= 0:
-        raise TransformError("evaluator produced zero density")
-    if abs(mass - 1.0) > 0.02:
-        warnings.warn(
-            f"density mass {mass:.4f} off by more than 2%; renormalizing",
-            stacklevel=2)
-    return SpectralDensity(grid, rho / mass)
-
-
 # ---------------------------------------------------------------------------
 # Blue function and friends
-
-def _damped_newton(f, fprime, x0, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
-    """Newton iteration with residual-decrease backtracking.
-
-    Works for complex-valued holomorphic maps of one complex variable.  Two
-    guards keep it on the branch of its start, because the quadrature-
-    discretized transforms have spurious real roots between their poles: a
-    step never leaves the half-plane of ``x0`` (the upper one when
-    ``Im x0 = 0``), and each step is clamped to ``0.3(|x| + 0.1)``.
-    """
-    x = complex(x0)
-    side = -1.0 if x.imag < 0 else 1.0
-    r = f(x)
-    for _ in range(max_iter):
-        if abs(r) < tol:
-            return x
-        d = fprime(x)
-        if d == 0 or not np.isfinite(d):
-            raise ConvergenceError(f"singular derivative, residual {abs(r):.3e}")
-        step = -r / d
-        limit = 0.3 * (abs(x) + 0.1)
-        if abs(step) > limit:
-            step *= limit / abs(step)
-        for _ in range(60):
-            xn = x + step
-            if side * xn.imag >= 0:
-                rn = f(xn)
-                if abs(rn) < abs(r):
-                    x, r = xn, rn
-                    break
-            step *= 0.5
-        else:
-            raise ConvergenceError(f"line search stalled, residual {abs(r):.3e}")
-    if abs(r) < 1e-10:
-        return x
-    raise ConvergenceError(f"no convergence after {max_iter} iterations, "
-                           f"residual {abs(r):.3e}")
-
 
 def blue(density: SpectralDensity, w: complex) -> complex:
     """Functional inverse of the resolvent: the z with G(z) = w.
 
     Real w is solved by bracketed root-finding on the physical branch outside
-    the support (G is monotone there); complex w by ``_damped_newton`` seeded
-    at ``1/w + mean``, which lies in the half-plane of the root.  A complex
-    root closer to the support than the local grid step is a root of the
+    the support (G is monotone there).  Complex w runs guarded Newton steps
+    on ``G(z) = w`` through ``_subordinate`` from ``1/w + mean``, which lies
+    in the half-plane of the root.  The quadrature sum has spurious real
+    roots between its poles, so each step is clamped to ``0.3(|z| + 0.1)``
+    and then halved until it stays in that half-plane.  A complex root
+    closer to the support than the local grid step is a root of the
     quadrature sum, not of G, and raises ``ConvergenceError``.
     """
     w = complex(w)
@@ -253,12 +170,28 @@ def blue(density: SpectralDensity, w: complex) -> complex:
     if density.is_atomic and len(density.atoms) == 1:
         # G(z) = 1/(z - m) inverts in closed form
         return density.atoms[0][0] + 1.0 / w
+    xk, ck = _nodes(density)
     if abs(w.imag) <= 1e-12 * abs(w.real):
-        return complex(_blue_real(density, w.real))
-    z = _damped_newton(
-        lambda z: resolvent(density, z) - w,
-        lambda z: resolvent_derivative(density, z),
-        1.0 / w + density.mean())
+        return complex(_blue_real(density, xk, ck, w.real))
+
+    def newton(z, _):
+        # z - (G(z) - w)/G'(z), with G' = -sum_k c_k/(z - x_k)^2
+        d = 1.0 / (z[:, None] - xk)
+        step = (_cauchy(xk, ck, z) - w) / ((d * d) @ ck)
+        limit = 0.3 * (np.abs(z) + 0.1)
+        step *= limit / np.fmax(np.abs(step), limit)
+        # halve j times, j the least with |Im step| 2^-j < |Im z|: with
+        # |Im step| = fm 2^em and |Im z| = fh 2^eh (frexp), that is
+        # j = em - eh + (fm >= fh)
+        out = np.sign((z + step).imag) != np.sign(z.imag)
+        if out.any():
+            (fm, em), (fh, eh) = (np.frexp(np.abs(v.imag[out]))
+                                  for v in (step, z))
+            step[out] *= np.ldexp(1.0, eh - em - (fm >= fh))
+        return z + step
+
+    start = np.array([1.0 / w + density.mean()])
+    z = complex(_subordinate(newton, start, start.real, "blue")[0])
     # closer to the support than one grid step, the quadrature sum has roots
     # among its poles that G itself does not have: w has no preimage there
     x, grid = z.real, density.grid
@@ -272,7 +205,12 @@ def blue(density: SpectralDensity, w: complex) -> complex:
     return z
 
 
-def _blue_real(density: SpectralDensity, w: float) -> float:
+def _blue_real(density: SpectralDensity, x, c, w: float) -> float:
+    """The real z outside the support with G(z) = w; ``x, c`` are the
+    nodes of ``density``."""
+    def g(z):
+        return _cauchy(x, c, z).real
+
     lo, hi = density.support()
     if density.grid.size:
         lo = min(lo, float(density.grid[0]))
@@ -281,7 +219,7 @@ def _blue_real(density: SpectralDensity, w: float) -> float:
     delta = 1e-9 * span
     if w > 0:
         a = hi + delta
-        g_a = resolvent(density, a).real
+        g_a = g(a)
         if g_a <= w:
             raise ConvergenceError(
                 f"no z with G(z) = {w:.6g}: beyond the fold point "
@@ -289,7 +227,7 @@ def _blue_real(density: SpectralDensity, w: float) -> float:
         b = hi + max(2.0 / w, span)
     else:
         a = lo - delta
-        g_a = resolvent(density, a).real
+        g_a = g(a)
         if g_a >= w:
             raise ConvergenceError(
                 f"no z with G(z) = {w:.6g}: beyond the fold point "
@@ -297,8 +235,7 @@ def _blue_real(density: SpectralDensity, w: float) -> float:
         b = lo - max(-2.0 / w, span)
     # |G(z)| <= 1/dist(z, [lo, hi]) for a probability measure, so G(b) lies
     # between 0 and w/2 at these b: [a, b] always brackets the root.
-    return brentq(lambda z: resolvent(density, z).real - w, a, b,
-                  xtol=1e-14, rtol=8.9e-16)
+    return brentq(lambda z: g(z) - w, a, b, xtol=1e-14, rtol=8.9e-16)
 
 
 def r_transform(density: SpectralDensity, w: complex) -> complex:

@@ -162,6 +162,24 @@ class TestConfigPrecedence:
         d = SpectralDensity.from_csv(out)
         assert d.support()[1] > 2.8
 
+    def test_config_value_takes_option_type(self, panel_path, tmp_path,
+                                            capsys):
+        # spikes' q has no default; its config value is cast to float as
+        # --q would be, not left a string
+        cfg = tmp_path / "cfg"
+        cfg.write_text("q = 0.5\n")
+        assert run(["--config", str(cfg), "spikes",
+                    "--panel", str(panel_path)]) == 0
+        assert "# spike report: q=0.5 " in capsys.readouterr().out
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("law = foo\n")
+        assert run(["--config", str(cfg), "spectrum",
+                    "--out", str(tmp_path / "s.csv")]) == 1
+        assert "config field law: 'foo' is not one of mp, " in (
+            capsys.readouterr().err)
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("q 0.25\n")

@@ -221,6 +221,39 @@ class TestBlue:
         d = SpectralDensity.atom(1.5)
         assert transforms.blue(d, 2.0) == pytest.approx(1.5 + 0.5)
 
+    def test_closed_form_seeded(self):
+        # seeded w plus a semicircle point whose root lies just above the
+        # axis beyond the upper edge, next to spurious roots of the
+        # quadrature sum inside the support.  Kept:
+        # the w whose closed-form root lies in the half-plane opposite to w
+        # (w in the image of G) and at least 0.05 from the support, where
+        # the grid quadrature resolves G
+        rng = np.random.default_rng(1)
+        ws = [complex(a, b) for a, b in rng.uniform(-1.5, 1.5, (40, 2))]
+        ws.append(0.688966 - 3.1256e-4j)
+        laws = [(spectra.mp_density(q), lambda w, q=q: 1 / w + 1 / (1 - q * w))
+                for q in MP_QS]
+        laws.append((spectra.wigner_semicircle(1.0), lambda w: w + 1 / w))
+        checked = 0
+        for d, exact in laws:
+            lo, hi = d.support()
+            for w in ws:
+                z = exact(w)
+                if (np.sign(z.imag) != -np.sign(w.imag)
+                        or abs(z - np.clip(z.real, lo, hi)) < 0.05):
+                    continue
+                assert transforms.blue(d, w) == pytest.approx(z, rel=1e-9)
+                checked += 1
+        assert checked >= 100
+
+    def test_logs_subordinate_record(self, mp025, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            transforms.blue(mp025, 0.1 + 0.2j)
+        stats = _subordinate_record(caplog, "blue")
+        assert stats["points"] == 1
+        assert stats["sweeps"] >= 1
+        assert stats["bound"] <= transforms.NEWTON_TOL
+
     def test_diverges_at_zero(self, mp025):
         with pytest.raises(TransformError):
             transforms.blue(mp025, 0.0)
@@ -288,6 +321,15 @@ class TestSTransform:
             for w in W_OFF_AXIS:
                 assert transforms.s_transform(d, w) == pytest.approx(
                     1.0 / (1.0 + q * w), rel=1e-9)
+
+    def test_mp_near_lower_edge(self):
+        # B of the size-biased law lands close to the lower edge of MP(0.9),
+        # where its quadrature is good to about 1.4e-7; a guard that stops
+        # each step at half the distance to the axis reached a spurious root
+        # of the quadrature sum there and raised
+        w = -1.049162 + 0.038276j
+        assert transforms.s_transform(spectra.mp_density(0.9), w) == (
+            pytest.approx(1.0 / (1.0 + 0.9 * w), rel=1e-6))
 
     def test_unreachable_branch_raises(self, mp025):
         # chi(w) would exceed 1/lambda_max: no preimage on the real branch
