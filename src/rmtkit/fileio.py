@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,22 +20,14 @@ __all__ = [
 ]
 
 
-def _data_rows(reader):
-    """The rows of a CSV reader, without blank rows and ``#`` comment lines.
-
-    ``reader.line_num`` still counts the skipped lines."""
-    return (row for row in reader
-            if row and not row[0].lstrip().startswith("#"))
-
-
 def _loadtxt_table(path, labelled):
     """The header cells, the first-column labels (if ``labelled``) and the
     numeric block of a table CSV, parsed by ``np.loadtxt``.
 
     Returns None when the file has no data row, a quote character, a row
-    with the wrong number of fields or a value ``np.loadtxt`` rejects; the
-    row reader then re-reads the file and names the offending line.  The
-    lines are streamed: only the labels and the array are kept."""
+    with the wrong number of fields or a value ``np.loadtxt`` rejects;
+    ``_csv_table`` then re-reads the file and names the offending line.
+    The lines are streamed: only the labels and the array are kept."""
     with open(path, newline="") as fh:
         lines = (line for line in fh if line.strip("\r\n")
                  and not line.lstrip().startswith("#"))
@@ -63,54 +56,53 @@ def _loadtxt_table(path, labelled):
     return header, labels, values
 
 
+def _csv_table(path, labelled):
+    """What ``_loadtxt_table`` returns, read by ``csv.reader`` row by row:
+    quoted cells are unquoted, and a row with the wrong number of fields or
+    a non-numeric value raises an error naming its line of the file.  Blank
+    rows and ``#`` comment lines are skipped but still counted."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader
+                if row and not row[0].lstrip().startswith("#"))
+        header = next(rows, [])
+        labels, values = [], []
+        for row in rows:
+            if len(row) != len(header):
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}")
+            if labelled:
+                labels.append(row[0].strip())
+            try:
+                values.append(np.array(row[labelled:], dtype=float))
+            except ValueError as exc:
+                kind = "return" if labelled else "matrix"
+                raise EstimatorError(
+                    f"{path}:{reader.line_num}: non-numeric {kind} value"
+                ) from exc
+    return header, labels, np.array(values, dtype=float)
+
+
+def _read_table(path, labelled):
+    """``(header, labels, values)`` of a table CSV: by ``np.loadtxt`` when it
+    can parse the file, else by ``csv.reader`` with errors naming the line."""
+    return _loadtxt_table(path, labelled) or _csv_table(path, labelled)
+
+
 def read_panel_csv(path) -> ReturnPanel:
     """Panel CSV: header ``date,TICKER1,...``, one row per day, no gaps.
 
     Blank lines and lines starting with ``#`` are skipped.  A file without
     quotes is parsed by ``np.loadtxt``; a quoted or malformed one row by
     row, and errors name the line of the file."""
-    table = _loadtxt_table(path, labelled=True)
-    if table is None:
-        return _read_panel_rows(path)
-    header, dates, values = table
-    return _panel(path, _panel_assets(path, header), dates, values)
-
-
-def _panel_assets(path, header):
+    header, dates, values = _read_table(path, labelled=True)
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise EstimatorError(f"{path}: first header column must be 'date'")
-    return tuple(h.strip() for h in header[1:])
-
-
-def _panel(path, assets, dates, values):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(values)):
         raise EstimatorError(f"{path}: missing values are forbidden")
-    return ReturnPanel(arr, assets, tuple(dates))
-
-
-def _read_panel_rows(path) -> ReturnPanel:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = _data_rows(reader)
-        header = next(rows, None)
-        if header is None:
-            raise EstimatorError(f"{path}: empty panel file")
-        assets = _panel_assets(path, header)
-        dates, values = [], []
-        for row in rows:
-            if len(row) != len(header):
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: expected {len(header)} "
-                    f"fields, got {len(row)}")
-            dates.append(row[0].strip())
-            try:
-                values.append(np.array(row[1:], dtype=float))
-            except ValueError as exc:
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: non-numeric return value"
-                ) from exc
-    return _panel(path, assets, dates, values)
+    return ReturnPanel(values, tuple(h.strip() for h in header[1:]),
+                       tuple(dates))
 
 
 def _write_rows(fh, labels, values):
@@ -122,10 +114,14 @@ def _write_rows(fh, labels, values):
         for row in values:
             fh.write(fmt % tuple(row.tolist()))
         return
-    # the label and the comma after it, quoted as inside a longer row
-    label_cell = csv.writer(fh, lineterminator="").writerow
-    for label, row in zip(labels, values):
-        label_cell([label, ""])
+    # each label and the comma after it, as csv.writer writes them inside a
+    # longer row.  It quotes "\r" and "\n" only because its line terminator
+    # holds them, so the cells keep that terminator until it is cut here.
+    cells = []
+    csv.writer(SimpleNamespace(write=cells.append)).writerows(
+        [label, ""] for label in labels)
+    for cell, row in zip(cells, values):
+        fh.write(cell[:-2])
         fh.write(fmt % tuple(row.tolist()))
 
 
@@ -143,41 +139,13 @@ def read_matrix_csv(path) -> CorrelationMatrix:
     Blank lines and lines starting with ``#`` are skipped.  A file without
     quotes is parsed by ``np.loadtxt``; a quoted or malformed one row by
     row, and errors name the line of the file."""
-    table = _loadtxt_table(path, labelled=False)
-    if table is None:
-        return _read_matrix_rows(path)
-    header, _, values = table
-    return _matrix(path, tuple(h.strip() for h in header), values)
-
-
-def _matrix(path, assets, values):
+    header, _, values = _read_table(path, labelled=False)
     if not len(values):
         raise EstimatorError(f"{path}: empty matrix file")
-    values = np.asarray(values, dtype=float)
+    assets = tuple(h.strip() for h in header)
     if values.shape != (len(assets), len(assets)):
         raise EstimatorError(f"{path}: matrix shape does not match header")
     return CorrelationMatrix(values, {"asset_ids": assets})
-
-
-def _read_matrix_rows(path) -> CorrelationMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = _data_rows(reader)
-        header = next(rows, None)
-        assets = tuple(h.strip() for h in header or ())
-        values = []
-        for row in rows:
-            if len(row) != len(assets):
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: expected {len(assets)} "
-                    f"fields, got {len(row)}")
-            try:
-                values.append(np.array(row, dtype=float))
-            except ValueError as exc:
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: non-numeric matrix value"
-                ) from exc
-    return _matrix(path, assets, values)
 
 
 def write_matrix_csv(path, M: CorrelationMatrix, asset_ids=None,

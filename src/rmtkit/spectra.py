@@ -10,8 +10,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainccinv, gammaincinv, gammaln, roots_legendre
+from scipy.special import (gammainccinv, gammaincinv, gammaln, lambertw,
+                           roots_legendre)
 
 from . import transforms
 from .density import SpectralDensity
@@ -100,16 +100,13 @@ def wigner_blue(sigma: float = 1.0):
 # EWMA estimator spectrum
 
 def ewma_edges(q: float) -> tuple[float, float]:
-    """Edges solve lambda = log(lambda) + q + 1."""
+    """Edges of the EWMA spectrum, the two roots of lambda - log(lambda) =
+    q + 1, in closed form: ``lambda = -W_k(-exp(-(q + 1)))`` with the
+    Lambert W branch k = 0 for the lower edge and k = -1 for the upper."""
     if q <= 0:
         raise ValueError("q must be positive")
-
-    def f(lam):
-        return lam - np.log(lam) - q - 1.0
-
-    lo = brentq(f, 1e-300, 1.0, xtol=1e-15, rtol=8.9e-16)
-    hi = brentq(f, 1.0, 10.0 + 10.0 * q, xtol=1e-15, rtol=8.9e-16)
-    return lo, hi
+    x = -np.exp(-(q + 1.0))
+    return float(-lambertw(x, 0).real), float(-lambertw(x, -1).real)
 
 
 def ewma_blue(q: float):

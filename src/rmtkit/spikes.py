@@ -30,27 +30,27 @@ class EdgeScaling:
     """Soft-edge location and fluctuation scale.
 
     The largest eigenvalue of a null matrix fluctuates on the scale
-    ``gamma * N^(-width_exponent)`` around ``lambda_plus``; for an edge
-    density vanishing like a square root the width exponent is
-    1/(1 + theta) = 2/3.
+    ``gamma * N^(-width_exponent)`` around ``lambda_plus``.  For an edge
+    density vanishing like ``(lambda_plus - lambda)^theta`` the width
+    exponent is 1/(1 + theta); the square-root edge (theta = 1/2) gives 2/3.
     """
 
     lambda_plus: float
     gamma: float
     N: int
-    width_exponent: float = 2.0 / 3.0
     theta: float = 0.5
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        expected = 1.0 / (1.0 + self.theta)
-        if abs(self.width_exponent - expected) > 1e-12:
-            raise ValueError("width_exponent must equal 1/(1+theta)")
+
+    @property
+    def width_exponent(self) -> float:
+        return 1.0 / (1.0 + self.theta)
 
     @property
     def scale(self) -> float:
-        """Absolute fluctuation scale gamma * N^(-2/3)."""
+        """Absolute fluctuation scale gamma * N^(-width_exponent)."""
         return self.gamma * self.N ** (-self.width_exponent)
 
     def threshold(self, u: float) -> float:

@@ -284,27 +284,31 @@ def s_transform(density: SpectralDensity, w: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Spectrum edges
 
-def spectrum_edges(blue_fn, w_scan=None, h: float = 1e-6):
+# Where ``spectrum_edges`` looks for sign changes of B'(w): 600 log-spaced
+# |w| from 1e-4 to 1e3 on each side of w = 0; and the relative step of its
+# central differences.
+EDGE_SCAN = np.concatenate([-np.logspace(-4, 3, 600)[::-1],
+                            np.logspace(-4, 3, 600)])
+EDGE_STEP = 1e-6
+
+
+def spectrum_edges(blue_fn):
     """Edges (lambda_minus, lambda_plus) = B at real stationary points of B.
 
     Stationary points are found by scanning B'(w) (central differences, step
-    ``h`` scaled by |w|) for sign changes on both sides of w = 0 and refining
-    with Brent's method.
+    ``EDGE_STEP`` scaled by 1 + |w|) over ``EDGE_SCAN`` for sign changes and
+    refining with Brent's method.
     """
     def deriv(w):
-        step = h * (1.0 + abs(w))
+        step = EDGE_STEP * (1.0 + abs(w))
         try:
             return (_real(blue_fn(w + step)) - _real(blue_fn(w - step))) / (2 * step)
         except TransformError:
             return np.nan
 
-    if w_scan is None:
-        mags = np.logspace(-4, 3, 600)
-        w_scan = np.concatenate([-mags[::-1], mags])
-
     edges = []
     prev_w, prev_d = None, None
-    for w in w_scan:
+    for w in EDGE_SCAN:
         d = deriv(w)
         if not np.isfinite(d):
             prev_w, prev_d = None, None

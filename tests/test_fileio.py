@@ -54,6 +54,7 @@ class TestPanelCsv:
     @pytest.mark.parametrize("time_ids", [
         ("2020,01", 'a"b', "d3", "d4", "d5"),  # quoted dates
         (),  # integer dates
+        ("d\n1", "e\r2", "d3", "d4", "d5"),  # line breaks inside dates
     ])
     def test_bytes_match_csv_writer(self, tmp_path, time_ids):
         p = edge_panel(time_ids)
@@ -66,13 +67,15 @@ class TestPanelCsv:
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_quoted_dates_roundtrip(self, tmp_path):
-        p = edge_panel()
-        path = tmp_path / "panel.csv"
-        fileio.write_panel_csv(path, p)
-        q = fileio.read_panel_csv(path)
-        assert q.time_ids == p.time_ids
-        written = [[float(f"{x:.12g}") for x in row] for row in p.values]
-        assert np.array_equal(q.values, written)
+        for time_ids in [("2020,01", 'a"b', "d3", "d4", "d5"),
+                         ("d\n1", "e\r2", "d3", "d4", "d5")]:
+            p = edge_panel(time_ids)
+            path = tmp_path / "panel.csv"
+            fileio.write_panel_csv(path, p)
+            q = fileio.read_panel_csv(path)
+            assert q.time_ids == p.time_ids
+            written = [[float(f"{x:.12g}") for x in row] for row in p.values]
+            assert np.array_equal(q.values, written)
 
     def test_fast_and_row_readers_agree(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -80,12 +83,15 @@ class TestPanelCsv:
             -8, 8, (40, 7)))
         path = tmp_path / "panel.csv"
         fileio.write_panel_csv(path, p, ["command: test"])
-        assert fileio._loadtxt_table(path, labelled=True) is not None
-        fast = fileio.read_panel_csv(path)
-        rows = fileio._read_panel_rows(path)
-        assert np.array_equal(fast.values, rows.values)
-        assert fast.time_ids == rows.time_ids == tuple(map(str, p.time_ids))
-        assert fast.asset_ids == rows.asset_ids == p.asset_ids
+        fast = fileio._loadtxt_table(path, labelled=True)
+        assert fast is not None
+        header, dates, values = fileio._csv_table(path, labelled=True)
+        assert fast[0] == header == ["date", *p.asset_ids]
+        assert fast[1] == dates == list(map(str, p.time_ids))
+        assert np.array_equal(fast[2], values)
+        q = fileio.read_panel_csv(path)
+        assert np.array_equal(q.values, values)
+        assert q.time_ids == tuple(dates) and q.asset_ids == p.asset_ids
 
     def test_extra_field_error_names_line(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -162,11 +168,25 @@ class TestMatrixCsv:
         M = CorrelationMatrix(X.T @ X / 30)
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
-        assert fileio._loadtxt_table(path, labelled=False) is not None
-        fast = fileio.read_matrix_csv(path)
-        rows = fileio._read_matrix_rows(path)
-        assert np.array_equal(fast.values, rows.values)
-        assert fast.metadata == rows.metadata
+        fast = fileio._loadtxt_table(path, labelled=False)
+        assert fast is not None
+        header, labels, values = fileio._csv_table(path, labelled=False)
+        assert fast[0] == header and fast[1] == labels == []
+        assert np.array_equal(fast[2], values)
+        M2 = fileio.read_matrix_csv(path)
+        assert np.array_equal(M2.values, values)
+        assert M2.metadata["asset_ids"] == tuple(header)
+
+    def test_quoted_asset_ids_roundtrip(self, tmp_path):
+        # quoted ids send the file to the csv.reader fallback
+        M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                              {"asset_ids": ("X,1", 'Y"2')})
+        path = tmp_path / "m.csv"
+        fileio.write_matrix_csv(path, M, header_lines=["command: test"])
+        assert fileio._loadtxt_table(path, labelled=False) is None
+        M2 = fileio.read_matrix_csv(path)
+        assert np.array_equal(M2.values, M.values)
+        assert M2.metadata["asset_ids"] == ("X,1", 'Y"2')
 
     def test_extra_field_error_names_line(self, tmp_path):
         path = tmp_path / "m.csv"

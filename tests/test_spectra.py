@@ -61,10 +61,18 @@ class TestWigner:
 
 
 class TestEwma:
-    def test_edges_solve_defining_equation(self):
-        lo, hi = spectra.ewma_edges(0.5)
-        assert lo == pytest.approx(0.301709562684336, abs=1e-12)
-        assert hi == pytest.approx(2.357676673945899, abs=1e-12)
+    @pytest.mark.parametrize("q", [0.5, 15.0, 20.0])
+    def test_edges_solve_defining_equation(self, q):
+        lo, hi = spectra.ewma_edges(q)
+        assert 0.0 < lo < 1.0 < hi
+        if q == 0.5:
+            assert lo == pytest.approx(0.301709562684336, abs=1e-12)
+            assert hi == pytest.approx(2.357676673945899, abs=1e-12)
+        else:
+            # lo is about exp(-(q + 1)), so the residual, about the relative
+            # error of lo, is small only if lo is found to relative accuracy
+            for lam in (lo, hi):
+                assert abs(lam - np.log(lam) - q - 1.0) <= 1e-12
 
     def test_density_moments(self):
         d = spectra.ewma_density(0.5)

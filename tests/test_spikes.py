@@ -18,8 +18,11 @@ class TestEdgeScaling:
         assert e.threshold(3.0) == pytest.approx(2.0 + 3.0 * 1000 ** (-2 / 3))
 
     def test_width_exponent_tied_to_theta(self):
-        with pytest.raises(ValueError):
-            spikes.EdgeScaling(2.0, 1.0, 100, width_exponent=0.5, theta=0.5)
+        e = spikes.EdgeScaling(2.0, 1.0, 1000)
+        assert e.width_exponent == 2.0 / 3.0
+        e = spikes.EdgeScaling(2.0, 1.0, 1000, theta=1.0)
+        assert e.width_exponent == 0.5
+        assert e.scale == pytest.approx(1000 ** -0.5)
 
 
 class TestBbpMap:
