@@ -39,79 +39,70 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="emit an asymptotic density as CSV")
     sp.add_argument("--law", choices=["mp", "ewma", "wigner", "elliptic",
-                                      "rsvd", "powerlaw-dressed"])
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--n", type=float, help="N/T for the rsvd law")
-    sp.add_argument("--m", type=float, help="M/T for the rsvd law")
-    sp.add_argument("--out")
+                                      "rsvd", "powerlaw-dressed"],
+                    default="mp")
+    sp.add_argument("--q", type=float, default=0.5)
+    sp.add_argument("--mu", type=float, default=4.0)
+    sp.add_argument("--alpha", type=float, default=0.35)
+    sp.add_argument("--n", type=float, default=0.125,
+                    help="N/T for the rsvd law")
+    sp.add_argument("--m", type=float, default=0.085,
+                    help="M/T for the rsvd law")
+    sp.add_argument("--out", default="spectrum.csv")
 
     cl = sub.add_parser("clean", help="clean a correlation matrix")
     cl.add_argument("--matrix", help="dense correlation CSV")
     cl.add_argument("--panel", help="panel CSV (Pearson estimate is cleaned)")
-    cl.add_argument("--scheme", choices=list(SCHEME_KINDS))
-    cl.add_argument("--alpha", type=float)
-    cl.add_argument("--mu", type=float)
-    cl.add_argument("--out")
+    cl.add_argument("--scheme", choices=list(SCHEME_KINDS), default="clip")
+    cl.add_argument("--alpha", type=float, default=0.5)
+    cl.add_argument("--mu", type=float, default=2.0)
+    cl.add_argument("--out", default="cleaned.csv")
 
     bt = sub.add_parser("backtest", help="rolling minimum-variance backtest")
     bt.add_argument("--panel", required=True)
-    bt.add_argument("--scheme", choices=["raw", *SCHEME_KINDS])
-    bt.add_argument("--alpha", type=float)
-    bt.add_argument("--mu", type=float)
-    bt.add_argument("--window", type=int)
-    bt.add_argument("--horizon", type=int)
-    bt.add_argument("--step", type=int)
-    bt.add_argument("--predictor", choices=["momentum", "random"])
+    bt.add_argument("--scheme", choices=["raw", *SCHEME_KINDS], default="raw")
+    bt.add_argument("--alpha", type=float, default=0.5)
+    bt.add_argument("--mu", type=float, default=2.0)
+    bt.add_argument("--window", type=int, default=1000)
+    bt.add_argument("--horizon", type=int, default=99)
+    bt.add_argument("--step", type=int, default=100)
+    bt.add_argument("--predictor", choices=["momentum", "random"],
+                    default="momentum")
     bt.add_argument("--seed", type=int)
-    bt.add_argument("--out")
+    bt.add_argument("--out", default="backtest.csv")
 
     sv = sub.add_parser("svd", help="cross-correlation singular spectrum")
     sv.add_argument("--x", required=True, help="input panel CSV")
     sv.add_argument("--y", required=True, help="output panel CSV")
-    sv.add_argument("--out")
+    sv.add_argument("--out", default="svd.csv")
 
     si = sub.add_parser("simulate", help="generate a synthetic panel")
-    si.add_argument("--spec", choices=["identity", "spike", "powerlaw"])
-    si.add_argument("--rho", type=float, help="off-diagonal correlation")
-    si.add_argument("--alpha", type=float)
+    si.add_argument("--spec", choices=["identity", "spike", "powerlaw"],
+                    default="identity")
+    si.add_argument("--rho", type=float, default=0.3,
+                    help="off-diagonal correlation")
+    si.add_argument("--alpha", type=float, default=0.35)
     si.add_argument("--mu", type=float,
                     help="heavy-tail index; omit for Gaussian returns")
-    si.add_argument("--N", type=int)
-    si.add_argument("--T", type=int)
+    si.add_argument("--N", type=int, default=100)
+    si.add_argument("--T", type=int, default=500)
     si.add_argument("--seed", type=int)
-    si.add_argument("--out")
+    si.add_argument("--out", default="panel.csv")
 
     dy = sub.add_parser("dynamics", help="track the top eigenpair, emit variograms")
     dy.add_argument("--panel", required=True)
-    dy.add_argument("--epsilon", type=float)
-    dy.add_argument("--tau-max", type=int)
-    dy.add_argument("--out")
+    dy.add_argument("--epsilon", type=float, default=0.02)
+    dy.add_argument("--tau-max", type=int, default=250)
+    dy.add_argument("--out", default="variogram.csv")
 
     sk = sub.add_parser("spikes", help="detect outlier eigenvalues")
     sk.add_argument("--panel", help="panel CSV (q inferred from the shape)")
     sk.add_argument("--matrix", help="dense correlation CSV (requires --q)")
     sk.add_argument("--q", type=float)
-    sk.add_argument("--u", type=float)
+    sk.add_argument("--u", type=float, default=3.0)
     sk.add_argument("--out")
     p.commands = sub.choices
     return p
-
-
-DEFAULTS = {
-    "spectrum": {"law": "mp", "q": 0.5, "mu": 4.0, "alpha": 0.35,
-                 "n": 0.125, "m": 0.085, "out": "spectrum.csv"},
-    "clean": {"scheme": "clip", "alpha": 0.5, "mu": 2.0, "out": "cleaned.csv"},
-    "backtest": {"scheme": "raw", "alpha": 0.5, "mu": 2.0, "window": 1000,
-                 "horizon": 99, "step": 100, "predictor": "momentum",
-                 "out": "backtest.csv"},
-    "svd": {"out": "svd.csv"},
-    "simulate": {"spec": "identity", "rho": 0.3, "alpha": 0.35,
-                 "N": 100, "T": 500, "out": "panel.csv"},
-    "dynamics": {"epsilon": 0.02, "tau_max": 250, "out": "variogram.csv"},
-    "spikes": {"q": None, "u": 3.0, "out": None},
-}
 
 
 def _load_config(path) -> dict:
@@ -132,33 +123,41 @@ def _load_config(path) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace, config: dict,
-             parser: _Parser) -> argparse.Namespace:
-    """Apply precedence flags > config > defaults for every None field.
+def _parse(parser: _Parser, argv) -> argparse.Namespace:
+    """Parse ``argv`` with precedence flags > config file > defaults.
 
-    A config value is cast with its option's argparse ``type`` (str when
-    the option has none) and checked against its ``choices``, as the flag
-    would be.
+    The config file's keys for the chosen subcommand become that
+    subparser's defaults, and ``argv`` is parsed again.  A value is cast
+    with its option's argparse ``type`` (str when the option has none) and
+    checked against its ``choices``, as the flag would be.  A key of
+    another subcommand is ignored, so one file can serve several; a key
+    that names no option of any subcommand is an error.
     """
-    defaults = DEFAULTS.get(args.command, {})
-    actions = {a.dest: a for a in parser.commands[args.command]._actions}
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is not None:
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    config = _load_config(args.config)
+    options = {name: {a.dest: a for a in sub._actions
+                      if a.default is not argparse.SUPPRESS}
+               for name, sub in parser.commands.items()}
+    defaults = {}
+    for key, text in config.items():
+        if not any(key in actions for actions in options.values()):
+            raise _InputError(f"config field {key}: no such option")
+        action = options[args.command].get(key)
+        if action is None:
             continue
-        if key in config:
-            action = actions[key]
-            try:
-                value = (action.type or str)(config[key])
-            except ValueError as exc:
-                raise _InputError(f"config field {key}: {exc}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise _InputError(
-                    f"config field {key}: {value!r} is not one of "
-                    f"{', '.join(action.choices)}")
-            setattr(args, key, value)
-        else:
-            setattr(args, key, fallback)
-    return args
+        try:
+            value = (action.type or str)(text)
+        except ValueError as exc:
+            raise _InputError(f"config field {key}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise _InputError(
+                f"config field {key}: {value!r} is not one of "
+                f"{', '.join(action.choices)}")
+        defaults[key] = value
+    parser.commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +185,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _require_matrix(args):
+    """The matrix of ``--matrix``, or the Pearson estimate of ``--panel``."""
+    if args.matrix and args.panel:
+        raise _InputError("give --matrix or --panel, not both")
     if args.matrix:
         return fileio.read_matrix_csv(args.matrix)
     if args.panel:
@@ -283,17 +285,12 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_spikes(args) -> int:
-    if args.panel:
-        panel = standardize(fileio.read_panel_csv(args.panel))
-        E = pearson(panel)
-        q = args.q if args.q is not None else panel.N / panel.T
-    elif args.matrix:
-        if args.q is None:
+    E = _require_matrix(args)
+    q = args.q
+    if q is None:
+        if args.matrix:
             raise _InputError("field q: required with --matrix")
-        E = fileio.read_matrix_csv(args.matrix)
-        q = args.q
-    else:
-        raise _InputError("need --panel or --matrix")
+        q = E.N / E.metadata["T"]
     report = spikes.detect_spikes(E, q, u_threshold=args.u)
     text = report.to_text()
     if args.out:
@@ -320,21 +317,15 @@ _NUMERICAL_ERRORS = (TransformError, DensityError, np.linalg.LinAlgError,
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
-        args = _resolve(args, config, parser)
+        args = _parse(_build_parser(), argv)
         return _COMMANDS[args.command](args)
-    except (_InputError, EstimatorError, OSError, ValueError) as exc:
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"rmtkit: numerical failure: {exc}", file=sys.stderr)
-            return 2
-        print(f"rmtkit: error: {exc}", file=sys.stderr)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"rmtkit: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (_InputError, EstimatorError, OSError, ValueError) as exc:
+        print(f"rmtkit: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

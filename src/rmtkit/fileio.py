@@ -86,8 +86,13 @@ def _csv_table(path, labelled):
 
 def _read_table(path, labelled):
     """``(header, labels, values)`` of a table CSV: by ``np.loadtxt`` when it
-    can parse the file, else by ``csv.reader`` with errors naming the line."""
-    return _loadtxt_table(path, labelled) or _csv_table(path, labelled)
+    can parse the file, else by ``csv.reader`` with errors naming the line.
+    A file without data rows is an error."""
+    header, labels, values = (_loadtxt_table(path, labelled)
+                              or _csv_table(path, labelled))
+    if not len(values):
+        raise EstimatorError(f"{path}: no data rows")
+    return header, labels, values
 
 
 def read_panel_csv(path) -> ReturnPanel:
@@ -140,8 +145,6 @@ def read_matrix_csv(path) -> CorrelationMatrix:
     quotes is parsed by ``np.loadtxt``; a quoted or malformed one row by
     row, and errors name the line of the file."""
     header, _, values = _read_table(path, labelled=False)
-    if not len(values):
-        raise EstimatorError(f"{path}: empty matrix file")
     assets = tuple(h.strip() for h in header)
     if values.shape != (len(assets), len(assets)):
         raise EstimatorError(f"{path}: matrix shape does not match header")

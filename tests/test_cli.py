@@ -1,5 +1,6 @@
 import importlib
 import importlib.metadata
+import shlex
 import sys
 from pathlib import Path
 
@@ -188,6 +189,85 @@ class TestConfigPrecedence:
 
     def test_missing_config_file(self, capsys):
         assert run(["--config", "/no/such/file", "spectrum"]) == 1
+
+    def test_config_sets_options_without_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("mu = 5\nseed = 7\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["simulate", "--N", "20", "--T", "50"]
+        assert run(args + ["--mu", "5", "--seed", "7", "--out", str(a)]) == 0
+        assert run(["--config", str(cfg), *args, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "mu=5.0" in b.read_text().splitlines()[1]
+
+    def test_config_names_clean_matrix(self, panel_path, tmp_path):
+        matrix = tmp_path / "m.csv"
+        assert run(["clean", "--panel", str(panel_path),
+                    "--out", str(matrix)]) == 0
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"matrix = {matrix}\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["clean", "--matrix", str(matrix), "--out", str(a)]) == 0
+        assert run(["--config", str(cfg), "clean", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_names_spikes_panel(self, panel_path, tmp_path, capsys):
+        assert run(["spikes", "--panel", str(panel_path)]) == 0
+        by_flag = capsys.readouterr().out
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"panel = {panel_path}\n")
+        assert run(["--config", str(cfg), "spikes"]) == 0
+        assert capsys.readouterr().out == by_flag
+
+    def test_unknown_key_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed = 7\nsede = 7\n")
+        assert run(["--config", str(cfg), "simulate",
+                    "--out", str(tmp_path / "p.csv")]) == 1
+        assert "config field sede: no such option" in capsys.readouterr().err
+
+    def test_other_subcommands_keys_ignored(self, tmp_path):
+        # one file serves several subcommands
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tau-max = 5\nscheme = ledoit\nseed = 7\n")
+        assert run(["--config", str(cfg), "spectrum",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+
+    def test_required_flag_not_taken_from_config(self, panel_path, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"panel = {panel_path}\n")
+        assert run(["--config", str(cfg), "backtest",
+                    "--out", str(tmp_path / "bt.csv")]) == 1
+        assert "--panel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["clean", "spikes"])
+def test_panel_and_matrix_together_is_input_error(command, panel_path,
+                                                  tmp_path, capsys):
+    # refused before either file is read
+    assert run([command, "--panel", str(panel_path),
+                "--matrix", str(tmp_path / "m.csv"),
+                "--out", str(tmp_path / "o.csv")]) == 1
+    assert "not both" in capsys.readouterr().err
+
+
+def test_header_only_panel_is_input_error(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("date,AAA\n")
+    assert run(["spikes", "--panel", str(path)]) == 1
+    assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert lines and all(words[0] == "rmtkit" for words in lines)
+    monkeypatch.chdir(tmp_path)
+    for words in lines:
+        assert run(words[1:]) == 0, " ".join(words)
 
 
 def _rmtkit_installed() -> bool:

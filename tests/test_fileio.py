@@ -113,6 +113,12 @@ class TestPanelCsv:
         with pytest.raises(EstimatorError, match="must be 'date'"):
             fileio.read_panel_csv(path)
 
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("date,AAA\n")
+        with pytest.raises(EstimatorError, match=r"x\.csv: no data rows"):
+            fileio.read_panel_csv(path)
+
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("date,AAA,BBB\nd1,0.5\n")
@@ -203,6 +209,12 @@ class TestMatrixCsv:
         M2 = fileio.read_matrix_csv(path)
         assert np.allclose(M2.values, M.values)
         assert M2.metadata["asset_ids"] == ("X", "Y")
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("X,Y\n")
+        with pytest.raises(EstimatorError, match=r"x\.csv: no data rows"):
+            fileio.read_matrix_csv(path)
 
     def test_shape_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
