@@ -273,8 +273,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     panel = fileio.read_panel_csv(args.panel)
-    v_ref = pearson(standardize(panel)).eigenvectors[:, 0]
-    track = dynamics.track_top(panel, args.epsilon, v_ref)
+    track = dynamics.track_top(panel, args.epsilon)
     tau = np.unique(np.geomspace(1, args.tau_max, 40).astype(int))
     val, vec = dynamics.empirical_variogram(track, tau)
     dynamics.write_variogram_csv(

@@ -29,30 +29,42 @@ class EigenTrack:
     times: np.ndarray
     lambda1: np.ndarray
     v1: np.ndarray  # steps x N, unit rows
-    theta: np.ndarray  # angle to the reference vector, radians in [0, pi]
+    # angle to the reference vector, radians in [0, pi]; None without one
+    theta: np.ndarray | None
     epsilon: float
 
     def __post_init__(self):
         for name in ("times", "lambda1", "v1", "theta"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
 
 
 def track_top(panel: ReturnPanel, epsilon: float,
-              v_ref: np.ndarray, e_init: np.ndarray | None = None) -> EigenTrack:
+              v_ref: np.ndarray | None = None,
+              e_init: np.ndarray | None = None) -> EigenTrack:
     """Update E_t = (1-eps) E_{t-1} + eps r_t r_t^T from E_0 = I (or
     ``e_init``) and record the top eigenpair at each step.
 
-    ``v_ref`` must be a finite, non-zero vector of length N and ``e_init`` a
-    finite symmetric N x N matrix; anything else raises ``ValueError``."""
+    Up to ``kernels.STACKED_MAX_N`` assets every pair is exact.  Above it a
+    step is a power iterate whose last step moved it by less than
+    ``kernels.POWER_TOL``; every ``kernels.FULL_EVERY``-th step is either
+    proven to lie within an angle of ``POWER_TOL`` of the top eigenvector
+    (by its residual and the Frobenius norm of E_t) or taken exactly.
+
+    ``theta`` is the angle to ``v_ref``, and None when no ``v_ref`` is
+    given.  ``v_ref`` must be a finite, non-zero vector of length N and
+    ``e_init`` a finite symmetric N x N matrix; anything else raises
+    ``ValueError``."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     N = panel.N
-    v_ref = np.asarray(v_ref, dtype=float)
-    if v_ref.shape != (N,) or not np.all(np.isfinite(v_ref)):
-        raise ValueError(f"v_ref must be a finite vector of length {N}")
-    if not np.any(v_ref):
-        raise ValueError("v_ref must be non-zero")
+    if v_ref is not None:
+        v_ref = np.asarray(v_ref, dtype=float)
+        if v_ref.shape != (N,) or not np.all(np.isfinite(v_ref)):
+            raise ValueError(f"v_ref must be a finite vector of length {N}")
+        if not np.any(v_ref):
+            raise ValueError("v_ref must be non-zero")
     if e_init is not None:
         e_init = np.asarray(e_init, dtype=float)
         if e_init.shape != (N, N) or not np.all(np.isfinite(e_init)):
@@ -60,7 +72,6 @@ def track_top(panel: ReturnPanel, epsilon: float,
         # the tracker reads one triangle only
         if np.abs(e_init - e_init.T).max() > 1e-12 * np.abs(e_init).max():
             raise ValueError("e_init must be symmetric")
-    v_ref = v_ref / np.linalg.norm(v_ref)
     lam, theta, vecs = kernels.track_top(
         np.ascontiguousarray(panel.values), epsilon, v_ref,
         e_init=e_init)

@@ -1,9 +1,11 @@
 """The EWMA tracker of the top eigenpair of a covariance matrix.
 
 ``track_top`` follows ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` and returns
-the exact top eigenpair of every ``E_t``: from stacked ``eigh`` calls for
-small matrices, from a warm-started power iteration with a LAPACK fallback
-for large ones.  The sample spectra are computed in ``spectra`` and
+the top eigenpair of every ``E_t``: exact from stacked ``eigh`` calls for
+small matrices; for large ones from a warm-started power iteration, proven
+to be the top pair by a residual and Davis-Kahan bound every ``FULL_EVERY``
+steps, with a LAPACK fallback when the iteration stalls or the proof
+fails.  The sample spectra are computed in ``spectra`` and
 ``transforms``.
 """
 
@@ -40,27 +42,30 @@ STACK_STEPS = 128
 RESCALE_BELOW = 1e-30
 
 
-def track_top(returns, epsilon, v_ref, e_init=None):
+def track_top(returns, epsilon, v_ref=None, e_init=None):
     """EWMA covariance tracking of the top eigenpair.
 
     Follows ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` from ``E_0 = I`` (or
-    ``e_init``, of which only the lower triangle is read) and returns the
-    exact top eigenpair of every ``E_t``.  Up to ``STACKED_MAX_N`` assets a
-    chunk of steps is built at once and decomposed by one stacked ``eigh``;
-    above it each step is a warm-started power iteration on the lower
-    triangle of ``E``, handed to LAPACK ``dsyevr`` (top pair only) every
-    ``FULL_EVERY`` steps and whenever the iteration cannot reach
-    ``POWER_TOL`` within ``POWER_MAX_ITER`` iterations.  Consecutive
-    eigenvectors are sign-aligned, the first one to the top eigenvector of
-    ``E_0``.
+    ``e_init``, of which only the lower triangle is read) and returns its
+    top eigenpair at every step.  Up to ``STACKED_MAX_N`` assets a chunk of
+    steps is built at once and decomposed exactly by one stacked ``eigh``.
+    Above it each step is a power iteration on the lower triangle of ``E``,
+    warm-started from the previous vector and stopped once a step moves the
+    iterate by less than ``POWER_TOL``: a step-size rule, not an error
+    bound.  Every ``FULL_EVERY``-th step is proven instead: ``_certify``
+    bounds the iterate's eigenvalue error by ``|r|^2 / gap`` and its angle
+    to the top eigenvector by ``|r| / gap <= POWER_TOL``, from its residual
+    ``r`` and the Frobenius norm of ``E``.  A refresh the bounds cannot
+    prove, and every step whose iteration cannot reach ``POWER_TOL`` within
+    ``POWER_MAX_ITER`` iterations, is taken by LAPACK ``dsyevr`` (top pair
+    only).  Consecutive eigenvectors are sign-aligned, the first one to the
+    top eigenvector of ``E_0``.
 
     Returns ``(lambda1, theta, vectors)`` where ``theta`` is the angle to
-    ``v_ref`` in radians.
+    ``v_ref`` in radians, or None without ``v_ref``.
     """
     returns = np.asarray(returns, dtype=float)
     T, N = returns.shape
-    v_ref = np.asarray(v_ref, dtype=float)
-    v_ref = v_ref / np.linalg.norm(v_ref)
     E = np.eye(N) if e_init is None else np.array(e_init, dtype=float)
     v0 = np.linalg.eigh(E)[1][:, -1]
     if N <= STACKED_MAX_N:
@@ -69,8 +74,14 @@ def track_top(returns, epsilon, v_ref, e_init=None):
         lam, vecs, stats = _track_per_step(returns, epsilon, E, v0)
     logger.debug("track_top: path=%(path)s N=%(n)d steps=%(steps)d "
                  "power_iterations=%(power_iterations)d "
-                 "give_ups=%(give_ups)d exact_steps=%(exact_steps)d", stats)
-    theta = np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0))
+                 "give_ups=%(give_ups)d exact_steps=%(exact_steps)d "
+                 "certified=%(certified)d "
+                 "max_sin_bound=%(max_sin_bound).2e", stats)
+    theta = None
+    if v_ref is not None:
+        v_ref = np.asarray(v_ref, dtype=float)
+        v_ref = v_ref / np.linalg.norm(v_ref)
+        theta = np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0))
     return lam, theta, vecs
 
 
@@ -100,12 +111,16 @@ def _track_stacked(returns, epsilon, E, v0):
     dots = np.einsum("ij,ij->i", vecs, np.vstack([v0, vecs])[:-1])
     vecs *= np.cumprod(np.where(dots < 0, -1.0, 1.0))[:, None]
     return lam, vecs, dict(path="stacked", n=N, steps=T, power_iterations=0,
-                           give_ups=0, exact_steps=T)
+                           give_ups=0, exact_steps=T, certified=0,
+                           max_sin_bound=0.0)
 
 
 def _track_per_step(returns, epsilon, E, v):
     """Warm-started power iteration per step on the lower triangle of E,
-    with the exact top pair from ``dsyevr`` when it cannot converge."""
+    certified every ``FULL_EVERY`` steps, with the exact top pair from
+    ``dsyevr`` when it cannot converge or a refresh is not certified.
+    ``give_ups`` counts the steps between refreshes that fall back, so
+    ``exact_steps = give_ups + T // FULL_EVERY - certified``."""
     T, N = returns.shape
     # E_t = c * F: the decay goes into the scalar c, so a step touches only
     # the lower triangle of F (one dsyr); F is rescaled before c underflows
@@ -113,18 +128,27 @@ def _track_per_step(returns, epsilon, E, v):
     c = 1.0
     lam = np.empty(T)
     vecs = np.empty((T, N))
-    iterations = give_ups = exact = 0
+    iterations = give_ups = exact = certified = 0
+    worst = 0.0
     for t in range(T):
         c *= 1.0 - epsilon
         if c < RESCALE_BELOW:
             F *= c
             c = 1.0
         blas.dsyr(epsilon / c, returns[t], lower=1, a=F, overwrite_a=1)
-        w = None
+        top, w, k = _power(F, c, v)
+        iterations += k
         if (t + 1) % FULL_EVERY:
-            top, w, k = _power(F, c, v)
-            iterations += k
             give_ups += w is None
+        elif w is not None:
+            # the refresh keeps the iterate only if it is provably the top pair
+            proof = _certify(F, c, w)
+            if proof is None:
+                w = None
+            else:
+                top, bound = proof
+                certified += 1
+                worst = max(worst, bound)
         if w is None:
             top, w = _top_exact(F)
             top *= c
@@ -135,7 +159,8 @@ def _track_per_step(returns, epsilon, E, v):
         vecs[t] = v = w
     return lam, vecs, dict(path="per-step", n=N, steps=T,
                            power_iterations=iterations, give_ups=give_ups,
-                           exact_steps=exact)
+                           exact_steps=exact, certified=certified,
+                           max_sin_bound=worst)
 
 
 def _power(F, c, v):
@@ -162,6 +187,37 @@ def _power(F, c, v):
         prev = step
         v = w
     return top, None, k
+
+
+def _certify(F, c, v):
+    """Prove that the unit vector ``v`` belongs to the top eigenvalue of
+    ``E = c * F`` (lower triangle) to within ``POWER_TOL``.
+
+    With ``theta = v.E v`` and ``r = E v - theta v`` some eigenvalue lies
+    within ``|r|`` of theta, so one is at least ``low = theta - |r|``.  The
+    squares of the others then sum to at most ``|E|_F^2 - low^2 = rest^2``.
+    If ``low > rest`` that eigenvalue is lambda_1, it is simple, and every
+    other one lies at least ``gap = theta - rest`` below theta, so
+    ``|theta - lambda_1| <= |r|^2 / gap`` and ``sin(v, v_1) <= |r| / gap``
+    (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970).  Returns
+    ``(theta, |r| / gap)`` when that bound is at most ``POWER_TOL``, else
+    None."""
+    N = F.shape[0]
+    u = blas.dsymv(c, F, v, lower=1)
+    theta = blas.ddot(v, u)
+    r = blas.daxpy(v, u, a=-theta)
+    f = F.ravel(order="K")
+    d = np.diagonal(F)
+    phi2 = c * c * (2.0 * blas.ddot(f, f) - d @ d)
+    # the rounding of the sums of squares and of E v, at most N ulps each
+    slack = 2.0 * N * np.finfo(float).eps
+    phi2 *= 1.0 + slack
+    res = blas.dnrm2(r) + slack * np.sqrt(phi2)
+    low = theta - res
+    rest = np.sqrt(max(phi2 - low * low, 0.0))
+    if low <= rest or res > POWER_TOL * (theta - rest):
+        return None
+    return theta, res / (theta - rest)
 
 
 def _top_exact(F):

@@ -43,6 +43,13 @@ class TestTrackTop:
         folded = np.minimum(track.theta[500:], np.pi - track.theta[500:])
         assert np.mean(folded) < 0.5
 
+    def test_theta_none_without_v_ref(self, spiked_track):
+        track, C = spiked_track
+        bare = dynamics.track_top(synth.gaussian_panel(C, 3000, seed=1), 0.02)
+        assert bare.theta is None
+        np.testing.assert_array_equal(bare.lambda1, track.lambda1)
+        np.testing.assert_array_equal(bare.v1, track.v1)
+
     @pytest.mark.parametrize("epsilon, v_ref, e_init", [
         (1.5, np.ones(4), None),
         (0.02, np.ones(3), None),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rmtkit import synth
-from rmtkit.kernels import FULL_EVERY, STACKED_MAX_N, track_top
+from rmtkit.kernels import (FULL_EVERY, POWER_TOL, STACKED_MAX_N, _certify,
+                            _power, track_top)
 
 
 def _exact_top(returns, epsilon, e_init=None, chunk=250):
@@ -35,10 +36,29 @@ def _two_level(T):
     return returns * np.sqrt([10.0, 1.0]), np.diag([10.0, 1.0])
 
 
-def _spiked(N, T):
+def _spiked(N, T, spike=10.0):
     C = synth.build_true_correlation(
-        synth.TrueCorrelationSpec("multi_spike", N, spikes=(10.0,)), seed=0)
+        synth.TrueCorrelationSpec("multi_spike", N, spikes=(spike,)), seed=0)
     return synth.gaussian_panel(C, T, seed=1).values, None
+
+
+def _track_stats(caplog, returns, epsilon):
+    with caplog.at_level(logging.DEBUG, logger="rmtkit.kernels"):
+        out = track_top(returns, epsilon)
+    [stats] = [r.args for r in caplog.records
+               if r.getMessage().startswith("track_top:")]
+    return out, stats
+
+
+def _lower(E):
+    """The tracker's storage of E: its lower triangle, Fortran order."""
+    return np.asfortranarray(np.tril(E))
+
+
+def _rotated(eigenvalues, seed):
+    N = len(eigenvalues)
+    Q = synth.haar_rotation(N, seed)
+    return (Q * eigenvalues) @ Q.T, Q
 
 
 class TestKernelBehaviour:
@@ -80,18 +100,68 @@ class TestKernelBehaviour:
     def test_track_top_logs_its_steps(self, caplog, N, path):
         T = 3 * FULL_EVERY + 7
         returns, _ = _noise(4, T, N)
-        with caplog.at_level(logging.DEBUG, logger="rmtkit.kernels"):
-            track_top(returns, 0.02, np.ones(N))
-        [stats] = [r.args for r in caplog.records
-                   if r.getMessage().startswith("track_top:")]
+        (_, theta, _), stats = _track_stats(caplog, returns, 0.02)
+        assert theta is None
         assert stats["path"] == path
         assert stats["steps"] == T
         if path == "stacked":
             assert stats["power_iterations"] == 0
             assert stats["exact_steps"] == T
+            assert stats["certified"] == 0
         else:
-            # every step is either a converged power step or an exact one:
-            # the FULL_EVERY refreshes plus the power steps given up
-            assert stats["exact_steps"] >= T // FULL_EVERY
-            assert stats["exact_steps"] == T // FULL_EVERY + stats["give_ups"]
+            # every step is a converged power step, a certified refresh or
+            # an exact one: the power steps given up between refreshes plus
+            # the refreshes not certified
+            refreshes = T // FULL_EVERY
+            assert 0 <= stats["certified"] <= refreshes
+            assert stats["exact_steps"] == (stats["give_ups"] + refreshes
+                                            - stats["certified"])
             assert stats["power_iterations"] >= T - T // FULL_EVERY
+            assert stats["max_sin_bound"] <= POWER_TOL
+
+    def test_spiked_refreshes_are_certified(self, caplog):
+        # a strong spike separates lambda_1 from the Frobenius norm of the
+        # rest, so every refresh is proven and none calls dsyevr
+        returns, _ = _spiked(STACKED_MAX_N + 14, 5 * FULL_EVERY + 7, 20.0)
+        (lam, _, vecs), stats = _track_stats(caplog, returns, 0.02)
+        assert stats["path"] == "per-step"
+        assert stats["certified"] == 5
+        assert stats["exact_steps"] == stats["give_ups"]
+        assert 0 < stats["max_sin_bound"] <= POWER_TOL
+        vals, vs = _exact_top(returns, 0.02)
+        np.testing.assert_allclose(lam, vals, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(np.abs(np.sum(vecs * vs, axis=1)), 1.0,
+                                   rtol=0, atol=1e-8)
+
+
+class TestCertificate:
+    def test_second_eigenvector_rejected(self):
+        # a near-degenerate top pair: the second eigenvector is a fixed
+        # point of the power map, so the step-size rule alone accepts it
+        rng = np.random.default_rng(11)
+        w = np.concatenate([[10.0, 10.0 - 1e-6], rng.uniform(0.1, 1.0, 38)])
+        E, Q = _rotated(w, 3)
+        top, v, _ = _power(_lower(E), 1.0, Q[:, 1])
+        assert v is not None
+        assert top == pytest.approx(w[1], rel=1e-12)
+        assert _certify(_lower(E), 1.0, v) is None
+
+    def test_pure_noise_rejected(self):
+        # the exact top eigenvector has a tiny residual, but the bulk's
+        # Frobenius norm cannot be told apart from lambda_1
+        R = np.random.default_rng(12).standard_normal((300, 100))
+        E = R.T @ R / 300
+        v = np.linalg.eigh(E)[1][:, -1]
+        assert _certify(_lower(E), 1.0, v) is None
+
+    def test_spiked_top_accepted(self):
+        rng = np.random.default_rng(13)
+        w = np.concatenate([[50.0], rng.uniform(0.5, 1.5, 39)])
+        E, _ = _rotated(w, 4)
+        v = np.linalg.eigh(E)[1][:, -1]
+        # E = c F with the tracker's decay scalar c
+        c = 0.37
+        theta, bound = _certify(_lower(E / c), c, v)
+        top = np.linalg.eigvalsh(E)[-1]
+        assert abs(theta - top) <= 1e-14 * top
+        assert 0 < bound <= POWER_TOL
