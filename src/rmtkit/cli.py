@@ -179,7 +179,7 @@ def _cmd_spectrum(args) -> int:
         prior = spectra.powerlaw_prior_density(
             spectra.PowerLawPrior(args.alpha))
         dens = spectra.dressed_spectrum(prior, args.q)
-    dens.to_csv(args.out)
+    fileio.write_density_csv(args.out, dens)
     print(f"wrote {args.out}")
     return 0
 
@@ -200,7 +200,7 @@ def _cmd_clean(args) -> int:
     scheme = CleaningScheme(args.scheme, args.alpha, args.mu)
     cleaned = apply_scheme(E, scheme)
     fileio.write_matrix_csv(
-        args.out, cleaned,
+        args.out, cleaned, asset_ids=E.metadata["asset_ids"],
         header_lines=fileio.metadata_header(
             "clean", {"scheme": args.scheme, "alpha": args.alpha}))
     print(f"wrote {args.out}")
@@ -216,9 +216,14 @@ def _cmd_backtest(args) -> int:
     _, mean_in, mean_out = portfolio.backtest(
         panel, scheme, window=args.window, horizon=args.horizon,
         step=args.step, predictor=args.predictor, seed=args.seed)
-    portfolio.write_backtest_csv(
-        args.out,
-        [(args.alpha, args.scheme, np.sqrt(mean_in), np.sqrt(mean_out))])
+    keys = ("scheme", "alpha", "mu", "window", "horizon", "step", "predictor",
+            "seed")
+    params = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    fileio.write_table(
+        args.out, ["alpha", "scheme", "in_risk", "out_risk"],
+        [np.array([[args.alpha]]), [args.scheme],
+         np.sqrt([[mean_in, mean_out]])],
+        fileio.metadata_header("backtest", params))
     print(f"wrote {args.out} (in {np.sqrt(mean_in):.4f}, "
           f"out {np.sqrt(mean_out):.4f})")
     return 0
@@ -230,14 +235,13 @@ def _cmd_svd(args) -> int:
     Xh = crosscorr.normalize_principal_components(standardize(X))
     Yh = crosscorr.normalize_principal_components(standardize(Y))
     result = crosscorr.cross_singulars(Xh, Yh)
-    with open(args.out, "w") as fh:
-        fh.write(f"# null band [{result.null_band[0]:.12g},"
-                 f" {result.null_band[1]:.12g}]"
-                 f" threshold {result.threshold:.12g}\n")
-        fh.write(f"# significant {result.significant_count}\n")
-        fh.write("rank,singular_value\n")
-        for i, s in enumerate(result.singular_values, start=1):
-            fh.write(f"{i},{s:.12g}\n")
+    lo, hi = result.null_band
+    sv = result.singular_values
+    fileio.write_table(
+        args.out, ["rank", "singular_value"],
+        [np.column_stack([np.arange(1, len(sv) + 1), sv])],
+        [f"null band [{lo:.12g}, {hi:.12g}] threshold {result.threshold:.12g}",
+         f"significant {result.significant_count}"])
     print(f"wrote {args.out} ({result.significant_count} significant)")
     return 0
 
@@ -276,9 +280,9 @@ def _cmd_dynamics(args) -> int:
     track = dynamics.track_top(panel, args.epsilon)
     tau = np.unique(np.geomspace(1, args.tau_max, 40).astype(int))
     val, vec = dynamics.empirical_variogram(track, tau)
-    dynamics.write_variogram_csv(
-        args.out, tau, val, vec,
-        header_comment=f"epsilon={args.epsilon:.12g}")
+    fileio.write_table(args.out, ["tau", "value", "vector"],
+                       [np.column_stack([tau, val, vec])],
+                       [f"epsilon={args.epsilon:.12g}"])
     print(f"wrote {args.out}")
     return 0
 

@@ -187,34 +187,3 @@ class SpectralDensity:
         hi = max(self.support()[1], other.support()[1])
         x = np.linspace(lo, hi, npoints)
         return float(np.trapezoid(np.abs(self.interpolate(x) - other.interpolate(x)), x))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Two-column CSV (lambda, rho); atoms as ``# atom loc mass`` comments."""
-        with open(path, "w") as fh:
-            for loc, mass in self.atoms:
-                fh.write(f"# atom {loc:.12g} {mass:.12g}\n")
-            fh.write("lambda,rho\n")
-            for x, y in zip(self.grid, self.density):
-                fh.write(f"{x:.12g},{y:.12g}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "SpectralDensity":
-        atoms, xs, ys = [], [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts and parts[0] == "atom":
-                        atoms.append((float(parts[1]), float(parts[2])))
-                    continue
-                if line.startswith("lambda"):
-                    continue
-                a, b = line.split(",")
-                xs.append(float(a))
-                ys.append(float(b))
-        return cls(np.array(xs), np.array(ys), tuple(atoms))

@@ -3,7 +3,6 @@ its stationary angle distribution, and value/vector variograms."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ __all__ = [
     "stationary_angle_density",
     "theoretical_variograms",
     "empirical_variogram",
-    "write_variogram_csv",
 ]
 
 
@@ -167,13 +165,3 @@ def empirical_variogram(track: EigenTrack, tau_grid):
         vec[i] = float(np.mean(2.0 - 2.0 * overlap))
     return val, vec
 
-
-def write_variogram_csv(path, tau_grid, value_variogram, vector_variogram,
-                        header_comment: str = ""):
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "value", "vector"])
-        for t, a, b in zip(tau_grid, value_variogram, vector_variogram):
-            writer.writerow([f"{t:.12g}", f"{a:.12g}", f"{b:.12g}"])

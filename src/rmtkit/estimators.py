@@ -190,7 +190,8 @@ def pearson(panel: ReturnPanel) -> CorrelationMatrix:
         raise EstimatorError("pearson requires a standardized panel")
     E = panel.values.T @ panel.values / panel.T
     np.fill_diagonal(E, 1.0)
-    return CorrelationMatrix(E, {"estimator": "pearson", "T": panel.T})
+    return CorrelationMatrix(E, {"estimator": "pearson", "T": panel.T,
+                                 "asset_ids": panel.asset_ids})
 
 
 def ewma_estimator(panel: ReturnPanel, epsilon: float) -> CorrelationMatrix:

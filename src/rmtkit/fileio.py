@@ -1,5 +1,6 @@
 """CSV ingestion and emission: return panels, dense correlation matrices,
-and reproducibility metadata headers."""
+spectral densities and reproducibility metadata headers.  Every CSV table
+the package writes goes through ``write_table``."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .density import SpectralDensity
 from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel
 
 __all__ = [
@@ -16,6 +18,9 @@ __all__ = [
     "write_panel_csv",
     "read_matrix_csv",
     "write_matrix_csv",
+    "read_density_csv",
+    "write_density_csv",
+    "write_table",
     "metadata_header",
 ]
 
@@ -77,10 +82,8 @@ def _csv_table(path, labelled):
             try:
                 values.append(np.array(row[labelled:], dtype=float))
             except ValueError as exc:
-                kind = "return" if labelled else "matrix"
                 raise EstimatorError(
-                    f"{path}:{reader.line_num}: non-numeric {kind} value"
-                ) from exc
+                    f"{path}:{reader.line_num}: non-numeric value") from exc
     return header, labels, np.array(values, dtype=float)
 
 
@@ -110,32 +113,39 @@ def read_panel_csv(path) -> ReturnPanel:
                        tuple(dates))
 
 
-def _write_rows(fh, labels, values):
-    """Data rows of ``values``, each value as ``f"{x:.12g}"``, after an
-    optional label cell quoted by ``csv.writer``, ended by ``\r\n`` as
-    ``csv.writer`` ends them: the bytes ``csv.writer`` would write."""
-    fmt = ",".join(["%.12g"] * values.shape[1]) + "\r\n"
-    if labels is None:
-        for row in values:
-            fh.write(fmt % tuple(row.tolist()))
-        return
-    # each label and the comma after it, as csv.writer writes them inside a
-    # longer row.  It quotes "\r" and "\n" only because its line terminator
-    # holds them, so the cells keep that terminator until it is cut here.
-    cells = []
-    csv.writer(SimpleNamespace(write=cells.append)).writerows(
-        [label, ""] for label in labels)
-    for cell, row in zip(cells, values):
-        fh.write(cell[:-2])
-        fh.write(fmt % tuple(row.tolist()))
+def write_table(path, header, columns, comments=()) -> None:
+    """Write a table CSV: each comment as a ``# `` line, then the header row
+    and the data rows as the bytes ``csv.writer`` would write, ``\r\n``
+    terminators included.
+
+    ``columns`` is read left to right.  A 2-D float array is a block of
+    columns, each value written as ``f"{x:.12g}"``; any other sequence is
+    one text column."""
+    parts = []
+    for k, col in enumerate(columns):
+        end = "\r\n" if k == len(columns) - 1 else ","
+        if isinstance(col, np.ndarray) and col.ndim == 2:
+            fmt = ",".join(["%.12g"] * col.shape[1]) + end
+            rows = map(tuple, map(np.ndarray.tolist, col))
+            parts.append(map(fmt.__mod__, rows))
+        else:
+            # csv.writer quotes "\r" and "\n" only because its terminator
+            # holds them, so each text is written as a row before an empty
+            # cell, and the ",\r\n" after it is cut here
+            cells = []
+            csv.writer(SimpleNamespace(write=cells.append)).writerows(
+                [text, ""] for text in col)
+            parts.append([cell[:-3] + end for cell in cells])
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        csv.writer(fh).writerow(header)
+        fh.writelines(itertools.chain.from_iterable(zip(*parts, strict=True)))
 
 
 def write_panel_csv(path, panel: ReturnPanel, header_lines=()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        csv.writer(fh).writerow(["date", *panel.asset_ids])
-        _write_rows(fh, panel.time_ids, panel.values)
+    write_table(path, ["date", *panel.asset_ids],
+                [panel.time_ids, panel.values], header_lines)
 
 
 def read_matrix_csv(path) -> CorrelationMatrix:
@@ -155,11 +165,35 @@ def write_matrix_csv(path, M: CorrelationMatrix, asset_ids=None,
                      header_lines=()) -> None:
     assets = tuple(asset_ids or M.metadata.get("asset_ids")
                    or (f"A{i:04d}" for i in range(M.N)))
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        csv.writer(fh).writerow(assets)
-        _write_rows(fh, None, M.values)
+    write_table(path, assets, [M.values], header_lines)
+
+
+def write_density_csv(path, density: SpectralDensity) -> None:
+    """Two-column CSV (lambda, rho); atoms as ``# atom loc mass`` comments."""
+    write_table(path, ["lambda", "rho"],
+                [np.column_stack([density.grid, density.density])],
+                [f"atom {loc:.12g} {mass:.12g}" for loc, mass in density.atoms])
+
+
+def read_density_csv(path) -> SpectralDensity:
+    """Density CSV: header ``lambda,rho``, one row per grid point, and one
+    ``# atom loc mass`` line per atom.  Errors name the line of the file."""
+    header, _, values = _read_table(path, labelled=False)
+    if [h.strip() for h in header] != ["lambda", "rho"]:
+        raise EstimatorError(f"{path}: header must be 'lambda,rho'")
+    atoms = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            words = line.split()
+            if words[:2] != ["#", "atom"]:
+                continue
+            try:
+                loc, mass = map(float, words[2:])
+            except ValueError as exc:
+                raise EstimatorError(
+                    f"{path}:{lineno}: expected '# atom loc mass'") from exc
+            atoms.append((loc, mass))
+    return SpectralDensity(values[:, 0], values[:, 1], tuple(atoms))
 
 
 def metadata_header(command: str, params: dict) -> list:

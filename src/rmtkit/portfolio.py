@@ -3,7 +3,6 @@ measures, and a rolling out-of-sample backtest for cleaning schemes."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ __all__ = [
     "theoretical_risk_ratios",
     "backtest",
     "residual_test",
-    "write_backtest_csv",
 ]
 
 
@@ -187,16 +185,6 @@ def residual_test(panel: ReturnPanel, scheme: CleaningScheme | None,
         in_ratios.append(np.mean(predicted / np.clip(realized_in, 1e-12, None)))
         out_ratios.append(np.mean(predicted / np.clip(realized_out, 1e-12, None)))
     return float(np.mean(in_ratios)), float(np.mean(out_ratios))
-
-
-def write_backtest_csv(path, results):
-    """Write rows of (alpha, scheme, in_risk, out_risk) to CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "scheme", "in_risk", "out_risk"])
-        for alpha, scheme, in_risk, out_risk in results:
-            writer.writerow([f"{alpha:.12g}", scheme,
-                             f"{in_risk:.12g}", f"{out_risk:.12g}"])
 
 
 def _corr(X: np.ndarray) -> np.ndarray:

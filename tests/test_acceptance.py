@@ -14,7 +14,8 @@ from scipy import stats as scipy_stats
 
 from conftest import ACCEPTANCE_LINES
 
-from rmtkit import cleaning, crosscorr, dynamics, portfolio, spectra, spikes, synth
+from rmtkit import (cleaning, crosscorr, dynamics, fileio, portfolio, spectra,
+                    spikes, synth)
 from rmtkit.density import SpectralDensity
 from rmtkit.estimators import (CorrelationMatrix, ReturnPanel, ewma_estimator,
                                pearson, standardize, student_ml)
@@ -363,8 +364,8 @@ def test_criterion_13_invariant_battery(tmp_path):
 
     def roundtrip():
         path = tmp_path / "d.csv"
-        mp.to_csv(path)
-        back = SpectralDensity.from_csv(path)
+        fileio.write_density_csv(path, mp)
+        back = fileio.read_density_csv(path)
         return (np.allclose(back.grid, mp.grid)
                 and np.allclose(back.density, mp.density, atol=1e-10))
     check("density csv round-trip", roundtrip)

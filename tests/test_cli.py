@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.metadata
 import shlex
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmtkit import cli, fileio
-from rmtkit.density import SpectralDensity
+from rmtkit import cli, dynamics, fileio, portfolio
+from rmtkit.cleaning import CleaningScheme
+from rmtkit.estimators import ReturnPanel, pearson, standardize
 
 
 def run(args):
@@ -20,7 +22,7 @@ class TestSpectrumCommand:
         out = tmp_path / "mp.csv"
         assert run(["spectrum", "--law", "mp", "--q", "0.25",
                     "--out", str(out)]) == 0
-        d = SpectralDensity.from_csv(out)
+        d = fileio.read_density_csv(out)
         assert d.mean() == pytest.approx(1.0, abs=1e-3)
         assert "wrote" in capsys.readouterr().out
 
@@ -33,7 +35,7 @@ class TestSpectrumCommand:
         out = tmp_path / "r.csv"
         assert run(["spectrum", "--law", "rsvd", "--n", "0.2", "--m", "0.1",
                     "--out", str(out)]) == 0
-        d = SpectralDensity.from_csv(out)
+        d = fileio.read_density_csv(out)
         assert d.atom_mass() == pytest.approx(0.9, abs=1e-6)
 
 
@@ -116,11 +118,31 @@ class TestPipeline:
 
     def test_backtest(self, panel_path, tmp_path, capsys):
         out = tmp_path / "bt.csv"
-        assert run(["backtest", "--panel", str(panel_path),
-                    "--window", "200", "--horizon", "50", "--step", "100",
-                    "--out", str(out)]) == 0
-        text = out.read_text()
-        assert text.startswith("alpha,scheme,in_risk,out_risk")
+        assert run(["backtest", "--panel", str(panel_path), "--scheme",
+                    "clip", "--window", "200", "--horizon", "50",
+                    "--step", "100", "--out", str(out)]) == 0
+        _, mean_in, mean_out = portfolio.backtest(
+            fileio.read_panel_csv(panel_path), CleaningScheme("clip", 0.5),
+            window=200, horizon=50, step=100)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["# command: backtest"]
+        # a text column between float columns
+        assert rows[2:] == [["alpha", "scheme", "in_risk", "out_risk"],
+                            ["0.5", "clip", f"{np.sqrt(mean_in):.12g}",
+                             f"{np.sqrt(mean_out):.12g}"]]
+
+    def test_backtest_records_seed(self, panel_path, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["backtest", "--panel", str(panel_path), "--predictor",
+                "random", "--seed", "11", "--window", "200", "--horizon",
+                "50", "--step", "100"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        head = a.read_text().splitlines()[:2]
+        assert head[0] == "# command: backtest"
+        assert "predictor=random" in head[1] and "seed=11" in head[1]
 
     def test_spikes_detects_market_mode(self, panel_path, capsys):
         assert run(["spikes", "--panel", str(panel_path)]) == 0
@@ -131,7 +153,13 @@ class TestPipeline:
         assert run(["dynamics", "--panel", str(panel_path),
                     "--epsilon", "0.05", "--tau-max", "50",
                     "--out", str(out)]) == 0
-        assert "tau,value,vector" in out.read_text()
+        track = dynamics.track_top(fileio.read_panel_csv(panel_path), 0.05)
+        tau = np.unique(np.geomspace(1, 50, 40).astype(int))
+        val, vec = dynamics.empirical_variogram(track, tau)
+        assert out.read_bytes() == (
+            "# epsilon=0.05\ntau,value,vector\r\n" + "".join(
+                f"{t:.12g},{a:.12g},{b:.12g}\r\n"
+                for t, a, b in zip(tau, val, vec))).encode()
 
     def test_svd(self, panel_path, tmp_path):
         other = tmp_path / "other.csv"
@@ -143,6 +171,25 @@ class TestPipeline:
         assert "singular_value" in out.read_text()
 
 
+TICKERS = ("AAPL", "MSFT", "XOM", "JPM")
+
+
+@pytest.mark.parametrize("scheme", ["clip", "ledoit", "powerlaw", "shrink"])
+@pytest.mark.parametrize("kind", ["panel", "matrix"])
+def test_clean_keeps_asset_ids(kind, scheme, tmp_path):
+    rng = np.random.default_rng(4)
+    panel = ReturnPanel(rng.standard_normal((60, 4)), TICKERS)
+    path = tmp_path / "in.csv"
+    if kind == "panel":
+        fileio.write_panel_csv(path, panel)
+    else:
+        fileio.write_matrix_csv(path, pearson(standardize(panel)), TICKERS)
+    out = tmp_path / "clean.csv"
+    assert run(["clean", f"--{kind}", str(path), "--scheme", scheme,
+                "--out", str(out)]) == 0
+    assert fileio.read_matrix_csv(out).metadata["asset_ids"] == TICKERS
+
+
 class TestConfigPrecedence:
     def test_config_overrides_default(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -150,7 +197,7 @@ class TestConfigPrecedence:
         out = tmp_path / "s.csv"
         assert run(["--config", str(cfg), "spectrum", "--law", "mp",
                     "--out", str(out)]) == 0
-        d = SpectralDensity.from_csv(out)
+        d = fileio.read_density_csv(out)
         lo, hi = d.support()
         assert hi < 2.3  # q=0.25 edge 2.25, not the default q=0.5 edge 2.91
 
@@ -160,7 +207,7 @@ class TestConfigPrecedence:
         out = tmp_path / "s.csv"
         assert run(["--config", str(cfg), "spectrum", "--law", "mp",
                     "--q", "0.5", "--out", str(out)]) == 0
-        d = SpectralDensity.from_csv(out)
+        d = fileio.read_density_csv(out)
         assert d.support()[1] > 2.8
 
     def test_config_value_takes_option_type(self, panel_path, tmp_path,

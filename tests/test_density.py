@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmtkit import fileio
 from rmtkit.density import DensityError, SpectralDensity
 
 
@@ -119,8 +120,8 @@ class TestSerialization:
         d = SpectralDensity.from_unnormalized(grid, np.ones(100),
                                               atoms=((0.0, 0.3),))
         path = tmp_path / "d.csv"
-        d.to_csv(path)
-        e = SpectralDensity.from_csv(path)
+        fileio.write_density_csv(path, d)
+        e = fileio.read_density_csv(path)
         assert np.allclose(e.grid, d.grid)
         assert np.allclose(e.density, d.density)
         assert np.allclose(np.asarray(e.atoms), np.asarray(d.atoms))
@@ -128,6 +129,6 @@ class TestSerialization:
     def test_csv_repeatable_bytes(self, tmp_path):
         d = uniform()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        d.to_csv(p1)
-        d.to_csv(p2)
+        fileio.write_density_csv(p1, d)
+        fileio.write_density_csv(p2, d)
         assert p1.read_bytes() == p2.read_bytes()

@@ -163,12 +163,3 @@ class TestVariograms:
         track, _ = spiked_track
         with pytest.raises(ValueError, match="exceeds"):
             dynamics.empirical_variogram(track, [5000])
-
-    def test_csv_output(self, tmp_path):
-        path = tmp_path / "v.csv"
-        dynamics.write_variogram_csv(path, [1, 2], [0.1, 0.2], [0.3, 0.4],
-                                     header_comment="epsilon=0.02")
-        text = path.read_text()
-        assert text.startswith("# epsilon=0.02\n")
-        assert "tau,value,vector" in text
-        assert "2,0.2,0.4" in text

@@ -237,6 +237,68 @@ class TestMatrixCsv:
             fileio.read_matrix_csv(path)
 
 
+class TestTable:
+    @pytest.mark.parametrize("case", ["text_in_middle", "floats_only",
+                                      "comments_and_text_last"])
+    def test_bytes_match_csv_writer(self, tmp_path, case):
+        n = len(EDGE_VALUES)
+        block = np.array([np.roll(EDGE_VALUES, k) for k in range(n)])
+        texts = ["clip", "x,1", 'y"2', "d\n1", ""]
+        if case == "text_in_middle":
+            header, comments = ["a", "s", "x", "y"], ()
+            columns = [block[:, :1], texts, block[:, 1:3]]
+            rows = [[f"{r[0]:.12g}", t, f"{r[1]:.12g}", f"{r[2]:.12g}"]
+                    for r, t in zip(block, texts)]
+        elif case == "floats_only":
+            header, comments = ["x", "y", "z"], ()
+            columns = [block[:, :3]]
+            rows = [[f"{x:.12g}" for x in r[:3]] for r in block]
+        else:
+            header = ["x,1", "s"]
+            comments = ["command: test", "params: a=1"]
+            columns = [block[:, :1], texts]
+            rows = [[f"{r[0]:.12g}", t] for r, t in zip(block, texts)]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        fileio.write_table(ours, header, columns, comments)
+        reference_csv(ref, header, rows, comments)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            fileio.write_table(tmp_path / "t.csv", ["s", "x"],
+                               [["a", "b"], np.zeros((3, 1))])
+
+
+class TestDensityCsv:
+    def test_error_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# atom 0 0.5\nlambda,rho\n0,0.5\n1,oops\n")
+        with pytest.raises(EstimatorError, match=r"d\.csv:4: non-numeric value"):
+            fileio.read_density_csv(path)
+        path.write_text("# atom 0 0.5\nlambda,rho\n0,0.5\n1,0.5,7\n")
+        with pytest.raises(EstimatorError,
+                           match=r"d\.csv:4: expected 2 fields, got 3"):
+            fileio.read_density_csv(path)
+        path.write_text("lambda,rho\n0,0.5\n# atom 0\n1,0.5\n")
+        with pytest.raises(EstimatorError,
+                           match=r"d\.csv:3: expected '# atom loc mass'"):
+            fileio.read_density_csv(path)
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n0,1\n1,1\n")
+        with pytest.raises(EstimatorError, match="lambda,rho"):
+            fileio.read_density_csv(path)
+
+    def test_atoms_and_crlf_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"# atom 2 0.5\nlambda,rho\r\n0,0.5\r\n1,0.5\r\n")
+        d = fileio.read_density_csv(path)
+        assert d.atoms == ((2.0, 0.5),)
+        assert np.array_equal(d.grid, [0.0, 1.0])
+        assert np.array_equal(d.density, [0.5, 0.5])
+
+
 class TestMetadataHeader:
     def test_sorted_and_stable(self):
         lines = fileio.metadata_header("simulate", {"b": 2, "a": 1})

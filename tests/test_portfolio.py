@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -117,15 +116,6 @@ class TestBacktest:
             panel, CleaningScheme("clip", 0.5), window=300, horizon=50,
             step=100)
         assert out_cl / in_cl < out_raw / in_raw
-
-    def test_csv_output(self, tmp_path):
-        path = tmp_path / "bt.csv"
-        portfolio.write_backtest_csv(
-            path, [(0.5, "clip", 1.25, 1.5), (0.0, "raw", 1.0, 2.0)])
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["alpha", "scheme", "in_risk", "out_risk"]
-        assert rows[1] == ["0.5", "clip", "1.25", "1.5"]
 
 
 class TestResidualTest:
