@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtkit import dynamics, synth
+from rmtkit import dynamics, fileio, synth
 from rmtkit.estimators import ReturnPanel
 
 
@@ -163,3 +163,13 @@ class TestVariograms:
         track, _ = spiked_track
         with pytest.raises(ValueError, match="exceeds"):
             dynamics.empirical_variogram(track, [5000])
+
+    def test_csv_output(self, tmp_path):
+        path = tmp_path / "v.csv"
+        fileio.write_table(path, ["tau", "value", "vector"],
+                           [np.column_stack([[1, 2], [0.1, 0.2], [0.3, 0.4]])],
+                           ["epsilon=0.02"])
+        text = path.read_text()
+        assert text.startswith("# epsilon=0.02\n")
+        assert "tau,value,vector" in text
+        assert "2,0.2,0.4" in text

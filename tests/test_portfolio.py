@@ -1,8 +1,9 @@
+import csv
 
 import numpy as np
 import pytest
 
-from rmtkit import portfolio, synth
+from rmtkit import fileio, portfolio, synth
 from rmtkit.cleaning import CleaningScheme
 from rmtkit.estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
                                pearson, standardize)
@@ -116,6 +117,17 @@ class TestBacktest:
             panel, CleaningScheme("clip", 0.5), window=300, horizon=50,
             step=100)
         assert out_cl / in_cl < out_raw / in_raw
+
+    def test_csv_output(self, tmp_path):
+        path = tmp_path / "bt.csv"
+        fileio.write_table(
+            path, ["alpha", "scheme", "in_risk", "out_risk"],
+            [np.array([[0.5], [0.0]]), ["clip", "raw"],
+             np.array([[1.25, 1.5], [1.0, 2.0]])])
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["alpha", "scheme", "in_risk", "out_risk"]
+        assert rows[1] == ["0.5", "clip", "1.25", "1.5"]
 
 
 class TestResidualTest:
