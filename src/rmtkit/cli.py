@@ -202,7 +202,8 @@ def _cmd_clean(args) -> int:
     fileio.write_matrix_csv(
         args.out, cleaned, asset_ids=E.metadata["asset_ids"],
         header_lines=fileio.metadata_header(
-            "clean", {"scheme": args.scheme, "alpha": args.alpha}))
+            "clean", {"scheme": args.scheme, "alpha": args.alpha,
+                      "mu": args.mu}))
     print(f"wrote {args.out}")
     return 0
 

@@ -45,10 +45,12 @@ def track_top(panel: ReturnPanel, epsilon: float,
     ``e_init``) and record the top eigenpair at each step.
 
     Up to ``kernels.STACKED_MAX_N`` assets every pair is exact.  Above it a
-    step is a power iterate whose last step moved it by less than
-    ``kernels.POWER_TOL``; every ``kernels.FULL_EVERY``-th step is either
-    proven to lie within an angle of ``POWER_TOL`` of the top eigenvector
-    (by its residual and the Frobenius norm of E_t) or taken exactly.
+    step is a power iterate whose distance to the top eigenvector, estimated
+    from the contraction rate of its last steps, is at most
+    ``kernels.BOUND_TOL`` (0.8 ``kernels.POWER_TOL``); every
+    ``kernels.FULL_EVERY``-th step is either proven to lie within an angle
+    of ``POWER_TOL`` of the top eigenvector (by its residual and the
+    Frobenius norm of E_t) or taken exactly.
 
     ``theta`` is the angle to ``v_ref``, and None when no ``v_ref`` is
     given.  ``v_ref`` must be a finite, non-zero vector of length N and

@@ -112,6 +112,18 @@ class TestPipeline:
         M = fileio.read_matrix_csv(out)
         assert M.N == 30
 
+    def test_clean_records_mu(self, panel_path, tmp_path):
+        # mu sets the power-law scheme's ladder, so the header must say it
+        heads = []
+        for mu in ("2", "5"):
+            out = tmp_path / f"clean-{mu}.csv"
+            assert run(["clean", "--panel", str(panel_path), "--scheme",
+                        "powerlaw", "--mu", mu, "--out", str(out)]) == 0
+            heads.append(out.read_text().splitlines()[:2])
+        assert heads[0] != heads[1]
+        assert heads[0] == ["# command: clean",
+                            "# params: alpha=0.5 mu=2.0 scheme=powerlaw"]
+
     def test_clean_needs_input(self, capsys):
         assert run(["clean"]) == 1
         assert "need --matrix or --panel" in capsys.readouterr().err

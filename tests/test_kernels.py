@@ -8,6 +8,13 @@ from rmtkit.kernels import (FULL_EVERY, POWER_TOL, STACKED_MAX_N, _certify,
                             _power, track_top)
 
 
+def _distance(w, v):
+    """min |w -+ v| along the last axis: unlike 1 - |w.v|, which cancels
+    below sqrt(machine epsilon), it resolves distances of POWER_TOL."""
+    return np.minimum(np.linalg.norm(w - v, axis=-1),
+                      np.linalg.norm(w + v, axis=-1))
+
+
 def _exact_top(returns, epsilon, e_init=None, chunk=250):
     """Top eigenpair of E_t = (1-eps) E_{t-1} + eps r_t r_t^T from E_0 = I
     (or ``e_init``) at every step, by exact ``eigh``."""
@@ -105,7 +112,7 @@ class TestKernelBehaviour:
         assert stats["path"] == path
         assert stats["steps"] == T
         if path == "stacked":
-            assert stats["power_iterations"] == 0
+            assert stats["power_iterations"] == stats["matvecs"] == 0
             assert stats["exact_steps"] == T
             assert stats["certified"] == 0
         else:
@@ -118,6 +125,11 @@ class TestKernelBehaviour:
                                             - stats["certified"])
             assert stats["power_iterations"] >= T - T // FULL_EVERY
             assert stats["max_sin_bound"] <= POWER_TOL
+            # a certified refresh costs one dsymv more; a step after a
+            # converged one (none here: noise) one fewer
+            assert stats["matvecs"] <= (stats["power_iterations"]
+                                        + stats["certified"])
+            assert stats["max_power_bound"] <= POWER_TOL
 
     def test_spiked_refreshes_are_certified(self, caplog):
         # a strong spike separates lambda_1 from the Frobenius norm of the
@@ -128,10 +140,36 @@ class TestKernelBehaviour:
         assert stats["certified"] == 5
         assert stats["exact_steps"] == stats["give_ups"]
         assert 0 < stats["max_sin_bound"] <= POWER_TOL
+        # a step after a converged one takes its first product from the
+        # last one in O(N), without a dsymv
+        assert stats["matvecs"] < stats["power_iterations"]
+        assert 0 < stats["max_power_bound"] <= POWER_TOL
         vals, vs = _exact_top(returns, 0.02)
         np.testing.assert_allclose(lam, vals, rtol=1e-10, atol=0)
         np.testing.assert_allclose(np.abs(np.sum(vecs * vs, axis=1)), 1.0,
                                    rtol=0, atol=1e-8)
+        # every step, certified, exact or between refreshes, within
+        # POWER_TOL of the eigh eigenvector
+        assert _distance(vecs, vs).max() <= POWER_TOL
+
+
+class TestPowerAccuracy:
+    @pytest.mark.parametrize("ratio", [0.7, 0.8, 0.9])
+    def test_slow_contraction_meets_tolerance(self, ratio):
+        # lambda_2 / lambda_1 = ratio, started about 1.4e-8 from v_1: a stop
+        # on the step size alone returns a vector ratio / (1 - ratio) times
+        # the last step from v_1, up to 9x POWER_TOL
+        rng = np.random.default_rng(14)
+        w = np.concatenate([[1.0, ratio], rng.uniform(0.1, 0.5, 38)])
+        E, Q = _rotated(w, 5)
+        g = rng.standard_normal(38)
+        start = Q[:, 0] + 1e-8 * (Q[:, 1] + Q[:, 2:] @ g / np.linalg.norm(g))
+        top, v, _, bound, *_ = _power(_lower(E), 1.0,
+                                      start / np.linalg.norm(start))
+        assert v is not None
+        assert top == pytest.approx(1.0, rel=1e-12)
+        assert bound <= POWER_TOL
+        assert _distance(v, Q[:, 0]) <= POWER_TOL
 
 
 class TestCertificate:
@@ -141,7 +179,7 @@ class TestCertificate:
         rng = np.random.default_rng(11)
         w = np.concatenate([[10.0, 10.0 - 1e-6], rng.uniform(0.1, 1.0, 38)])
         E, Q = _rotated(w, 3)
-        top, v, _ = _power(_lower(E), 1.0, Q[:, 1])
+        top, v, *_ = _power(_lower(E), 1.0, Q[:, 1], strict=True)
         assert v is not None
         assert top == pytest.approx(w[1], rel=1e-12)
         assert _certify(_lower(E), 1.0, v) is None
