@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,43 +81,53 @@ class ReturnPanel:
         return bool(np.all(np.abs(mu) < tol) and np.all(np.abs(var - 1) < tol))
 
 
-@dataclass(frozen=True)
 class CorrelationMatrix:
     """Symmetric PSD correlation matrix with a cached eigendecomposition.
 
-    Eigenvalues are stored in descending order; the sign of each eigenvector
-    is fixed so that its largest-magnitude component is positive.
+    Built from ``values``, the matrix is checked for symmetry (an exactly
+    symmetric float array is held as given, not copied) and decomposed by
+    ``eigh`` when its eigenpairs are first read.  A matrix built by
+    ``with_spectrum`` holds eigenpairs instead, and forms ``values`` only
+    when they are first read.  Eigenvalues are stored in descending order;
+    the sign of each eigenvector is fixed so that its largest-magnitude
+    component is positive.
     """
 
-    values: np.ndarray
-    metadata: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, values, metadata=None):
+        values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise EstimatorError("correlation matrix must be square")
-        asym = np.max(np.abs(values - values.T)) if values.size else 0.0
+        asym = _max_gap(values, values.T) if values.size else 0.0
         if asym > 1e-10:
             raise EstimatorError(f"matrix is not symmetric (max gap {asym:.2e})")
-        values = 0.5 * (values + values.T)
-        object.__setattr__(self, "values", values)
+        if asym:  # an exactly symmetric matrix is kept: 0.5 * (a + a) == a
+            values = 0.5 * (values + values.T)
+        self._values = values
+        self._pairs = None
+        self.metadata = {} if metadata is None else metadata
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            vals, vecs = self._pairs
+            m = (vecs * vals) @ vecs.T
+            self._values = 0.5 * (m + m.T)
+        return self._values
 
     @property
     def N(self) -> int:
-        return self.values.shape[0]
+        return (self._values if self._pairs is None
+                else self._pairs[1]).shape[0]
 
     @cached_property
     def _eig(self):
-        handed = self.__dict__.pop("_handed_eig", None)
-        if handed is None:
+        if self._pairs is None:
             vals, vecs = np.linalg.eigh(self.values)
             order = np.argsort(vals)[::-1]
         else:
-            vals, vecs = handed
+            vals, vecs = self._pairs
             order = np.argsort(-vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-        if vals[-1] < -1e-10:
-            raise EstimatorError(f"matrix is not PSD (min eigenvalue {vals[-1]:.2e})")
+        vals, vecs = _require_psd(vals[order]), vecs[:, order]
         cols = np.arange(vecs.shape[1])
         flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0
         vecs[:, flip] *= -1.0
@@ -131,17 +141,30 @@ class CorrelationMatrix:
     def eigenvectors(self) -> np.ndarray:
         return self._eig[1]
 
-    def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
-        """Rebuild the matrix with modified eigenvalues, same eigenvectors.
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues in descending order, without the eigenvectors.
 
-        The new matrix takes these eigenpairs, sorted to descending order, as
-        its own, so it is not decomposed again; they are checked for PSD when
-        first read."""
-        vals, vecs = self._eig
-        new_eigenvalues = np.asarray(new_eigenvalues, dtype=float)
-        m = (vecs * new_eigenvalues) @ vecs.T
-        out = CorrelationMatrix(m, metadata or dict(self.metadata))
-        out.__dict__["_handed_eig"] = (new_eigenvalues, vecs)
+        A matrix built by ``with_spectrum`` returns ``eigenvalues``; any
+        other takes them from ``eigvalsh``, about 2.5 times faster than
+        ``eigh`` at N = 500, and caches nothing.  They may differ from
+        ``eigenvalues`` by rounding."""
+        if self._pairs is not None:
+            return self.eigenvalues
+        return _require_psd(np.linalg.eigvalsh(self.values)[::-1])
+
+    def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
+        """The matrix with this one's eigenvectors and new eigenvalues.
+
+        The new matrix holds these eigenpairs as its own, so it is never
+        decomposed: they are sorted to descending order and checked for PSD
+        when first read.  Its ``values``, V diag(lambda) V^T symmetrised, are
+        formed only when first read, so a caller that only solves against
+        it (as ``portfolio.backtest`` does) never builds the N x N matrix."""
+        out = CorrelationMatrix.__new__(CorrelationMatrix)
+        out._values = None
+        out._pairs = (np.array(new_eigenvalues, dtype=float),
+                      self.eigenvectors)
+        out.metadata = metadata or dict(self.metadata)
         return out
 
     def _invertible_eig(self):
@@ -304,6 +327,14 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
 def _max_gap(A, B):
     gap = A - B
     return float(np.max(np.abs(gap, out=gap)))
+
+
+def _require_psd(vals):
+    """Descending eigenvalues ``vals``, unless the last is below -1e-10."""
+    if vals[-1] < -1e-10:
+        raise EstimatorError(
+            f"matrix is not PSD (min eigenvalue {vals[-1]:.2e})")
+    return vals
 
 
 def _log_student_ml(stats, started):

@@ -29,11 +29,18 @@ def _loadtxt_table(path, labelled):
     """The header cells, the first-column labels (if ``labelled``) and the
     numeric block of a table CSV, parsed by ``np.loadtxt``.
 
+    The blank and ``#`` lines before the first data row are skipped here;
+    the data rows go from the open file straight to ``np.loadtxt``, which
+    skips blank lines itself.  A panel's dates are collected by a converter
+    on column 0.
+
     Returns None when the file has no data row, a quote character, a row
-    with the wrong number of fields or a value ``np.loadtxt`` rejects;
-    ``_csv_table`` then re-reads the file and names the offending line.
-    The lines are streamed: only the labels and the array are kept."""
-    with open(path, newline="") as fh:
+    with the wrong number of fields, a ``#`` line inside the data or a
+    value ``np.loadtxt`` rejects; ``_csv_table`` then re-reads the file and
+    names the offending line."""
+    # universal newlines: a file without quotes splits into the same lines
+    # either way, and TextIOWrapper reads translated lines faster
+    with open(path) as fh:
         lines = (line for line in fh if line.strip("\r\n")
                  and not line.lstrip().startswith("#"))
         header = next(lines, "")
@@ -41,24 +48,42 @@ def _loadtxt_table(path, labelled):
         if first is None or '"' in header:
             return None
         header = header.rstrip("\r\n").split(",")
-        commas = len(header) - 1
         labels = []
 
-        def rows():
-            # usecols ignores surplus fields, so count them here
-            for line in itertools.chain([first], lines):
-                if '"' in line or line.count(",") != commas:
-                    raise ValueError("quoted or irregular line")
-                if labelled:
-                    labels.append(line[:line.index(",")].strip())
-                yield line
+        def label(text):
+            # a quoted date or a comment line is the row reader's to handle
+            if '"' in text or text.lstrip().startswith("#"):
+                raise ValueError("quoted date or comment line")
+            labels.append(text.strip())
+            return 0.0
 
         try:
-            values = np.loadtxt(rows(), delimiter=",", comments=None,
-                                usecols=range(labelled, len(header)), ndmin=2)
+            # without usecols, loadtxt rejects a row with a missing or an
+            # extra field
+            block = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                               comments=None, ndmin=2,
+                               converters={0: label} if labelled else None)
         except ValueError:  # the row reader says what is wrong, and where
             return None
-    return header, labels, values
+    if block.shape[1] != len(header):
+        return None
+    return header, labels, _drop_first_column(block) if labelled else block
+
+
+def _drop_first_column(block):
+    """``block[:, 1:]`` as a C-contiguous array in ``block``'s own buffer.
+
+    Each row moves left over the label column, row i by i + 1 slots, and
+    the buffer is then cut to fit, so no second T x N copy is ever alive
+    (a copy of ``block[:, 1:]`` would double the peak memory of a read)."""
+    T, n = block.shape
+    flat = block.reshape(-1)
+    for i in range(T):
+        flat[i * (n - 1):(i + 1) * (n - 1)] = flat[i * n + 1:(i + 1) * n]
+    del flat
+    # no view of block is left, so it may be resized without a refcheck
+    block.resize((T, n - 1), refcheck=False)
+    return block
 
 
 def _csv_table(path, labelled):

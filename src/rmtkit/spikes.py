@@ -181,12 +181,14 @@ def detect_spikes(E: CorrelationMatrix, q: float,
     scales and report the implied true spikes.
 
     The overlap estimate reuses the Wigner formula (no closed form is
-    implemented for correlation spikes) and is labelled a heuristic.
+    implemented for correlation spikes) and is labelled a heuristic.  Only
+    eigenvalues are read, so ``E.spectrum()`` takes them without the
+    eigenvectors.
     """
     edge = edge_scaling_mp(q, E.N)
     threshold = edge.threshold(u_threshold)
     outliers = []
-    for rank, lam in enumerate(E.eigenvalues, start=1):
+    for rank, lam in enumerate(E.spectrum(), start=1):
         if lam <= threshold:
             break
         implied = invert_spike_mp(float(lam), q)

@@ -130,6 +130,49 @@ class TestCorrelationMatrix:
         with pytest.raises(EstimatorError, match="PSD"):
             bad.eigenvalues
 
+    def test_held_values_are_the_symmetrised_product(self, gauss_panel):
+        E = pearson(gauss_panel)
+        lam = np.linspace(3.0, 0.5, E.N)[::-1]  # unsorted, as handed
+        V = E.eigenvectors
+        m = (V * lam) @ V.T
+        expected = (0.5 * (m + m.T)).tobytes()
+        assert E.with_spectrum(lam).values.tobytes() == expected
+        # formed from the pairs as handed, not as sorted, whatever is read
+        # first
+        out = E.with_spectrum(lam)
+        out.eigenvectors
+        assert out.values.tobytes() == expected
+
+    def test_held_pairs_form_values_only_when_read(self, gauss_panel):
+        E = pearson(gauss_panel)
+        cleaned = cleaning.clip(E, 0.5)
+        assert cleaned.N == E.N
+        cleaned.solve(np.ones(E.N))
+        assert cleaned.__dict__["_values"] is None
+        cleaned.values
+        assert cleaned.__dict__["_values"] is not None
+
+    def test_exactly_symmetric_input_kept_bitwise(self):
+        B = np.random.default_rng(8).standard_normal((6, 6))
+        A = B + B.T
+        A[0, 1] = A[1, 0] = -0.0
+        assert CorrelationMatrix(A).values.tobytes() == A.tobytes()
+        # a gap within the tolerance is still averaged away
+        A[2, 3] += 1e-13
+        assert np.array_equal(CorrelationMatrix(A).values, 0.5 * (A + A.T))
+
+    def test_spectrum_skips_the_eigenvectors(self, gauss_panel):
+        E = pearson(gauss_panel)
+        vals = E.spectrum()
+        assert "_eig" not in E.__dict__
+        assert np.all(np.diff(vals) <= 0)
+        assert np.allclose(vals, E.eigenvalues, rtol=0, atol=1e-13)
+        held = E.with_spectrum(E.eigenvalues)
+        assert np.array_equal(held.spectrum(), E.eigenvalues)
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        with pytest.raises(EstimatorError, match="PSD"):
+            CorrelationMatrix(M).spectrum()
+
     def test_solve_matches_inverse(self, gauss_panel):
         E = pearson(gauss_panel)
         g = np.random.default_rng(3).standard_normal(E.N)

@@ -93,12 +93,59 @@ class TestPanelCsv:
         assert np.array_equal(q.values, values)
         assert q.time_ids == tuple(dates) and q.asset_ids == p.asset_ids
 
+    def test_values_fill_one_contiguous_buffer(self, tmp_path):
+        # the label column is dropped in place: no second T x N copy, and
+        # no strided view that a caller would have to copy
+        T, N = 40, 7
+        p = ReturnPanel(np.random.default_rng(3).standard_normal((T, N)))
+        path = tmp_path / "panel.csv"
+        fileio.write_panel_csv(path, p)
+        values = fileio.read_panel_csv(path).values
+        assert values.flags.c_contiguous
+        root = values
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        assert root.nbytes <= (T + 1) * N * values.itemsize
+        assert np.array_equal(values, [[float(f"{x:.12g}") for x in row]
+                                       for row in p.values])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_endings_and_blank_lines(self, tmp_path, newline):
+        path = tmp_path / "x.csv"
+        path.write_bytes(newline.join(
+            ["# command: test", "date,AAA,BBB", "d1,0.5,0.25", "",
+             "d2,-1,2e-3", ""]).encode())
+        assert fileio._loadtxt_table(path, labelled=True) is not None
+        p = fileio.read_panel_csv(path)
+        assert p.time_ids == ("d1", "d2") and p.asset_ids == ("AAA", "BBB")
+        assert np.array_equal(p.values, [[0.5, 0.25], [-1.0, 2e-3]])
+
+    def test_quoted_date_in_the_body_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        # a quoted date splits on no comma, or on one
+        for date in ('"d2"', '"d,2"'):
+            path.write_text(f"date,AAA\nd1,0.5\n{date},0.25\n")
+            assert fileio._loadtxt_table(path, labelled=True) is None
+            p = fileio.read_panel_csv(path)
+            assert p.time_ids == ("d1", date.strip('"'))
+            assert np.array_equal(p.values, [[0.5], [0.25]])
+
     def test_extra_field_error_names_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("# command: test\ndate,AAA,BBB\nd1,0.5,0.25\n"
                         "d2,0.5,0.25,9\nd3,0.5,0.25\n")
         with pytest.raises(EstimatorError,
                            match=r"x\.csv:4: expected 3 fields, got 4"):
+            fileio.read_panel_csv(path)
+        # on the last row
+        path.write_text("date,AAA,BBB\nd1,0.5,0.25\nd2,0.5,0.25,9\n")
+        with pytest.raises(EstimatorError,
+                           match=r"x\.csv:3: expected 3 fields, got 4"):
+            fileio.read_panel_csv(path)
+        # on every row, so that the rows agree with each other
+        path.write_text("date,AAA\nd1,0.5,1\nd2,0.5,1\n")
+        with pytest.raises(EstimatorError,
+                           match=r"x\.csv:2: expected 2 fields, got 3"):
             fileio.read_panel_csv(path)
 
     def test_comment_character_inside_a_row_is_not_a_comment(self, tmp_path):
@@ -129,6 +176,11 @@ class TestPanelCsv:
                         "date,AAA,BBB\n\nd1,0.5,0.25\nd2,0.5\n")
         with pytest.raises(EstimatorError, match=r"x\.csv:6:"):
             fileio.read_panel_csv(path)
+        # a whitespace-only line is a row of one field, not a blank line
+        path.write_text("date,AAA,BBB\nd1,0.5,0.25\n   \nd2,1,2\n")
+        with pytest.raises(EstimatorError,
+                           match=r"x\.csv:3: expected 3 fields, got 1"):
+            fileio.read_panel_csv(path)
 
     def test_non_numeric_error_names_line(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -151,6 +203,15 @@ class TestPanelCsv:
         path.write_text("# generated by: test\ndate,AAA\nd1,0.25\n")
         p = fileio.read_panel_csv(path)
         assert p.values[0, 0] == 0.25
+        # inside the body too
+        path.write_text("date,AAA,BBB\nd1,0.5,0.25\n# d9,7,7\nd2,1,2\n")
+        p = fileio.read_panel_csv(path)
+        assert p.time_ids == ("d1", "d2")
+        assert np.array_equal(p.values, [[0.5, 0.25], [1.0, 2.0]])
+        # where it still counts as a line of the file
+        path.write_text("date,AAA\nd1,0.5\n# note\nd2,oops\n")
+        with pytest.raises(EstimatorError, match=r"x\.csv:4: non-numeric"):
+            fileio.read_panel_csv(path)
 
 
 class TestMatrixCsv:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmtkit import fileio, portfolio, synth
-from rmtkit.cleaning import CleaningScheme
+from rmtkit.cleaning import CleaningScheme, apply_scheme
 from rmtkit.estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
                                pearson, standardize)
 
@@ -117,6 +117,22 @@ class TestBacktest:
             panel, CleaningScheme("clip", 0.5), window=300, horizon=50,
             step=100)
         assert out_cl / in_cl < out_raw / in_raw
+
+    @pytest.mark.parametrize("kind", ["clip", "powerlaw"])
+    def test_cleaned_windows_form_no_matrix(self, panel, kind, monkeypatch):
+        # a backtest only solves against each cleaned window, so a window
+        # cleaned from eigenpairs never builds its N x N values
+        cleaned = []
+
+        def keep(E, scheme):
+            cleaned.append(apply_scheme(E, scheme))
+            return cleaned[-1]
+
+        monkeypatch.setattr(portfolio, "apply_scheme", keep)
+        rows, _, _ = portfolio.backtest(panel, CleaningScheme(kind, 0.5),
+                                        window=300, horizon=50, step=100)
+        assert len(cleaned) == len(rows) > 2
+        assert all(E.__dict__["_values"] is None for E in cleaned)
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "bt.csv"

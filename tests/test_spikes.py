@@ -92,6 +92,19 @@ class TestDetector:
         assert implied[0] == pytest.approx(5.0, rel=0.15)
         assert implied[1] == pytest.approx(8.0, rel=0.15)
 
+    def test_report_matches_eigh_based_one(self):
+        N, T = 300, 900
+        C = synth.build_true_correlation(
+            synth.TrueCorrelationSpec("multi_spike", N, spikes=(8.0, 5.0)),
+            seed=3)
+        E = pearson(standardize(synth.gaussian_panel(C, T, seed=4)))
+        ours = spikes.detect_spikes(E, N / T).to_text()
+        assert "_eig" not in E.__dict__  # eigvalsh only, no eigh
+        # a matrix held as eigenpairs reports eigh's eigenvalues
+        held = E.with_spectrum(E.eigenvalues)
+        assert spikes.detect_spikes(held, N / T).to_text() == ours
+        assert ours.count("outlier rank=") == 2
+
     def test_null_matrix_clean(self):
         rng = np.random.default_rng(7)
         panel = standardize(
