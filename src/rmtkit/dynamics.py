@@ -65,6 +65,7 @@ def track_top(panel: ReturnPanel, epsilon: float,
             raise ValueError(f"v_ref must be a finite vector of length {N}")
         if not np.any(v_ref):
             raise ValueError("v_ref must be non-zero")
+        v_ref = v_ref / np.linalg.norm(v_ref)
     if e_init is not None:
         e_init = np.asarray(e_init, dtype=float)
         if e_init.shape != (N, N) or not np.all(np.isfinite(e_init)):
@@ -72,9 +73,10 @@ def track_top(panel: ReturnPanel, epsilon: float,
         # the tracker reads one triangle only
         if np.abs(e_init - e_init.T).max() > 1e-12 * np.abs(e_init).max():
             raise ValueError("e_init must be symmetric")
-    lam, theta, vecs = kernels.track_top(
-        np.ascontiguousarray(panel.values), epsilon, v_ref,
-        e_init=e_init)
+    lam, vecs = kernels.track_top(np.ascontiguousarray(panel.values),
+                                  epsilon, e_init=e_init)
+    theta = (None if v_ref is None
+             else np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0)))
     times = np.arange(panel.T, dtype=float)
     return EigenTrack(times, lam, vecs, theta, epsilon)
 

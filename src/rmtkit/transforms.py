@@ -8,7 +8,9 @@ point, iterated over the whole grid at once, with guarded secant steps, from
 forward evaluations of the Cauchy transform or of psi alone; both come from
 one real-arithmetic quadrature, ``_cauchy``.  One inversion engine,
 ``blue``, serves both inverse transforms: S inverts psi through ``blue`` of
-the size-biased law.
+the size-biased law.  ``blue`` solves real and complex w alike by guarded
+Newton steps run through ``_subordinate``; Brent's method remains only in
+``spectrum_edges``.
 
 Conventions: densities are evaluated on the line ``z = lambda - i*eps`` with
 small ``eps > 0``; on that line ``Im G > 0`` and ``rho = Im G / pi``.  For
@@ -154,14 +156,22 @@ def _check_off_support(density: SpectralDensity, z: complex) -> None:
 def blue(density: SpectralDensity, w: complex) -> complex:
     """Functional inverse of the resolvent: the z with G(z) = w.
 
-    Real w is solved by bracketed root-finding on the physical branch outside
-    the support (G is monotone there).  Complex w runs guarded Newton steps
-    on ``G(z) = w`` through ``_subordinate`` from ``1/w + mean``, which lies
-    in the half-plane of the root.  The quadrature sum has spurious real
-    roots between its poles, so each step is clamped to ``0.3(|z| + 0.1)``
-    and then halved until it stays in that half-plane.  A complex root
-    closer to the support than the local grid step is a root of the
-    quadrature sum, not of G, and raises ``ConvergenceError``.
+    Guarded Newton steps on ``G(z) = w`` run through ``_subordinate``.
+    Complex w starts from ``1/w + mean``, which lies in the half-plane of
+    the root.  The quadrature sum has spurious real roots between its poles,
+    so each step is clamped to ``0.3(|z| + 0.1)`` and then halved until it
+    stays in that half-plane.  A complex root closer to the support than the
+    local grid step is a root of the quadrature sum, not of G, and raises
+    ``ConvergenceError``.
+
+    Real w starts just outside the support on the root's side, at
+    ``hi + delta`` for w > 0 and ``lo - delta`` for w < 0, and raises
+    ``ConvergenceError`` when G there does not reach w (beyond the fold
+    point).  Above the support G = sum_k c_k/(z - x_k), c_k > 0, is
+    decreasing and convex (below it, decreasing and concave), so each
+    Newton step stays real and short of the root, and the clamp only
+    shortens it: the iterates approach the root monotonically and never
+    enter the support.
     """
     w = complex(w)
     if w == 0:
@@ -171,7 +181,21 @@ def blue(density: SpectralDensity, w: complex) -> complex:
         return density.atoms[0][0] + 1.0 / w
     xk, ck = _nodes(density)
     if abs(w.imag) <= 1e-12 * abs(w.real):
-        return complex(_blue_real(density, xk, ck, w.real))
+        w = w.real
+        lo, hi = density.support()
+        if density.grid.size:
+            lo = min(lo, float(density.grid[0]))
+            hi = max(hi, float(density.grid[-1]))
+        delta = 1e-9 * max(hi - lo, 1e-12)
+        edge, side = (hi + delta, "+") if w > 0 else (lo - delta, "-")
+        g_edge = _cauchy(xk, ck, edge).real
+        if (g_edge - w) * np.sign(w) <= 0:
+            raise ConvergenceError(
+                f"no z with G(z) = {w:.6g}: beyond the fold point "
+                f"G(edge{side}) = {g_edge:.6g}")
+        start = np.array([edge], dtype=complex)
+    else:
+        start = np.array([1.0 / w + density.mean()])
 
     def newton(z, _):
         # z - (G(z) - w)/G'(z), with G' = -sum_k c_k/(z - x_k)^2
@@ -189,7 +213,6 @@ def blue(density: SpectralDensity, w: complex) -> complex:
             step[out] *= np.ldexp(1.0, eh - em - (fm >= fh))
         return z + step
 
-    start = np.array([1.0 / w + density.mean()])
     z = complex(_subordinate(newton, start, start.real, "blue")[0])
     # closer to the support than one grid step, the quadrature sum has roots
     # among its poles that G itself does not have: w has no preimage there
@@ -202,43 +225,6 @@ def blue(density: SpectralDensity, w: complex) -> complex:
                 f"no z off the support with G(z) = {w:.6g}: the root "
                 f"{z:.6g} lies within one grid step of the support")
     return z
-
-
-def _blue_real(density: SpectralDensity, x, c, w: float) -> float:
-    """The real z outside the support with G(z) = w; ``x, c`` are the
-    nodes of ``density``."""
-    # imported on first use: scipy.optimize is slow to load, and import
-    # rmtkit never needs it
-    from scipy.optimize import brentq
-
-    def g(z):
-        return _cauchy(x, c, z).real
-
-    lo, hi = density.support()
-    if density.grid.size:
-        lo = min(lo, float(density.grid[0]))
-        hi = max(hi, float(density.grid[-1]))
-    span = max(hi - lo, 1e-12)
-    delta = 1e-9 * span
-    if w > 0:
-        a = hi + delta
-        g_a = g(a)
-        if g_a <= w:
-            raise ConvergenceError(
-                f"no z with G(z) = {w:.6g}: beyond the fold point "
-                f"G(edge+) = {g_a:.6g}")
-        b = hi + max(2.0 / w, span)
-    else:
-        a = lo - delta
-        g_a = g(a)
-        if g_a >= w:
-            raise ConvergenceError(
-                f"no z with G(z) = {w:.6g}: beyond the fold point "
-                f"G(edge-) = {g_a:.6g}")
-        b = lo - max(-2.0 / w, span)
-    # |G(z)| <= 1/dist(z, [lo, hi]) for a probability measure, so G(b) lies
-    # between 0 and w/2 at these b: [a, b] always brackets the root.
-    return brentq(lambda z: g(z) - w, a, b, xtol=1e-14, rtol=8.9e-16)
 
 
 def r_transform(density: SpectralDensity, w: complex) -> complex:
@@ -302,7 +288,9 @@ def spectrum_edges(blue_fn):
     ``EDGE_STEP`` scaled by 1 + |w|) over ``EDGE_SCAN`` for sign changes and
     refining with Brent's method.
     """
-    from scipy.optimize import brentq  # on first use, as in _blue_real
+    # imported on first use: scipy.optimize is slow to load, and import
+    # rmtkit never needs it
+    from scipy.optimize import brentq
 
     def deriv(w):
         step = EDGE_STEP * (1.0 + abs(w))

@@ -50,6 +50,16 @@ class TestTrackTop:
         np.testing.assert_array_equal(bare.lambda1, track.lambda1)
         np.testing.assert_array_equal(bare.v1, track.v1)
 
+    @pytest.mark.parametrize("N", [2, 20], ids=["stacked", "per-step"])
+    def test_theta_is_the_angle_to_v_ref(self, N):
+        # v_ref need not be a unit vector: cos theta = v . v_ref / |v_ref|
+        p = ReturnPanel(np.random.default_rng(3).standard_normal((500, N)))
+        v_ref = np.arange(1.0, N + 1)
+        track = dynamics.track_top(p, 0.02, v_ref)
+        np.testing.assert_allclose(np.cos(track.theta),
+                                   track.v1 @ v_ref / np.linalg.norm(v_ref),
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("epsilon, v_ref, e_init", [
         (1.5, np.ones(4), None),
         (0.02, np.ones(3), None),

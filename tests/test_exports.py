@@ -50,17 +50,28 @@ def test_import_loads_neither_stats_nor_optimize():
     assert _loaded_after("import rmtkit.cli") <= baseline
 
 
-def test_brentq_callers_load_optimize_on_first_call():
+# MP with ratio q: R(w) = 1/(1 - q w), edges (1 -+ sqrt(q))^2
+def test_real_r_transform_leaves_optimize_unloaded():
+    baseline = _loaded_after("import scipy.linalg, scipy.special")
     out = _fresh(
         "import sys\n"
         "from rmtkit import spectra, transforms\n"
         "r = transforms.r_transform(spectra.mp_density(0.5), 0.3)\n"
-        "lo, hi = transforms.spectrum_edges(spectra.mp_blue(0.5))\n"
-        "print(r.real, r.imag, lo, hi, 'scipy.optimize' in sys.modules)")
-    r, r_imag, lo, hi, loaded = out.split()
-    # MP with ratio q: R(w) = 1/(1 - q w), edges (1 -+ sqrt(q))^2
+        "print(r.real, r.imag, 'scipy.optimize' in sys.modules)")
+    r, r_imag, loaded = out.split()
     assert float(r) == pytest.approx(1.0 / (1.0 - 0.5 * 0.3), rel=1e-12)
     assert float(r_imag) == 0.0
+    assert loaded == str("scipy.optimize" in baseline)
+
+
+# spectrum_edges, the one brentq caller, imports scipy.optimize on first use
+def test_brentq_callers_load_optimize_on_first_call():
+    out = _fresh(
+        "import sys\n"
+        "from rmtkit import spectra, transforms\n"
+        "lo, hi = transforms.spectrum_edges(spectra.mp_blue(0.5))\n"
+        "print(lo, hi, 'scipy.optimize' in sys.modules)")
+    lo, hi, loaded = out.split()
     assert float(lo) == pytest.approx((1.0 - 0.5 ** 0.5) ** 2, abs=1e-6)
     assert float(hi) == pytest.approx((1.0 + 0.5 ** 0.5) ** 2, abs=1e-6)
     assert loaded == "True"

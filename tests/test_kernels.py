@@ -89,16 +89,13 @@ class TestKernelBehaviour:
     ])
     def test_track_top_matches_direct_eigh(self, inputs, epsilon):
         returns, e_init = inputs()
-        N = returns.shape[1]
-        v_ref = np.ones(N) / np.sqrt(N)
-        lam, theta, vecs = track_top(returns, epsilon, v_ref, e_init=e_init)
+        lam, vecs = track_top(returns, epsilon, e_init=e_init)
         vals, vs = _exact_top(returns, epsilon, e_init)
         np.testing.assert_allclose(lam, vals, rtol=1e-10, atol=0)
         np.testing.assert_allclose(np.abs(np.sum(vecs * vs, axis=1)), 1.0,
                                    rtol=0, atol=1e-8)
-        # consecutive vectors sign-aligned, theta the angle to v_ref
+        # consecutive vectors sign-aligned
         assert np.all(np.sum(vecs[1:] * vecs[:-1], axis=1) >= 0)
-        np.testing.assert_allclose(np.cos(theta), vecs @ v_ref, atol=1e-12)
 
     @pytest.mark.parametrize("N, path", [
         (STACKED_MAX_N, "stacked"),
@@ -107,8 +104,7 @@ class TestKernelBehaviour:
     def test_track_top_logs_its_steps(self, caplog, N, path):
         T = 3 * FULL_EVERY + 7
         returns, _ = _noise(4, T, N)
-        (_, theta, _), stats = _track_stats(caplog, returns, 0.02)
-        assert theta is None
+        _, stats = _track_stats(caplog, returns, 0.02)
         assert stats["path"] == path
         assert stats["steps"] == T
         if path == "stacked":
@@ -135,7 +131,7 @@ class TestKernelBehaviour:
         # a strong spike separates lambda_1 from the Frobenius norm of the
         # rest, so every refresh is proven and none calls dsyevr
         returns, _ = _spiked(STACKED_MAX_N + 14, 5 * FULL_EVERY + 7, 20.0)
-        (lam, _, vecs), stats = _track_stats(caplog, returns, 0.02)
+        (lam, vecs), stats = _track_stats(caplog, returns, 0.02)
         assert stats["path"] == "per-step"
         assert stats["certified"] == 5
         assert stats["exact_steps"] == stats["give_ups"]

@@ -246,9 +246,42 @@ class TestBlue:
                 checked += 1
         assert checked >= 100
 
+    def test_real_closed_form(self, semicircle):
+        # 60 w on each side of 0, MP(2) with its atom at zero included.  A w
+        # beyond the fold point raises; every root returned is the closed
+        # form's, real and outside the support
+        ws = np.concatenate([np.linspace(-3, -1e-3, 60),
+                             np.linspace(1e-3, 3, 60)])
+        laws = [(spectra.mp_density(q), lambda w, q=q: 1 / w + 1 / (1 - q * w))
+                for q in MP_QS]
+        laws.append((semicircle, lambda w: w + 1 / w))
+        roots = 0
+        for d, exact in laws:
+            lo, hi = d.support()
+            for w in ws:
+                try:
+                    z = transforms.blue(d, w)
+                except ConvergenceError:
+                    continue
+                assert z.imag == 0
+                assert z.real == pytest.approx(exact(w), rel=1e-12)
+                assert (z.real > hi) if w > 0 else (z.real < lo)
+                roots += 1
+        assert roots >= 270
+
     def test_logs_subordinate_record(self, mp025, caplog):
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
             transforms.blue(mp025, 0.1 + 0.2j)
+        stats = _subordinate_record(caplog, "blue")
+        assert stats["points"] == 1
+        assert stats["sweeps"] >= 1
+        assert stats["bound"] <= transforms.NEWTON_TOL
+
+    @pytest.mark.parametrize("w", [0.3, -0.4])
+    def test_real_w_logs_subordinate_record(self, mp025, caplog, w):
+        # real w runs the same Newton map, with the same record and stop
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            transforms.blue(mp025, w)
         stats = _subordinate_record(caplog, "blue")
         assert stats["points"] == 1
         assert stats["sweeps"] >= 1
@@ -262,6 +295,11 @@ class TestBlue:
         # G(edge) = 1 for the unit semicircle; w beyond that has no preimage
         with pytest.raises(ConvergenceError):
             transforms.blue(semicircle, 1.5)
+
+    def test_beyond_lower_fold_raises(self, semicircle):
+        # and G(-edge) = -1
+        with pytest.raises(ConvergenceError, match=r"G\(edge-\)"):
+            transforms.blue(semicircle, -1.5)
 
     @pytest.mark.parametrize("w", [1 + 1j, 2 - 1j])
     def test_no_preimage_off_axis_raises(self, semicircle, w):
