@@ -23,6 +23,7 @@ __all__ = [
 # Multiplier on the soft-edge fluctuation scale used for the significance
 # cut; set by Monte Carlo calibration at roughly the 1% false-positive level.
 EDGE_BUFFER = 3.0
+RANK_TOL = 1e-10  # least eigenvalue, relative to the top, of a kept direction
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,12 @@ class CrossCorrelationResult:
     threshold: float
 
 
-def normalize_principal_components(panel: ReturnPanel,
-                                   rank_tol: float = 1e-10) -> ReturnPanel:
+def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
     """Rotate a standardized panel onto its exactly whitened principal
     components: unit sample variance, zero mutual sample correlation.
 
     Null directions of the sample correlation matrix (eigenvalue below
-    ``rank_tol`` times the top one) are dropped with a warning, so the output
+    ``RANK_TOL`` times the top one) are dropped with a warning, so the output
     can have fewer columns than the input.
     """
     if not panel.is_standardized(tol=1e-6):
@@ -52,7 +52,7 @@ def normalize_principal_components(panel: ReturnPanel,
     vals, vecs = np.linalg.eigh(E)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > rank_tol * max(vals[0], 1e-30)
+    keep = vals > RANK_TOL * max(vals[0], 1e-30)
     if not np.all(keep):
         warnings.warn(
             f"dropping {int((~keep).sum())} null principal directions",

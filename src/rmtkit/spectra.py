@@ -40,6 +40,8 @@ log = logging.getLogger(__name__)
 ATOM_Q = 1e-8  # below this q the densities collapse to an atom at 1
 # largest distance of an EWMA density's mean from its exact value 1
 EWMA_MEAN_TOL = 5e-3
+PRIOR_TAIL_MASS = 1e-4  # tail mass beyond the power-law prior's truncation
+ELLIPTIC_LAM_MAX = 1000.0  # upper end of the elliptic ensemble's grid
 
 
 def _edge_grid(lo: float, hi: float, npoints: int) -> np.ndarray:
@@ -123,15 +125,15 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
     Solves ``f(G) = z q G - q + log(1 - q G) = 0`` on the line
     ``z = lambda - i eps`` by Newton steps on every grid point at once, run
     as the fixed point of ``w = 1/G`` by ``transforms._subordinate`` from
-    ``G = 1/z``.  A point's step is halved while ``|q dG| > |1 - q G| / 2``,
-    which keeps ``1 - q G`` off the branch cut of the logarithm; the number
-    of halvings comes at once from the binary exponents of both sides.  The
-    halving does not keep ``Im G > 0``, so a point that converged to a root
-    with ``Im G <= 0`` raises ``ConvergenceError``.  The law has mean 1; a
-    result whose mean is off by more than ``EWMA_MEAN_TOL`` raises
-    ``ConvergenceError`` too.  That happens from q of about 9, where the
-    lower edge comes within a few ``eps`` of zero and the grid cannot
-    resolve the mass near it.
+    ``G = 1/z``.  A point's step is halved (``transforms._halving``) until
+    ``|q dG| < |1 - q G| / 2``, which keeps ``1 - q G`` off the branch cut
+    of the logarithm; a non-finite step is not halved, and its point fails
+    the stop rule.  The halving does not keep ``Im G > 0``, so a point that
+    converged to a root with ``Im G <= 0`` raises ``ConvergenceError``.
+    The law has mean 1; a result whose mean is off by more than
+    ``EWMA_MEAN_TOL`` raises ``ConvergenceError`` too.  That happens from q
+    of about 9, where the lower edge comes within a few ``eps`` of zero and
+    the grid cannot resolve the mass near it.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -145,15 +147,10 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
         g = 1.0 / w
         u = 1.0 - q * g
         dg = -(z * q * g - q + np.log(u)) / (z * q - q / u)
-        # halve the step j times, j the least with |q dG| 2^-j <= |u|/2:
-        # with m = |q dG| = fm 2^em and |u|/2 = fh 2^eh (frexp), that is
-        # j = em - eh + (fm > fh).  A non-finite step is not halved: the
-        # point fails the stop rule.
         m, half_u = np.abs(q * dg), 0.5 * np.abs(u)
-        over = np.isfinite(dg) & (m > half_u)
+        over = np.isfinite(dg) & (m >= half_u)
         if over.any():
-            (fm, em), (fh, eh) = np.frexp(m[over]), np.frexp(half_u[over])
-            dg[over] *= np.ldexp(1.0, eh - em - (fm > fh))
+            dg[over] *= transforms._halving(m[over], half_u[over])
         return 1.0 / (g + dg)
 
     w = transforms._subordinate(newton, grid - 1j * eps, grid, "ewma_density")
@@ -180,46 +177,10 @@ def dressed_spectrum(rho_c: SpectralDensity, q: float,
 
     The solution of ``G_E(z) = int rho_C(x)/(z - x (1 - q + q z G_E(z))) dx``
     is the free product of ``rho_c`` and MP(q) (Burda, Jurkiewicz & Waclaw,
-    Phys. Rev. E 71, 2005), computed by ``transforms._product`` on the line
-    ``z = lambda - i eps``.  For q > 1 it holds an atom of mass 1 - 1/q at
-    zero.
+    Phys. Rev. E 71, 2005), computed by ``transforms.free_multiply``.  For
+    q > 1 it holds an atom of mass 1 - 1/q at zero.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    c_lo, c_hi = rho_c.support()
-    lo = max(1e-9, 0.25 * c_lo * (1.0 - np.sqrt(q)) ** 2)
-    if q >= 1:
-        lo = 1e-9
-    hi = 1.3 * c_hi * (1.0 + np.sqrt(q)) ** 2
-    # Most of the sample spectrum lies below the dressed image of the bulk of
-    # rho_C; put the bulk of the grid there and stretch a sparse tail out to
-    # the dressed image of its upper end.
-    bulk_hi = min(hi, 1.3 * _quantile(rho_c, 0.95) * (1.0 + np.sqrt(q)) ** 2)
-    if bulk_hi < hi:
-        n_tail = npoints // 5
-        grid = np.concatenate([
-            np.linspace(lo, bulk_hi, npoints - n_tail, endpoint=False),
-            np.geomspace(bulk_hi, hi, n_tail),
-        ])
-    else:
-        grid = np.linspace(lo, hi, npoints)
-    eps = 1e-4 * (bulk_hi - lo)
-    return transforms._product(rho_c, mp_density(q), grid, eps,
-                               "dressed_spectrum")
-
-
-def _quantile(dens: SpectralDensity, p: float) -> float:
-    """Location below which the density holds mass p."""
-    lo, hi = dens.support()
-    if dens.grid.size < 2:
-        return hi
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (dens.density[1:] + dens.density[:-1]) * np.diff(dens.grid))])
-    for loc, m in dens.atoms:
-        cum = cum + m * (dens.grid >= loc)
-    idx = np.searchsorted(cum, p * dens.mass())
-    idx = min(idx, dens.grid.size - 1)
-    return float(dens.grid[idx])
+    return transforms.free_multiply(rho_c, mp_density(q), npoints)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +224,16 @@ class PowerLawPrior:
         return self.lambda0 + (self.amplitude * N / k) ** (1.0 / self.mu)
 
 
-def powerlaw_prior_density(p: PowerLawPrior, npoints: int = 2000,
-                           tail_mass: float = 1e-4) -> SpectralDensity:
+def powerlaw_prior_density(p: PowerLawPrior,
+                           npoints: int = 2000) -> SpectralDensity:
     """Continuous power-law prior, truncated where the tail mass drops below
-    ``tail_mass`` (the truncation is logged)."""
+    ``PRIOR_TAIL_MASS`` (the truncation is logged)."""
     if p.alpha >= 1.0:
         return SpectralDensity.atom(1.0)
     A, x0 = p.amplitude, p.lambda0
-    hi = x0 + (A / tail_mass) ** (1.0 / p.mu)
-    log.info("power-law prior truncated at %.4g (tail mass %.1e)", hi, tail_mass)
+    hi = x0 + (A / PRIOR_TAIL_MASS) ** (1.0 / p.mu)
+    log.info("power-law prior truncated at %.4g (tail mass %.1e)", hi,
+             PRIOR_TAIL_MASS)
     u = np.linspace(0.0, 1.0, npoints)
     grid = p.alpha + (hi - p.alpha) * u**3  # cluster points near the peak
     grid[0] = p.alpha
@@ -296,8 +258,8 @@ class EllipticParams:
             raise ValueError("mu must exceed 2")
 
 
-def elliptic_student_density(p: EllipticParams, npoints: int = 2000,
-                             lam_max: float = 1000.0) -> SpectralDensity:
+def elliptic_student_density(p: EllipticParams,
+                             npoints: int = 2000) -> SpectralDensity:
     """Sample spectrum of returns with a common random volatility.
 
     With ``d_t = mu/s_t``, ``s_t ~ chi-squared(mu)``, the nonzero spectrum of
@@ -315,7 +277,8 @@ def elliptic_student_density(p: EllipticParams, npoints: int = 2000,
     where the tail's density falls to ``_TAIL_RHO``, at 4 (1 + sqrt q)^2 at
     the least, and the bulk gives way to the tail where its own density
     falls through ``_TAIL_RHO``.  The density has no upper edge and decays
-    as ``lambda^(-1 - mu/2)``; the grid is truncated at ``lam_max``.
+    as ``lambda^(-1 - mu/2)``; the grid is truncated at
+    ``ELLIPTIC_LAM_MAX``.
     """
     if p.q >= 1:
         raise ValueError(
@@ -327,12 +290,12 @@ def elliptic_student_density(p: EllipticParams, npoints: int = 2000,
     # chi-squared(mu) puts less than 1e-17 of its mass outside [s_lo, s_hi]
     s_lo = 2.0 * gammaincinv(0.5 * mu, 1e-17)
     s_hi = 2.0 * gammainccinv(0.5 * mu, 1e-17)
-    lam_t, rho_t = _elliptic_tail(mu, q, lam_max, npoints, s_lo, s_hi)
+    lam_t, rho_t = _elliptic_tail(mu, q, npoints, s_lo, s_hi)
 
     floor = 4.0 * (1.0 + np.sqrt(q)) ** 2
     cross = lam_t[rho_t >= _TAIL_RHO]
     lam_s = cross.max() if cross.size else floor
-    bulk_hi = min(lam_max, max(floor, lam_s))
+    bulk_hi = min(ELLIPTIC_LAM_MAX, max(floor, lam_s))
     bulk = _edge_grid(1e-6, bulk_hi, npoints - npoints // 5)
     # rho_D, the law of d = mu/s; d above 1e5 holds a mass below 1e-5
     d = np.geomspace(mu / s_hi, min(1e5, mu / s_lo), 2000)
@@ -346,7 +309,7 @@ def elliptic_student_density(p: EllipticParams, npoints: int = 2000,
     rho_b = transforms._product(rho_d, mp_density(1.0 / q), bulk / q, eps / q,
                                 "elliptic_student_density").density / q**2
     # _product gives the bulk grid the whole mass; the tail above it holds
-    # the part up to lam_max, which the bulk gives back
+    # the part up to ELLIPTIC_LAM_MAX, which the bulk gives back
     above = lam_t >= bulk_hi
     rho_b *= 1.0 - np.trapezoid(rho_t[above], lam_t[above])
     keep = np.flatnonzero(rho_b >= _TAIL_RHO)[-1] + 1
@@ -372,16 +335,17 @@ def _chi2_pdf(mu: float, s):
                   - k * np.log(2.0))
 
 
-def _elliptic_tail(mu: float, q: float, lam_max: float, npoints: int,
-                   s_lo: float, s_hi: float):
+def _elliptic_tail(mu: float, q: float, npoints: int, s_lo: float,
+                   s_hi: float):
     """lambda and rho along the real branch of the tail, ascending in lambda.
 
     Both ``lambda = 1/g + PV R(g)`` and
     ``rho = mu P(x) g^2 / (1 - g^2 R'(g))``, x = q mu g, are explicit in g,
     and ``d lambda/dg = -(1 - g^2 R'(g))/g^2 < 0`` on the branch.  So g runs
-    over ``npoints`` geometric steps from 1/lam_max up to the first point
-    with ``1 - g^2 R' <= 0``, the turning point of the branch.  It is met by
-    x = s_hi at the latest: once P's mass lies below x, ``g^2 R' >= 1/q``.
+    over ``npoints`` geometric steps from ``1/ELLIPTIC_LAM_MAX`` up to the
+    first point with ``1 - g^2 R' <= 0``, the turning point of the branch.
+    It is met by x = s_hi at the latest: once P's mass lies below x,
+    ``g^2 R' >= 1/q``.
 
     ``R = mu H[P](x)`` and ``R' = (mu/g) H[sP'](x)`` with
     ``H[f](x) = PV int f(s)/(s - x) ds``: R' is the PV integral of P',
@@ -399,7 +363,7 @@ def _elliptic_tail(mu: float, q: float, lam_max: float, npoints: int,
         p = _chi2_pdf(mu, s)
         return np.stack([p, p * (0.5 * mu - 1.0 - 0.5 * s)])
 
-    g_all = np.geomspace(1.0 / lam_max, s_hi / (q * mu), npoints)
+    g_all = np.geomspace(1.0 / ELLIPTIC_LAM_MAX, s_hi / (q * mu), npoints)
     rows = max(1, transforms.BLOCK_BYTES // (16 * u.size))
     lam, rho = [], []
     for i in range(0, npoints, rows):
@@ -420,7 +384,7 @@ def _elliptic_tail(mu: float, q: float, lam_max: float, npoints: int,
         if stop.size:
             break
     lam, rho = np.concatenate(lam)[::-1], np.concatenate(rho)[::-1]
-    keep = lam <= lam_max
+    keep = lam <= ELLIPTIC_LAM_MAX
     return lam[keep], rho[keep]
 
 

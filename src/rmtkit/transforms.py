@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-12
 # Subordination sweeps before giving up.  The free convolutions of the tests
-# need at most 44; inputs made only of atoms contract at a rate of
+# need at most 43; inputs made only of atoms contract at a rate of
 # 1 - O(eps), with Im w so small that the disc of ``_subordinate`` refuses
 # most secant steps, and hit the cap.
 MAX_SWEEPS = 2000
@@ -164,11 +164,12 @@ def blue(density: SpectralDensity, w: complex) -> complex:
     local grid step is a root of the quadrature sum, not of G, and raises
     ``ConvergenceError``.
 
-    Real w starts just outside the support on the root's side, at
-    ``hi + delta`` for w > 0 and ``lo - delta`` for w < 0, and raises
-    ``ConvergenceError`` when G there does not reach w (beyond the fold
-    point).  Above the support G = sum_k c_k/(z - x_k), c_k > 0, is
-    decreasing and convex (below it, decreasing and concave), so each
+    Real w raises ``ConvergenceError`` when G at ``hi + delta`` (w > 0) or
+    ``lo - delta`` (w < 0) does not reach w (beyond the fold point).  As
+    ``1/(z - lo) <= G(z) <= 1/(z - hi)`` above the support, it starts at
+    ``max(hi + delta, lo + 1/w)`` or ``min(lo - delta, hi + 1/w)``, on the
+    support's side of the root.  There G = sum_k c_k/(z - x_k), c_k > 0,
+    is decreasing and convex (below it, decreasing and concave), so each
     Newton step stays real and short of the root, and the clamp only
     shortens it: the iterates approach the root monotonically and never
     enter the support.
@@ -193,7 +194,8 @@ def blue(density: SpectralDensity, w: complex) -> complex:
             raise ConvergenceError(
                 f"no z with G(z) = {w:.6g}: beyond the fold point "
                 f"G(edge{side}) = {g_edge:.6g}")
-        start = np.array([edge], dtype=complex)
+        start = np.array([max(edge, lo + 1.0 / w) if w > 0
+                          else min(edge, hi + 1.0 / w)], dtype=complex)
     else:
         start = np.array([1.0 / w + density.mean()])
 
@@ -203,14 +205,9 @@ def blue(density: SpectralDensity, w: complex) -> complex:
         step = (_cauchy(xk, ck, z) - w) / ((d * d) @ ck)
         limit = 0.3 * (np.abs(z) + 0.1)
         step *= limit / np.fmax(np.abs(step), limit)
-        # halve j times, j the least with |Im step| 2^-j < |Im z|: with
-        # |Im step| = fm 2^em and |Im z| = fh 2^eh (frexp), that is
-        # j = em - eh + (fm >= fh)
         out = np.sign((z + step).imag) != np.sign(z.imag)
         if out.any():
-            (fm, em), (fh, eh) = (np.frexp(np.abs(v.imag[out]))
-                                  for v in (step, z))
-            step[out] *= np.ldexp(1.0, eh - em - (fm >= fh))
+            step[out] *= _halving(np.abs(step.imag[out]), np.abs(z.imag[out]))
         return z + step
 
     z = complex(_subordinate(newton, start, start.real, "blue")[0])
@@ -422,6 +419,15 @@ def _log_subordinate(stats, started):
                  "seconds=%(seconds).3f", stats)
 
 
+def _halving(m, h):
+    """2^-j, j the least with m 2^-j < h (m >= h > 0, elementwise): the
+    halvings that bring the guarded Newton steps of ``blue`` and
+    ``spectra.ewma_density`` below their bounds.  With m = fm 2^em and
+    h = fh 2^eh (frexp), j = em - eh + (fm >= fh)."""
+    (fm, em), (fh, eh) = np.frexp(m), np.frexp(h)
+    return np.ldexp(1.0, eh - em - (fm >= fh))
+
+
 def free_add(a: SpectralDensity, b: SpectralDensity,
              npoints: int = 2000) -> SpectralDensity:
     """Density whose R-transform is R_a + R_b (free additive convolution).
@@ -454,8 +460,12 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
                   npoints: int = 2000) -> SpectralDensity:
     """Density whose S-transform is S_a * S_b (free multiplicative convolution).
 
-    Subordination (see ``_product``) on an even grid of ``npoints`` over
-    [lo_a lo_b / 2, 1.1 hi_a hi_b].
+    Subordination (see ``_product``) on a grid from
+    ``lo = max(1e-9, lo_a lo_b / 4)`` to ``hi = 1.3 hi_a hi_b``.  Most of
+    the product lies below the image of either factor's bulk, so the grid
+    is even up to ``bulk_hi = min(hi, 1.3 q95(a) hi_b, 1.3 hi_a q95(b))``,
+    q95 the 95% quantile, and a sparse geometric tail of ``npoints // 5``
+    points stretches from there to hi; ``eps = 1e-4 (bulk_hi - lo)``.
     """
     for d in (a, b):
         if d.support()[0] < -1e-10:
@@ -463,10 +473,27 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
                 "free multiplication requires non-negative matrices")
     lo_a, hi_a = a.support()
     lo_b, hi_b = b.support()
-    lo = max(lo_a * lo_b * 0.5, 0.0)
-    hi = hi_a * hi_b * 1.1 + 1e-9
-    return _product(a, b, np.linspace(lo, hi, npoints), 1e-4 * (hi - lo),
-                    "free_multiply")
+    lo = max(1e-9, 0.25 * lo_a * lo_b)
+    hi = 1.3 * hi_a * hi_b
+    bulk_hi = min(hi, 1.3 * _quantile(a, 0.95) * hi_b,
+                  1.3 * hi_a * _quantile(b, 0.95))
+    n_tail = npoints // 5 if bulk_hi < hi else 0
+    grid = np.concatenate([
+        np.linspace(lo, bulk_hi, npoints - n_tail, endpoint=not n_tail),
+        np.geomspace(bulk_hi, hi, n_tail)])
+    return _product(a, b, grid, 1e-4 * (bulk_hi - lo), "free_multiply")
+
+
+def _quantile(dens: SpectralDensity, p: float) -> float:
+    """First grid point at which the cumulative mass reaches p."""
+    if dens.grid.size < 2:
+        return dens.support()[1]
+    cum = np.concatenate([[0.0], np.cumsum(
+        0.5 * (dens.density[1:] + dens.density[:-1]) * np.diff(dens.grid))])
+    for loc, m in dens.atoms:
+        cum += m * (dens.grid >= loc)
+    k = np.searchsorted(cum, p * dens.mass())
+    return float(dens.grid[min(k, dens.grid.size - 1)])
 
 
 def _product(a: SpectralDensity, b: SpectralDensity, grid, eps: float,
