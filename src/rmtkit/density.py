@@ -181,9 +181,14 @@ class SpectralDensity:
         return SpectralDensity(
             grid, dens, tuple((loc * factor, m) for loc, m in self.atoms))
 
-    def l1_distance(self, other: "SpectralDensity", npoints: int = 2000) -> float:
-        """L1 distance between the continuous parts on a merged grid."""
-        lo = min(self.support()[0], other.support()[0])
-        hi = max(self.support()[1], other.support()[1])
-        x = np.linspace(lo, hi, npoints)
+    def l1_distance(self, other: "SpectralDensity") -> float:
+        """L1 distance between the continuous parts on a merged grid.
+
+        The grid is the union of both grids plus the floats just outside
+        each grid's ends, where ``interpolate`` drops to zero, so every
+        breakpoint of either density is a node.
+        """
+        ends = np.concatenate([g[[0, -1]] for g in (self.grid, other.grid)])
+        x = np.union1d(np.union1d(self.grid, other.grid), np.concatenate(
+            [np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]))
         return float(np.trapezoid(np.abs(self.interpolate(x) - other.interpolate(x)), x))

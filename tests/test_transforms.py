@@ -165,6 +165,35 @@ class TestSubordinate:
         assert stats["sweeps"] <= 60
         assert stats["secant_steps"] > 0
 
+    @pytest.mark.parametrize("case, single_stage",
+                             [("free_add", 14147), ("free_multiply", 12277)])
+    def test_evaluations_pinned(self, case, single_stage, caplog):
+        # map evaluations over all points; a single stage, every point
+        # started at w = z, took single_stage
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            SUBORDINATED[case]()
+        stats = _subordinate_record(caplog, case)
+        assert stats["evaluations"] <= 0.75 * single_stage
+        assert stats["evaluations"] >= stats["points"] * 2
+
+    def test_rounding_stop_counted(self, caplog):
+        # fine points that start within rounding of the fixed point read
+        # rho as a ratio of rounding errors, here with |rho| >= 1; they stop
+        # on two steps at rounding level, each counted
+        grid = np.linspace(0.0, 1.0, 2000)
+        z = grid - 0.5j
+
+        def f(w, z):
+            return z + 0.3 - 0.9 * (w - (z + 0.3))
+
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            w = transforms._subordinate(f, z, grid, "test")
+        stats = _subordinate_record(caplog, "test")
+        assert stats["rounding_stops"] > 0
+        assert 0 <= stats["bound"] <= transforms.NEWTON_TOL
+        assert np.all(np.abs(w - (z + 0.3))
+                      <= transforms.NEWTON_TOL * (1 + np.abs(z + 0.3)))
+
     @pytest.mark.parametrize("q, sweeps", [(0.3, 26), (0.5, 40), (0.7, 37)])
     def test_newton_map_not_slowed(self, q, sweeps, caplog):
         # the EWMA map is a damped Newton step: secant steps must not slow it
