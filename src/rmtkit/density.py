@@ -19,14 +19,21 @@ class DensityError(ValueError):
     """Raised when a spectral density violates its invariants."""
 
 
+def _check_finite(grid: np.ndarray, density: np.ndarray) -> None:
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(density))):
+        raise DensityError("grid and density must be finite")
+
+
 def _as_atoms(atoms) -> tuple[tuple[float, float], ...]:
     out = []
     for loc, mass in atoms:
-        mass = float(mass)
+        loc, mass = float(loc), float(mass)
+        if not (np.isfinite(loc) and np.isfinite(mass)):
+            raise DensityError(f"atom ({loc}, {mass}) is not finite")
         if mass < -1e-12 or mass > 1.0 + 1e-12:
             raise DensityError(f"atom mass {mass} outside [0, 1]")
         if mass > 1e-15:
-            out.append((float(loc), mass))
+            out.append((loc, mass))
     out.sort()
     return tuple(out)
 
@@ -36,8 +43,9 @@ class SpectralDensity:
     """Eigenvalue density rho(lambda) on an ascending grid plus point masses.
 
     ``density`` holds non-negative values of the continuous part at the grid
-    points; ``atoms`` is a list of ``(location, mass)`` pairs.  Total mass
-    (trapezoid integral plus atom masses) must be 1 within ``MASS_TOL``.
+    points; ``atoms`` is a list of ``(location, mass)`` pairs.  Grid,
+    density and atoms must be finite, and the total mass (trapezoid
+    integral plus atom masses) must be 1 within ``MASS_TOL``.
     """
 
     grid: np.ndarray
@@ -49,6 +57,7 @@ class SpectralDensity:
         dens = np.atleast_1d(np.asarray(self.density, dtype=float))
         if grid.size != dens.size:
             raise DensityError("grid and density must have the same length")
+        _check_finite(grid, dens)
         if grid.size >= 2 and not np.all(np.diff(grid) > 0):
             raise DensityError("grid must be strictly ascending")
         if np.any(dens < -1e-10):
@@ -73,7 +82,9 @@ class SpectralDensity:
     def from_unnormalized(cls, grid, density, atoms=()) -> "SpectralDensity":
         """Build a density, rescaling the continuous part to unit total mass."""
         grid = np.asarray(grid, dtype=float)
-        density = np.clip(np.asarray(density, dtype=float), 0.0, None)
+        density = np.asarray(density, dtype=float)
+        _check_finite(grid, density)
+        density = np.clip(density, 0.0, None)
         atoms = _as_atoms(atoms)
         atom_mass = sum(m for _, m in atoms)
         cont = float(np.trapezoid(density, grid)) if grid.size >= 2 else 0.0

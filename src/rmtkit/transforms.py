@@ -364,8 +364,8 @@ def _subordinate(f, z, grid, name):
     ``|rho_k| < 1`` and ``|rho_k - rho_{k-1}| < 0.1 |rho_k|``, and where
     the step stays within ``|Im w_k| / 2`` of w_k, which keeps it at a
     bounded hyperbolic distance inside the half-plane.  A map whose rho does
-    not settle, such as the damped Newton step of ``spectra.ewma_density``,
-    runs as a plain fixed point.
+    not settle, such as the damped Newton step of ``blue``, runs as a plain
+    fixed point.
 
     A point stops once ``|r_k| / (1 - |rho_k|) <= NEWTON_TOL (1 + |f(w_k)|)``,
     a bound on its distance to the fixed point where the map contracts by
@@ -473,9 +473,9 @@ def _log_subordinate(stats, started):
 
 def _halving(m, h):
     """2^-j, j the least with m 2^-j < h (m >= h > 0, elementwise): the
-    halvings that bring the guarded Newton steps of ``blue`` and
-    ``spectra.ewma_density`` below their bounds.  With m = fm 2^em and
-    h = fh 2^eh (frexp), j = em - eh + (fm >= fh)."""
+    halvings that bring the guarded Newton steps of ``blue`` below their
+    bound.  With m = fm 2^em and h = fh 2^eh (frexp),
+    j = em - eh + (fm >= fh)."""
     (fm, em), (fh, eh) = np.frexp(m), np.frexp(h)
     return np.ldexp(1.0, eh - em - (fm >= fh))
 

@@ -31,6 +31,36 @@ class TestInvariants:
         with pytest.raises(DensityError):
             SpectralDensity.atom(1.0, mass=1.5)
 
+    def test_nan_density_rejected(self):
+        # nan fails neither the sign test nor the mass test
+        with pytest.raises(DensityError, match="finite"):
+            SpectralDensity(np.linspace(0, 1, 5), [1, 1, np.nan, 1, 1])
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(DensityError, match="finite"):
+            SpectralDensity([0.0, 0.5, np.nan], np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_from_unnormalized_rejects_non_finite(self, bad):
+        # one inf entry would normalise every other entry to 0 and itself
+        # to nan
+        dens = np.ones(5)
+        dens[2] = bad
+        with pytest.raises(DensityError, match="finite"):
+            SpectralDensity.from_unnormalized(np.linspace(0, 1, 5), dens)
+
+    def test_nan_atom_mass_rejected(self):
+        # it was dropped as if its mass were 0
+        with pytest.raises(DensityError, match="not finite"):
+            SpectralDensity.from_unnormalized(np.linspace(0, 1, 5),
+                                              np.ones(5), ((2.0, np.nan),))
+
+    def test_nan_atom_location_rejected(self):
+        # it was kept
+        with pytest.raises(DensityError, match="not finite"):
+            SpectralDensity.from_unnormalized(np.linspace(0, 1, 5),
+                                              np.ones(5), ((np.nan, 0.2),))
+
 
 class TestConstructors:
     def test_atom(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, lambertw
 
 from rmtkit import spectra, transforms
 from rmtkit.density import SpectralDensity
@@ -94,24 +94,35 @@ class TestEwma:
         d = spectra.ewma_density(0.5)
         assert np.all(d.density[1:-1] > 0)
 
-    def test_root_below_the_axis_raises(self, monkeypatch):
-        # a point whose iterate converged to the root with Im G < 0 would
-        # read as rho < 0; it must raise, not be clipped to zero
-        solve = transforms._subordinate
+    @pytest.mark.parametrize("q", [0.01, 0.5, 3.0, 8.0])
+    def test_closed_form_moments(self, q):
+        # the law has mean 1 and variance q/2; the former Newton solve at
+        # eps = 1e-6 span read the mean 2.9e-3 off at q = 8
+        d = spectra.ewma_density(q)
+        assert abs(d.mean() - 1.0) <= 1e-10
+        assert abs(d.variance() / (q / 2) - 1.0) <= 1e-10
 
-        def conjugate_one(f, z, grid, name):
-            w = solve(f, z, grid, name)
-            w[700] = w[700].conjugate()
-            return w
+    @pytest.mark.parametrize("z", [0.1, 0.2, 3.0, 5.0])
+    def test_resolvent_matches_lambert_w(self, z):
+        # G(z) = (z + W_k(-z e^(q - z)))/(q z) off the support, on the
+        # branch k = 0 below it and k = -1 above it
+        q = 0.5
+        lo, hi = spectra.ewma_edges(q)
+        k = 0 if z < lo else -1
+        exact = (z + lambertw(-z * np.exp(q - z), k).real) / (q * z)
+        got = transforms.resolvent(spectra.ewma_density(q), z)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
-        monkeypatch.setattr(transforms, "_subordinate", conjugate_one)
-        with pytest.raises(ConvergenceError,
-                           match=r"Im G <= 0 at q=0\.5, first lambda="):
-            spectra.ewma_density(0.5)
+    @pytest.mark.parametrize("q", [9.0, 11.0])
+    def test_large_q_returns(self, q):
+        # the Newton solve raised at both: its mean was 1.00633 at q = 9
+        d = spectra.ewma_density(q)
+        assert abs(d.mean() - 1.0) <= spectra.EWMA_MEAN_TOL
 
     def test_unresolved_lower_edge_raises(self):
-        # at q = 20 the lower edge (7.6e-10) lies below the evaluation
-        # offset eps, so the mass near zero cannot be resolved
+        # at q = 20 the grid's first step (1.5e-5) is far wider than the
+        # lower edge (7.6e-10), and it cannot resolve the 1/lambda pile-up
+        # of mass above that edge
         with pytest.raises(ConvergenceError):
             spectra.ewma_density(20.0)
         assert spectra.ewma_density(5.0).mean() == pytest.approx(1.0, abs=5e-3)

@@ -81,6 +81,33 @@ def _subordinate_record(caplog, caller):
     return record.args
 
 
+def _ewma_newton(q):
+    """A damped Newton map and its points, the arguments of
+    ``_subordinate``: Newton steps on ``f(G) = z q G - q + log(1 - q G)``,
+    the EWMA resolvent's equation, run as a map on ``w = 1/G`` at
+    ``z = lambda - i eps`` on the EWMA grid, eps = 1e-6 of its span.  A
+    point's step is halved until ``|q dG| < |1 - q G| / 2``, which keeps
+    ``1 - q G`` off the branch cut of the logarithm."""
+    lo, hi = spectra.ewma_edges(q)
+    grid = spectra._edge_grid(lo, hi, 2000)
+
+    def newton(w, z):
+        g = 1.0 / w
+        u = 1.0 - q * g
+        dg = -(z * q * g - q + np.log(u)) / (z * q - q / u)
+        m, half_u = np.abs(q * dg), 0.5 * np.abs(u)
+        over = np.isfinite(dg) & (m >= half_u)
+        if over.any():
+            dg[over] *= transforms._halving(m[over], half_u[over])
+        return 1.0 / (g + dg)
+
+    return newton, grid - 1j * 1e-6 * (hi - lo), grid, "ewma_newton"
+
+
+def _ewma_rho(grid, w):
+    return SpectralDensity.from_unnormalized(grid, (1.0 / w).imag / np.pi)
+
+
 SUBORDINATED = {
     "free_add": lambda: transforms.free_add(spectra.mp_density(0.25),
                                             spectra.wigner_semicircle(1.0)),
@@ -120,15 +147,14 @@ class TestSubordinate:
                       <= transforms.NEWTON_TOL * (1 + np.abs(fixed)))
 
     @pytest.mark.parametrize("q", [0.56, 3.0])
-    def test_newton_map_matches_plain_fixed_point(self, q, monkeypatch):
-        # EWMA's map is a damped Newton step; unguarded secant steps sent
-        # points at these q to the root with Im G < 0.  Its rounding floor
-        # is about 5e-14, so the reference stops at 1e-13.
-        fast = spectra.ewma_density(q)
-        monkeypatch.setattr(
-            transforms, "_subordinate",
-            lambda *args: _plain_fixed_point(*args, tol=1e-13))
-        assert fast.l1_distance(spectra.ewma_density(q)) < 1e-10
+    def test_newton_map_matches_plain_fixed_point(self, q):
+        # a damped Newton map; unguarded secant steps sent points at these
+        # q to the root with Im G < 0.  Its rounding floor is about 5e-14,
+        # so the reference stops at 1e-13.
+        args = _ewma_newton(q)
+        fast = _ewma_rho(args[2], transforms._subordinate(*args))
+        ref = _ewma_rho(args[2], _plain_fixed_point(*args, tol=1e-13))
+        assert fast.l1_distance(ref) < 1e-10
 
     def test_logs_sweeps_and_bound(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
@@ -196,10 +222,10 @@ class TestSubordinate:
 
     @pytest.mark.parametrize("q, sweeps", [(0.3, 26), (0.5, 40), (0.7, 37)])
     def test_newton_map_not_slowed(self, q, sweeps, caplog):
-        # the EWMA map is a damped Newton step: secant steps must not slow it
+        # a damped Newton map: secant steps must not slow it
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
-            spectra.ewma_density(q)
-        assert _subordinate_record(caplog, "ewma_density")["sweeps"] <= sweeps
+            transforms._subordinate(*_ewma_newton(q))
+        assert _subordinate_record(caplog, "ewma_newton")["sweeps"] <= sweeps
 
 
 class TestResolvent:
