@@ -13,6 +13,8 @@ import numpy as np
 __all__ = ["SpectralDensity", "DensityError"]
 
 MASS_TOL = 1e-6
+# grid size of every density that ``spectra`` and ``transforms`` build
+GRID_POINTS = 2000
 
 
 class DensityError(ValueError):

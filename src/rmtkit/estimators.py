@@ -215,10 +215,16 @@ def pearson(panel: ReturnPanel) -> CorrelationMatrix:
     """E = X^T X with X = values/sqrt(T); requires a standardized panel."""
     if not panel.is_standardized(tol=1e-6):
         raise EstimatorError("pearson requires a standardized panel")
-    E = panel.values.T @ panel.values / panel.T
+    return CorrelationMatrix(_corr(panel.values),
+                             {"estimator": "pearson", "T": panel.T,
+                              "asset_ids": panel.asset_ids})
+
+
+def _corr(X: np.ndarray) -> np.ndarray:
+    """X^T X / T with a unit diagonal, for a standardized T x N block X."""
+    E = X.T @ X / X.shape[0]
     np.fill_diagonal(E, 1.0)
-    return CorrelationMatrix(E, {"estimator": "pearson", "T": panel.T,
-                                 "asset_ids": panel.asset_ids})
+    return E
 
 
 def ewma_estimator(panel: ReturnPanel, epsilon: float) -> CorrelationMatrix:

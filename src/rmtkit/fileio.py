@@ -194,7 +194,9 @@ def write_matrix_csv(path, M: CorrelationMatrix, asset_ids=None,
 
 
 def write_density_csv(path, density: SpectralDensity) -> None:
-    """Two-column CSV (lambda, rho); atoms as ``# atom loc mass`` comments."""
+    """Two-column CSV (lambda, rho); atoms as ``# atom loc mass`` comments.
+    Values print to 12 significant digits; a ``_subordinate`` density is
+    known to about 1e-12 absolute, so small values' last digits are noise."""
     write_table(path, ["lambda", "rho"],
                 [np.column_stack([density.grid, density.density])],
                 [f"atom {loc:.12g} {mass:.12g}" for loc, mass in density.atoms])

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cleaning import CleaningScheme, apply_scheme
-from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel, pearson
+from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel, _corr
 
 __all__ = [
     "PortfolioWeights",
@@ -185,9 +185,3 @@ def residual_test(panel: ReturnPanel, scheme: CleaningScheme | None,
         in_ratios.append(np.mean(predicted / np.clip(realized_in, 1e-12, None)))
         out_ratios.append(np.mean(predicted / np.clip(realized_out, 1e-12, None)))
     return float(np.mean(in_ratios)), float(np.mean(out_ratios))
-
-
-def _corr(X: np.ndarray) -> np.ndarray:
-    E = X.T @ X / X.shape[0]
-    np.fill_diagonal(E, 1.0)
-    return E

@@ -14,7 +14,7 @@ from scipy.special import (gammainccinv, gammaincinv, gammaln, lambertw,
                            roots_legendre)
 
 from . import transforms
-from .density import SpectralDensity
+from .density import GRID_POINTS, SpectralDensity
 from .transforms import ConvergenceError
 
 __all__ = [
@@ -57,7 +57,7 @@ def mp_edges(q: float) -> tuple[float, float]:
     return (1.0 - np.sqrt(q)) ** 2, (1.0 + np.sqrt(q)) ** 2
 
 
-def mp_density(q: float, npoints: int = 2000) -> SpectralDensity:
+def mp_density(q: float) -> SpectralDensity:
     """Marcenko-Pastur law at aspect ratio q = N/T.
 
     For q > 1 an atom of mass 1 - 1/q sits at zero.
@@ -67,7 +67,7 @@ def mp_density(q: float, npoints: int = 2000) -> SpectralDensity:
     if q < ATOM_Q:
         return SpectralDensity.atom(1.0)
     lo, hi = mp_edges(q)
-    grid = _edge_grid(lo, hi, npoints)
+    grid = _edge_grid(lo, hi, GRID_POINTS)
     inner = np.clip(4.0 * grid * q - (grid + q - 1.0) ** 2, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.sqrt(inner) / (2.0 * np.pi * grid * q)
@@ -83,10 +83,10 @@ def mp_blue(q: float):
     return B
 
 
-def wigner_semicircle(sigma: float = 1.0, npoints: int = 2000) -> SpectralDensity:
+def wigner_semicircle(sigma: float = 1.0) -> SpectralDensity:
     """Semicircle of variance sigma^2 on [-2 sigma, 2 sigma]."""
     r = 2.0 * sigma
-    grid = _edge_grid(-r, r, npoints)
+    grid = _edge_grid(-r, r, GRID_POINTS)
     rho = np.sqrt(np.clip(r**2 - grid**2, 0.0, None)) / (2.0 * np.pi * sigma**2)
     return SpectralDensity.from_unnormalized(grid, rho)
 
@@ -119,7 +119,7 @@ def ewma_blue(q: float):
     return B
 
 
-def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
+def ewma_density(q: float) -> SpectralDensity:
     """Spectrum of the exponentially weighted estimator at q = N * epsilon.
 
     The resolvent solves ``z q G - q + log(1 - q G) = 0`` (Potters, Bouchaud
@@ -139,11 +139,11 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
     if q < ATOM_Q:
         return SpectralDensity.atom(1.0)
     lo, hi = ewma_edges(q)
-    grid = _edge_grid(lo, hi, npoints)
+    grid = _edge_grid(lo, hi, GRID_POINTS)
     # at the edges the argument is -1/e to rounding, where lambertw can
     # return nan (at 151 of 400 edges for q from 1e-3 to 11)
     lam = grid[1:-1]
-    rho = np.zeros(npoints)
+    rho = np.zeros(GRID_POINTS)
     rho[1:-1] = (np.abs(lambertw(-lam * np.exp(q - lam)).imag)
                  / (np.pi * q * lam))
     out = SpectralDensity.from_unnormalized(grid, rho)
@@ -157,8 +157,7 @@ def ewma_density(q: float, npoints: int = 2000) -> SpectralDensity:
 # ---------------------------------------------------------------------------
 # Dressed spectrum for a general true correlation density
 
-def dressed_spectrum(rho_c: SpectralDensity, q: float,
-                     npoints: int = 2000) -> SpectralDensity:
+def dressed_spectrum(rho_c: SpectralDensity, q: float) -> SpectralDensity:
     """Sample-matrix spectrum for true spectrum ``rho_c`` at aspect ratio q.
 
     The solution of ``G_E(z) = int rho_C(x)/(z - x (1 - q + q z G_E(z))) dx``
@@ -166,7 +165,7 @@ def dressed_spectrum(rho_c: SpectralDensity, q: float,
     Phys. Rev. E 71, 2005), computed by ``transforms.free_multiply``.  For
     q > 1 it holds an atom of mass 1 - 1/q at zero.
     """
-    return transforms.free_multiply(rho_c, mp_density(q), npoints)
+    return transforms.free_multiply(rho_c, mp_density(q))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +209,7 @@ class PowerLawPrior:
         return self.lambda0 + (self.amplitude * N / k) ** (1.0 / self.mu)
 
 
-def powerlaw_prior_density(p: PowerLawPrior,
-                           npoints: int = 2000) -> SpectralDensity:
+def powerlaw_prior_density(p: PowerLawPrior) -> SpectralDensity:
     """Continuous power-law prior, truncated where the tail mass drops below
     ``PRIOR_TAIL_MASS`` (the truncation is logged)."""
     if p.alpha >= 1.0:
@@ -220,7 +218,7 @@ def powerlaw_prior_density(p: PowerLawPrior,
     hi = x0 + (A / PRIOR_TAIL_MASS) ** (1.0 / p.mu)
     log.info("power-law prior truncated at %.4g (tail mass %.1e)", hi,
              PRIOR_TAIL_MASS)
-    u = np.linspace(0.0, 1.0, npoints)
+    u = np.linspace(0.0, 1.0, GRID_POINTS)
     grid = p.alpha + (hi - p.alpha) * u**3  # cluster points near the peak
     grid[0] = p.alpha
     rho = p.mu * A / (grid - x0) ** (1.0 + p.mu)
@@ -244,8 +242,7 @@ class EllipticParams:
             raise ValueError("mu must exceed 2")
 
 
-def elliptic_student_density(p: EllipticParams,
-                             npoints: int = 2000) -> SpectralDensity:
+def elliptic_student_density(p: EllipticParams) -> SpectralDensity:
     """Sample spectrum of returns with a common random volatility.
 
     With ``d_t = mu/s_t``, ``s_t ~ chi-squared(mu)``, the nonzero spectrum of
@@ -254,37 +251,37 @@ def elliptic_student_density(p: EllipticParams,
     Waclaw, Phys. Rev. E 71, 2005): ``rho_E(lambda) = rho(lambda/q) / q^2``
     with rho the free product of the volatility law rho_D and MP(1/q).  In
     the bulk it is computed by ``transforms._product`` on
-    ``npoints - npoints // 5`` points from 0.  At a fixed eps that quadrature
-    does not resolve the power-law tail, whose density comes from the
-    boundary-value expansion ``rho = mu P(q mu g) g^2 / (1 - g^2 R'(g))``,
-    ``lambda = 1/g + PV R(g)`` (P the chi-squared(mu) density and
-    ``R(g) = mu int P(s)/(s - q mu g) ds``), read off a curve in g by
-    ``_elliptic_tail``.  The tail is computed first: the bulk grid ends
-    where the tail's density falls to ``_TAIL_RHO``, at 4 (1 + sqrt q)^2 at
-    the least, and the bulk gives way to the tail where its own density
-    falls through ``_TAIL_RHO``.  The density has no upper edge and decays
-    as ``lambda^(-1 - mu/2)``; the grid is truncated at
-    ``ELLIPTIC_LAM_MAX``.
+    ``GRID_POINTS - GRID_POINTS // 5`` points from 0.  At a fixed eps that
+    quadrature does not resolve the power-law tail, whose density comes
+    from the boundary-value expansion
+    ``rho = mu P(q mu g) g^2 / (1 - g^2 R'(g))``, ``lambda = 1/g + PV R(g)``
+    (P the chi-squared(mu) density and ``R(g) = mu int P(s)/(s - q mu g)
+    ds``), read off a curve in g by ``_elliptic_tail``.  The tail is
+    computed first: the bulk grid ends where the tail's density falls to
+    ``_TAIL_RHO``, at 4 (1 + sqrt q)^2 at the least, and the bulk gives way
+    to the tail where its own density falls through ``_TAIL_RHO``.  The
+    density has no upper edge and decays as ``lambda^(-1 - mu/2)``; the
+    grid is truncated at ``ELLIPTIC_LAM_MAX``.
     """
     if p.q >= 1:
         raise ValueError(
             "q >= 1 is unsupported for the elliptic ensemble (the spectrum "
             "acquires an atom at zero)")
     if p.mu >= 1e5:
-        return mp_density(p.q, npoints)
+        return mp_density(p.q)
     q, mu = p.q, p.mu
     # chi-squared(mu) puts less than 1e-17 of its mass outside [s_lo, s_hi]
     s_lo = 2.0 * gammaincinv(0.5 * mu, 1e-17)
     s_hi = 2.0 * gammainccinv(0.5 * mu, 1e-17)
-    lam_t, rho_t = _elliptic_tail(mu, q, npoints, s_lo, s_hi)
+    lam_t, rho_t = _elliptic_tail(mu, q, s_lo, s_hi)
 
     floor = 4.0 * (1.0 + np.sqrt(q)) ** 2
     cross = lam_t[rho_t >= _TAIL_RHO]
     lam_s = cross.max() if cross.size else floor
     bulk_hi = min(ELLIPTIC_LAM_MAX, max(floor, lam_s))
-    bulk = _edge_grid(1e-6, bulk_hi, npoints - npoints // 5)
+    bulk = _edge_grid(1e-6, bulk_hi, GRID_POINTS - GRID_POINTS // 5)
     # rho_D, the law of d = mu/s; d above 1e5 holds a mass below 1e-5
-    d = np.geomspace(mu / s_hi, min(1e5, mu / s_lo), 2000)
+    d = np.geomspace(mu / s_hi, min(1e5, mu / s_lo), GRID_POINTS)
     rho_d = SpectralDensity.from_unnormalized(
         d, _chi2_pdf(mu, mu / d) * mu / d**2)
     # Where rho_D is narrow (mu from about 200), the quadrature of MP(1/q) is
@@ -321,14 +318,13 @@ def _chi2_pdf(mu: float, s):
                   - k * np.log(2.0))
 
 
-def _elliptic_tail(mu: float, q: float, npoints: int, s_lo: float,
-                   s_hi: float):
+def _elliptic_tail(mu: float, q: float, s_lo: float, s_hi: float):
     """lambda and rho along the real branch of the tail, ascending in lambda.
 
     Both ``lambda = 1/g + PV R(g)`` and
     ``rho = mu P(x) g^2 / (1 - g^2 R'(g))``, x = q mu g, are explicit in g,
     and ``d lambda/dg = -(1 - g^2 R'(g))/g^2 < 0`` on the branch.  So g runs
-    over ``npoints`` geometric steps from ``1/ELLIPTIC_LAM_MAX`` up to the
+    over ``GRID_POINTS`` geometric steps from ``1/ELLIPTIC_LAM_MAX`` up to the
     first point with ``1 - g^2 R' <= 0``, the turning point of the branch.
     It is met by x = s_hi at the latest: once P's mass lies below x,
     ``g^2 R' >= 1/q``.
@@ -349,10 +345,10 @@ def _elliptic_tail(mu: float, q: float, npoints: int, s_lo: float,
         p = _chi2_pdf(mu, s)
         return np.stack([p, p * (0.5 * mu - 1.0 - 0.5 * s)])
 
-    g_all = np.geomspace(1.0 / ELLIPTIC_LAM_MAX, s_hi / (q * mu), npoints)
+    g_all = np.geomspace(1.0 / ELLIPTIC_LAM_MAX, s_hi / (q * mu), GRID_POINTS)
     rows = max(1, transforms.BLOCK_BYTES // (16 * u.size))
     lam, rho = [], []
-    for i in range(0, npoints, rows):
+    for i in range(0, GRID_POINTS, rows):
         g = g_all[i:i + rows]
         x = q * mu * g[:, None]
         fx = pq(x)
@@ -385,7 +381,7 @@ def rsvd_band(n: float, m: float) -> tuple[float, float]:
     return np.sqrt(gm), np.sqrt(gp)
 
 
-def rsvd_benchmark(n: float, m: float, npoints: int = 2000) -> SpectralDensity:
+def rsvd_benchmark(n: float, m: float) -> SpectralDensity:
     """Null density of singular values between whitened input and output sets.
 
     ``n = N/T`` and ``m = M/T``; atoms sit at 0 (rank deficit) and, when
@@ -395,7 +391,7 @@ def rsvd_benchmark(n: float, m: float, npoints: int = 2000) -> SpectralDensity:
         raise ValueError("n and m must lie in (0, 1)")
     c_lo, c_hi = rsvd_band(n, m)
     gm, gp = c_lo**2, c_hi**2
-    grid = _edge_grid(c_lo, c_hi, npoints)
+    grid = _edge_grid(c_lo, c_hi, GRID_POINTS)
     c2 = grid**2
     inner = np.clip((c2 - gm) * (gp - c2), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):

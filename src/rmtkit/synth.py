@@ -149,12 +149,13 @@ def wick_check(panel: ReturnPanel, mu: float, n_quadruples: int = 2000,
     R = panel.values
     T, N = R.shape
     C = R.T @ R / T
+    Rt = np.ascontiguousarray(R.T)  # asset rows: contiguous reads below
     prefactor = 1.0 if np.isinf(mu) else (mu - 2.0) / (mu - 4.0)
     rng = make_rng(seed)
     idx = rng.integers(0, N, size=(n_quadruples, 4))
     worst = 0.0
     for i, j, k, l in idx:
-        emp = float(np.mean(R[:, i] * R[:, j] * R[:, k] * R[:, l]))
+        emp = float(np.mean(Rt[i] * Rt[j] * Rt[k] * Rt[l]))
         theory = prefactor * (C[i, j] * C[k, l] + C[i, k] * C[j, l]
                               + C[i, l] * C[j, k])
         worst = max(worst, abs(emp - theory))

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .density import SpectralDensity
+from .density import GRID_POINTS, SpectralDensity
 
 __all__ = [
     "TransformError",
@@ -480,8 +480,7 @@ def _halving(m, h):
     return np.ldexp(1.0, eh - em - (fm >= fh))
 
 
-def free_add(a: SpectralDensity, b: SpectralDensity,
-             npoints: int = 2000) -> SpectralDensity:
+def free_add(a: SpectralDensity, b: SpectralDensity) -> SpectralDensity:
     """Density whose R-transform is R_a + R_b (free additive convolution).
 
     G_{a+b}(z) = G_a(w), where w is the fixed point of
@@ -500,7 +499,7 @@ def free_add(a: SpectralDensity, b: SpectralDensity,
     lo_a, hi_a = a.support()
     lo_b, hi_b = b.support()
     lo, hi = lo_a + lo_b, hi_a + hi_b
-    grid = np.linspace(lo, hi, npoints)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     z = grid - 1j * 1e-4 * (hi - lo)
     w = _subordinate(lambda w, z: z + h(xb, cb, z + h(xa, ca, w)), z, grid,
                      "free_add")
@@ -508,15 +507,14 @@ def free_add(a: SpectralDensity, b: SpectralDensity,
     return SpectralDensity.from_unnormalized(grid, rho)
 
 
-def free_multiply(a: SpectralDensity, b: SpectralDensity,
-                  npoints: int = 2000) -> SpectralDensity:
+def free_multiply(a: SpectralDensity, b: SpectralDensity) -> SpectralDensity:
     """Density whose S-transform is S_a * S_b (free multiplicative convolution).
 
     Subordination (see ``_product``) on a grid from
     ``lo = max(1e-9, lo_a lo_b / 4)`` to ``hi = 1.3 hi_a hi_b``.  Most of
     the product lies below the image of either factor's bulk, so the grid
     is even up to ``bulk_hi = min(hi, 1.3 q95(a) hi_b, 1.3 hi_a q95(b))``,
-    q95 the 95% quantile, and a sparse geometric tail of ``npoints // 5``
+    q95 the 95% quantile, and a sparse geometric tail of ``GRID_POINTS // 5``
     points stretches from there to hi; ``eps = 1e-4 (bulk_hi - lo)``.
     """
     for d in (a, b):
@@ -529,9 +527,9 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity,
     hi = 1.3 * hi_a * hi_b
     bulk_hi = min(hi, 1.3 * _quantile(a, 0.95) * hi_b,
                   1.3 * hi_a * _quantile(b, 0.95))
-    n_tail = npoints // 5 if bulk_hi < hi else 0
+    n_tail = GRID_POINTS // 5 if bulk_hi < hi else 0
     grid = np.concatenate([
-        np.linspace(lo, bulk_hi, npoints - n_tail, endpoint=not n_tail),
+        np.linspace(lo, bulk_hi, GRID_POINTS - n_tail, endpoint=not n_tail),
         np.geomspace(bulk_hi, hi, n_tail)])
     return _product(a, b, grid, 1e-4 * (bulk_hi - lo), "free_multiply")
 

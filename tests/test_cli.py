@@ -38,6 +38,25 @@ class TestSpectrumCommand:
         d = fileio.read_density_csv(out)
         assert d.atom_mass() == pytest.approx(0.9, abs=1e-6)
 
+    # mean and variance at the defaults q = 0.5, mu = 4, alpha = 0.35: exact
+    # for mp (1, q), ewma (1, q/2) and wigner (0, 1); the elliptic mean is
+    # mu/(mu - 2) (its variance is infinite at mu = 4); the dressed mean is
+    # the prior's, 0.98713, within the benchmark's 5e-3 (it reads 0.98961)
+    @pytest.mark.parametrize("law", [
+        "mp", "ewma", "wigner", "elliptic", "powerlaw-dressed"])
+    def test_every_law_at_its_defaults(self, tmp_path, law):
+        mean, var, tol = {"mp": (1.0, 0.5, 1e-9),
+                          "ewma": (1.0, 0.25, 1e-9),
+                          "wigner": (0.0, 1.0, 1e-9),
+                          "elliptic": (2.0, None, 1e-3),
+                          "powerlaw-dressed": (0.98713, None, 5e-3)}[law]
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--law", law, "--out", str(out)]) == 0
+        d = fileio.read_density_csv(out)
+        assert d.mean() == pytest.approx(mean, abs=tol)
+        if var is not None:
+            assert d.variance() == pytest.approx(var, abs=tol)
+
 
 class TestExitCodes:
     def test_unknown_command_is_input_error(self):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -21,6 +22,18 @@ def test_all_names_resolve(modname):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing
+
+
+# Every grid size reads density.GRID_POINTS: no density builder takes one.
+@pytest.mark.parametrize("modname", ["rmtkit.spectra", "rmtkit.transforms"])
+def test_no_builder_takes_a_grid_size(modname):
+    mod = importlib.import_module(modname)
+    for name in mod.__all__:
+        try:
+            params = inspect.signature(getattr(mod, name)).parameters
+        except (TypeError, ValueError):  # not callable, or no signature
+            continue
+        assert "npoints" not in params, name
 
 
 SRC = str(Path(rmtkit.__file__).resolve().parents[1])

@@ -2,9 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import gammainccinv, gammaincinv
 
 from rmtkit import spectra, transforms
-from rmtkit.density import SpectralDensity
+from rmtkit.density import GRID_POINTS, SpectralDensity
 from rmtkit.transforms import (ConvergenceError, PoleOnSupportError,
                                TransformError)
 
@@ -498,7 +499,8 @@ class TestIdentityGauge:
     """R_{a+b} = R_a + R_b and S_{ab} = S_a S_b, read by ``blue`` on the
     output's grid: a check independent of the subordination that built it.
     Measured residuals: 1.0e-4 to 3.0e-4 (free_add), 2.2e-4 to 3.4e-4
-    (free_multiply) and 1.4e-3 to 2.7e-3 (dressed)."""
+    (free_multiply), 1.4e-3 to 2.7e-3 (dressed) and 3.0e-4 to 1.5e-3
+    (elliptic)."""
 
     def test_free_add(self, mp025, semicircle):
         out = transforms.free_add(mp025, semicircle)
@@ -525,6 +527,27 @@ class TestIdentityGauge:
                    - transforms.s_transform(prior035, w)
                    * transforms.s_transform(mp05, w))
             assert abs(res) <= 4e-3
+
+    def test_elliptic(self):
+        # the bulk is q (rho_D [x] MP(1/q)) without the product's atom
+        # (0, 1 - q); rho_D is built as elliptic_student_density builds it
+        q, mu = 0.5, 4.0
+        E = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        law = SpectralDensity(E.grid / q, q**2 * E.density,
+                              ((0.0, 1.0 - q),))
+        s_lo = 2.0 * gammaincinv(0.5 * mu, 1e-17)
+        s_hi = 2.0 * gammainccinv(0.5 * mu, 1e-17)
+        d = np.geomspace(mu / s_hi, min(1e5, mu / s_lo), GRID_POINTS)
+        rho_d = SpectralDensity.from_unnormalized(
+            d, spectra._chi2_pdf(mu, mu / d) * mu / d**2)
+        mp = spectra.mp_density(1.0 / q)
+        # s_transform raises at 0.2 - 0.1i and 0.3 + 0.3i on this law
+        for w in [0.05 + 0.05j, -0.1 + 0.2j, -0.25 - 0.15j, 0.1 - 0.05j,
+                  -0.05 - 0.1j]:
+            res = (transforms.s_transform(law, w)
+                   - transforms.s_transform(rho_d, w)
+                   * transforms.s_transform(mp, w))
+            assert abs(res) <= 3e-3
 
 
 class TestFreeMultiply:
