@@ -80,66 +80,154 @@ class ReturnPanel:
         return bool(np.all(np.abs(mu) < tol) and np.all(np.abs(var - 1) < tol))
 
 
+class _Eigenbasis:
+    """The eigenvectors of a symmetric matrix A, held in factored form.
+
+    ``dsytrd`` reduces A to a tridiagonal T = Q^T A Q and keeps Q as its
+    Householder reflectors; ``dstevd`` gives T's eigenpairs, T = Z diag(lam)
+    Z^T.  The eigenvectors of A are the columns of Q Z.  ``solve`` applies
+    them to a few vectors at O(N^2) each; the dense N x N matrix
+    (``vectors``) costs one N^3 back-transformation (``dormqr``) and is formed
+    only when first read (LAPACK Users' Guide, section 2.4.4).
+    """
+
+    def __init__(self, a):
+        n = a.shape[0]
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+        c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork)
+        # Q fixes e_1; its reflectors are dormqr's on rows and columns 1..
+        self._refl = np.asfortranarray(c[1:, :-1])
+        self._tau = tau
+        del c  # before dstevd takes its N x N workspace
+        if n > 1:
+            lam, z, info = lapack.dstevd(d, e)
+            if info > 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        else:  # dstevd's wrapper rejects a 1 x 1 tridiagonal
+            lam, z = d, np.ones((1, 1), order="F")
+        self._z = z
+        # descending columns of Q Z, the order of ``vectors``
+        self.order = np.argsort(lam)[::-1]
+        self.eigenvalues = lam[self.order]
+
+    def _reflect(self, trans, c, lwork):
+        """Q c ('N') or Q^T c ('T'), in place, for an N x k array c."""
+        if c.shape[0] > 1:
+            c[1:] = lapack.dormqr("L", trans, self._refl, self._tau, c[1:],
+                                  lwork, overwrite_c=1)[0]
+        return c
+
+    @cached_property
+    def vectors(self):
+        """Q Z in descending order, each column's largest-magnitude
+        component made positive.
+
+        ``dormqr`` runs on the unsorted Z with dsyevd's own workspace, N^2 +
+        4N + 1: below N = 80 that is less than its optimal workspace, which
+        changes its blocking.  So the columns equal ``np.linalg.eigh``'s bit
+        for bit."""
+        n = self._z.shape[0]
+        vecs = self._reflect("N", self._z.copy(order="F"), n * n + 4 * n + 1)
+        vecs = vecs[:, self.order]
+        cols = np.arange(n)
+        flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0
+        vecs[:, flip] *= -1.0
+        return vecs
+
+    def solve(self, w, cols, b):
+        """(Q Z) diag(1/w) (Q Z)^T b for an N or N x k array b, where w[k]
+        belongs to column ``cols[k]`` of ``vectors`` (column k if ``cols`` is
+        None).  ``vectors``' sign flips cancel, so Z is used unsorted."""
+        lam = np.empty_like(w)
+        lam[self.order if cols is None else self.order[cols]] = w
+        b = np.array(b, dtype=float)
+        c = b.reshape(b.shape[0], -1)
+        # a workspace of one row of c selects dormqr's unblocked path, O(N^2)
+        # per column; the blocked one adds O(32 N^2) for its triangular
+        # factors, which pays only for a dozen columns or more
+        k = c.shape[1]
+        y = self._z.T @ self._reflect("T", c, k)
+        y /= lam[:, None]
+        return self._reflect("N", self._z @ y, k).reshape(b.shape)
+
+
 class CorrelationMatrix:
     """Symmetric PSD correlation matrix with a cached eigendecomposition.
 
-    Built from ``values``, the matrix is checked for symmetry (an exactly
-    symmetric float array is held as given, not copied) and decomposed by
-    ``eigh`` when its eigenpairs are first read.  A matrix built by
-    ``with_spectrum`` holds eigenpairs instead, and forms ``values`` only
-    when they are first read.  Eigenvalues are stored in descending order;
-    the sign of each eigenvector is fixed so that its largest-magnitude
-    component is positive.
+    Built from ``values``, the matrix is checked for symmetry and finite
+    entries (an exactly symmetric float array is held as given, not copied).
+    Its eigenpairs come from ``dsytrd`` and ``dstevd`` when first read, kept
+    in factored form (``_Eigenbasis``): ``eigenvalues`` and ``solve`` never
+    form the dense eigenvectors, which one ``dormqr`` builds when
+    ``eigenvectors``, ``inverse`` or ``sqrt`` first reads them.  A matrix
+    built by ``with_spectrum`` holds eigenvalues on its parent's basis
+    instead, and forms ``values`` only when they are first read.
+    Eigenvalues are stored in descending order; the sign of each eigenvector
+    is fixed so that its largest-magnitude component is positive.
     """
 
     def __init__(self, values, metadata=None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise EstimatorError("correlation matrix must be square")
-        asym = _max_gap(values, values.T) if values.size else 0.0
+        # the gap is NaN exactly when an entry is NaN or infinite (inf - inf)
+        with np.errstate(invalid="ignore"):
+            asym = _max_gap(values, values.T) if values.size else 0.0
+        if np.isnan(asym):
+            raise EstimatorError("correlation matrix has non-finite entries")
         if asym > 1e-10:
             raise EstimatorError(f"matrix is not symmetric (max gap {asym:.2e})")
         if asym:  # an exactly symmetric matrix is kept: 0.5 * (a + a) == a
             values = 0.5 * (values + values.T)
         self._values = values
-        self._pairs = None
+        # a held spectrum: eigenvalue k belongs to column _cols[k] of the
+        # basis' vectors (column k if _cols is None)
+        self._held = self._cols = None
         self.metadata = {} if metadata is None else metadata
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            vals, vecs = self._pairs
-            m = (vecs * vals) @ vecs.T
+            vecs = self._tri.vectors
+            if self._cols is not None:
+                vecs = vecs[:, self._cols]
+            m = (vecs * self._held) @ vecs.T
             self._values = 0.5 * (m + m.T)
         return self._values
 
     @property
     def N(self) -> int:
-        return (self._values if self._pairs is None
-                else self._pairs[1]).shape[0]
+        return (self._values if self._held is None else self._held).shape[0]
+
+    @cached_property
+    def _tri(self):
+        return _Eigenbasis(self.values)
+
+    @cached_property
+    def _sorted(self):
+        """The eigenvalues in descending order, checked for PSD, and the
+        columns of ``_tri.vectors`` they belong to (None: in order)."""
+        if self._held is None:
+            return _require_psd(self._tri.eigenvalues), None
+        # a held spectrum is re-sorted with a stable sort; the vectors are
+        # the parent's, permuted (a copy) only if the order changes, which
+        # it never does for clip
+        vals, cols = self._held, self._cols
+        order = np.argsort(-vals, kind="stable")
+        if np.any(order != np.arange(order.size)):
+            vals = vals[order]
+            cols = order if cols is None else cols[order]
+        return _require_psd(vals), cols
 
     @cached_property
     def _eig(self):
-        if self._pairs is not None:
-            # held vectors are the parent's, already sign-fixed column by
-            # column; they are permuted (a copy) only if the order changes,
-            # which it never does for clip
-            vals, vecs = self._pairs
-            order = np.argsort(-vals, kind="stable")
-            if np.any(order != np.arange(order.size)):
-                vals, vecs = vals[order], vecs[:, order]
-            return _require_psd(vals), vecs
-        vals, vecs = np.linalg.eigh(self.values)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = _require_psd(vals[order]), vecs[:, order]
-        cols = np.arange(vecs.shape[1])
-        flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0
-        vecs[:, flip] *= -1.0
-        return vals, vecs
+        vals, cols = self._sorted
+        vecs = self._tri.vectors
+        return vals, (vecs if cols is None else vecs[:, cols])
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eig[0]
+        return self._sorted[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -149,44 +237,49 @@ class CorrelationMatrix:
         """The eigenvalues in descending order, without the eigenvectors.
 
         A matrix built by ``with_spectrum`` returns ``eigenvalues``; any
-        other takes them from ``eigvalsh``, about 2.5 times faster than
-        ``eigh`` at N = 500, and caches nothing.  They may differ from
-        ``eigenvalues`` by rounding."""
-        if self._pairs is not None:
+        other takes them from ``eigvalsh``, about 1.5 times faster than
+        ``eigenvalues`` (``dsytrd`` + ``dstevd``) at N = 500, and caches
+        nothing.  They may differ from ``eigenvalues`` by rounding."""
+        if self._held is not None:
             return self.eigenvalues
         return _require_psd(np.linalg.eigvalsh(self.values)[::-1])
 
     def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
         """The matrix with this one's eigenvectors and new eigenvalues.
 
-        The new matrix holds these eigenpairs as its own, so it is never
-        decomposed: they are sorted to descending order and checked for PSD
-        when first read.  Its ``values``, V diag(lambda) V^T symmetrised, are
-        formed only when first read, so a caller that only solves against
-        it (as ``portfolio.backtest`` does) never builds the N x N matrix."""
+        The new matrix shares this one's factored basis, so it is never
+        decomposed: its eigenvalues are sorted to descending order and
+        checked for PSD when first read, and ``solve`` reads the basis
+        without forming the dense eigenvectors.  Its ``values``, V
+        diag(lambda) V^T symmetrised from the pairs as handed, are formed
+        only when first read, so a caller that only solves against it (as
+        ``portfolio.backtest`` does) builds no N x N matrix."""
         out = CorrelationMatrix.__new__(CorrelationMatrix)
         out._values = None
-        out._pairs = (np.array(new_eigenvalues, dtype=float),
-                      self.eigenvectors)
+        out._held = np.array(new_eigenvalues, dtype=float)
+        out._cols = self._sorted[1]
+        out.__dict__["_tri"] = self._tri
         out.metadata = metadata or dict(self.metadata)
         return out
 
-    def _invertible_eig(self):
-        vals, vecs = self._eig
+    def _invertible(self):
+        vals, cols = self._sorted
         if vals[-1] <= 1e-12:
             raise EstimatorError(
                 "matrix is singular; clean it before inverting")
-        return vals, vecs
+        return vals, cols
 
     def inverse(self) -> np.ndarray:
-        vals, vecs = self._invertible_eig()
+        vals, _ = self._invertible()
+        vecs = self.eigenvectors
         return (vecs / vals) @ vecs.T
 
     def solve(self, b) -> np.ndarray:
-        """E^{-1} b for a vector b, as V((V^T b)/lambda), without forming
-        the inverse."""
-        vals, vecs = self._invertible_eig()
-        return vecs @ ((vecs.T @ b) / vals)
+        """E^{-1} b for an N-vector or N x k matrix b, without forming the
+        inverse or the dense eigenvectors: Q Z ((Z^T Q^T b) / lambda), with
+        Q applied as reflectors (``_Eigenbasis.solve``)."""
+        vals, cols = self._invertible()
+        return self._tri.solve(vals, cols, b)
 
     def sqrt(self) -> np.ndarray:
         vals, vecs = self._eig
@@ -340,7 +433,10 @@ def _max_gap(A, B):
 
 
 def _require_psd(vals):
-    """Descending eigenvalues ``vals``, unless the last is below -1e-10."""
+    """Descending eigenvalues ``vals``, unless one is not finite or the last
+    is below -1e-10."""
+    if not np.all(np.isfinite(vals)):
+        raise EstimatorError("matrix has non-finite eigenvalues")
     if vals[-1] < -1e-10:
         raise EstimatorError(
             f"matrix is not PSD (min eigenvalue {vals[-1]:.2e})")

@@ -109,7 +109,8 @@ def _window_estimates(panel: ReturnPanel, scheme: CleaningScheme | None,
             sigma = hist.std(axis=0)
             if np.any(sigma < 1e-15):
                 raise EstimatorError("constant column inside backtest window")
-            X = (hist - hist.mean(axis=0)) / sigma
+            X = hist - hist.mean(axis=0)
+            X /= sigma
             E = CorrelationMatrix(_corr(X))
             if scheme is not None:
                 E = apply_scheme(E, scheme)

@@ -78,6 +78,15 @@ class TestExitCodes:
         mat.write_text("X,Y\n1.0,2.0\n2.0,1.0\n")
         assert run(["spikes", "--matrix", str(mat), "--q", "0.5"]) == 1
 
+    def test_non_finite_matrix_is_input_error(self, tmp_path, capsys):
+        mat = tmp_path / "nan.csv"
+        mat.write_text("X,Y\n1.0,nan\nnan,1.0\n")
+        out = tmp_path / "clean.csv"
+        assert run(["clean", "--matrix", str(mat), "--scheme", "clip",
+                    "--alpha", "0.5", "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         from rmtkit.transforms import ConvergenceError
 

@@ -208,6 +208,69 @@ class TestCorrelationMatrix:
         with pytest.raises(EstimatorError, match="clean it"):
             E.solve(np.ones(3))
 
+    # N = 1 is special-cased (dstevd's wrapper rejects it); with dsyevd's
+    # workspace, dormqr runs unblocked below N = 64, in reduced blocks of
+    # (N^2 + 4N + 1 - 4160) // N reflectors up to 79, and in its optimal
+    # blocks of 32 from 80
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 64, 65, 66, 80, 81, 128, 500])
+    def test_eigenpairs_match_eigh_bitwise(self, n):
+        X = np.random.default_rng(n).standard_normal((2 * n + 3, n))
+        A = X.T @ X / X.shape[0]
+        vals, vecs = np.linalg.eigh(A)
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        j = np.argmax(np.abs(vecs), axis=0)
+        vecs[:, vecs[j, np.arange(n)] < 0] *= -1.0
+        E = CorrelationMatrix(A)
+        assert E.eigenvalues.tobytes() == vals.tobytes()
+        assert E.eigenvectors.tobytes() == vecs.tobytes()
+
+    @pytest.mark.parametrize("clean", [
+        lambda E: E,
+        lambda E: cleaning.clip(E, 0.5),
+        lambda E: cleaning.powerlaw_clean(E, 0.35),  # an unsorted spectrum
+    ])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (50,)])
+    def test_solve_takes_vectors_and_matrices(self, gauss_panel, clean,
+                                              shape):
+        E = clean(pearson(gauss_panel))
+        B = np.random.default_rng(4).standard_normal((E.N, *shape))
+        x = E.solve(B)
+        ref = E.inverse() @ B
+        assert x.shape == B.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_solve_forms_no_eigenvectors(self, gauss_panel):
+        E = pearson(gauss_panel)
+        cleaned = cleaning.clip(E, 0.5)
+        E.solve(np.ones(E.N))
+        cleaned.solve(np.ones(E.N))
+        # one factored basis, shared, and never made dense
+        assert cleaned._tri is E._tri
+        assert "vectors" not in vars(E._tri)
+        assert "_eig" not in vars(E) and "_eig" not in vars(cleaned)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        M = np.eye(3)
+        M[0, 2] = M[2, 0] = bad
+        with pytest.raises(EstimatorError, match="non-finite"):
+            CorrelationMatrix(M)
+        M = np.eye(3)
+        M[1, 1] = bad  # the diagonal too
+        with pytest.raises(EstimatorError, match="non-finite"):
+            CorrelationMatrix(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_handed_non_finite_eigenvalue_raises(self, gauss_panel, bad):
+        E = pearson(gauss_panel)
+        vals = E.eigenvalues.copy()
+        vals[3] = bad
+        with pytest.raises(EstimatorError, match="non-finite"):
+            E.with_spectrum(vals).eigenvalues
+        with pytest.raises(EstimatorError, match="non-finite"):
+            E.with_spectrum(vals).solve(np.ones(E.N))
+
 
 class TestPearson:
     def test_unit_diagonal(self, gauss_panel):

@@ -32,6 +32,16 @@ class TestWeights:
         with pytest.raises(ValueError):
             portfolio.markowitz_weights(true_corr, np.zeros(60))
 
+    def test_clipped_weights_form_no_eigenvectors(self, true_corr):
+        panel = standardize(synth.gaussian_panel(true_corr, 120, seed=2))
+        E = pearson(panel)
+        C = apply_scheme(E, CleaningScheme("clip", 0.5))
+        g = np.linspace(1, 2, 60)
+        w = portfolio.markowitz_weights(C, g).w
+        assert "_eig" not in vars(E) and "_eig" not in vars(C)
+        Cg = C.inverse() @ g
+        assert np.allclose(w, Cg / (g @ Cg), rtol=1e-12, atol=0)
+
 
 class TestRiskTriple:
     def test_perfect_estimate_all_equal(self, true_corr):
@@ -121,10 +131,13 @@ class TestBacktest:
     @pytest.mark.parametrize("kind", ["clip", "powerlaw"])
     def test_cleaned_windows_form_no_matrix(self, panel, kind, monkeypatch):
         # a backtest only solves against each cleaned window, so a window
-        # cleaned from eigenpairs never builds its N x N values
-        cleaned = []
+        # cleaned from eigenpairs never builds its N x N values; the raw
+        # window's eigenvalues and the cleaned window's solve read the
+        # factored basis only, so neither forms its dense eigenvectors
+        raw, cleaned = [], []
 
         def keep(E, scheme):
+            raw.append(E)
             cleaned.append(apply_scheme(E, scheme))
             return cleaned[-1]
 
@@ -133,6 +146,13 @@ class TestBacktest:
                                         window=300, horizon=50, step=100)
         assert len(cleaned) == len(rows) > 2
         assert all(E.__dict__["_values"] is None for E in cleaned)
+        assert not any("_eig" in vars(E) for E in raw + cleaned)
+
+    def test_window_standardization_is_bitwise(self, panel):
+        estimates = portfolio._window_estimates(panel, None, 300, 50, 100)
+        for t, sigma, X, _ in estimates:
+            hist = panel.values[t - 300:t]
+            assert np.array_equal(X, (hist - hist.mean(axis=0)) / sigma)
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "bt.csv"
