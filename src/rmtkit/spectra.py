@@ -22,12 +22,9 @@ __all__ = [
     "EllipticParams",
     "mp_density",
     "mp_edges",
-    "mp_blue",
     "wigner_semicircle",
-    "wigner_blue",
     "ewma_density",
     "ewma_edges",
-    "ewma_blue",
     "dressed_spectrum",
     "powerlaw_prior_density",
     "elliptic_student_density",
@@ -76,26 +73,12 @@ def mp_density(q: float) -> SpectralDensity:
     return SpectralDensity.from_unnormalized(grid, rho, atoms)
 
 
-def mp_blue(q: float):
-    """Closed-form Blue function B(w) = 1/w + 1/(1 - q w)."""
-    def B(w):
-        return 1.0 / w + 1.0 / (1.0 - q * w)
-    return B
-
-
 def wigner_semicircle(sigma: float = 1.0) -> SpectralDensity:
     """Semicircle of variance sigma^2 on [-2 sigma, 2 sigma]."""
     r = 2.0 * sigma
     grid = _edge_grid(-r, r, GRID_POINTS)
     rho = np.sqrt(np.clip(r**2 - grid**2, 0.0, None)) / (2.0 * np.pi * sigma**2)
     return SpectralDensity.from_unnormalized(grid, rho)
-
-
-def wigner_blue(sigma: float = 1.0):
-    """B(w) = sigma^2 w + 1/w (R(w) = sigma^2 w)."""
-    def B(w):
-        return sigma**2 * w + 1.0 / w
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +92,6 @@ def ewma_edges(q: float) -> tuple[float, float]:
         raise ValueError("q must be positive")
     x = -np.exp(-(q + 1.0))
     return float(-lambertw(x, 0).real), float(-lambertw(x, -1).real)
-
-
-def ewma_blue(q: float):
-    """B(w) = 1/w - log(1 - q w)/(q w)."""
-    def B(w):
-        with np.errstate(invalid="ignore"):
-            return 1.0 / w - np.log(1.0 - q * w) / (q * w)
-    return B
 
 
 def ewma_density(q: float) -> SpectralDensity:

@@ -43,6 +43,8 @@ class EdgeScaling:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.N < 1:
+            raise ValueError("N must be positive")
 
     @property
     def width_exponent(self) -> float:
@@ -60,8 +62,8 @@ class EdgeScaling:
 def edge_scaling_mp(q: float, N: int) -> EdgeScaling:
     """Soft-edge scaling of a null sample correlation matrix:
     lambda_+ = (1+sqrt(q))^2, gamma = sqrt(q) lambda_+^(2/3)."""
-    if q <= 0 or N <= 0:
-        raise ValueError("q and N must be positive")
+    if q <= 0:
+        raise ValueError("q must be positive")
     lam_plus = (1.0 + np.sqrt(q)) ** 2
     return EdgeScaling(lam_plus, np.sqrt(q) * lam_plus ** (2.0 / 3.0), N)
 
@@ -99,6 +101,8 @@ def invert_spike_mp(lambda_obs: float, q: float) -> float:
 
     Inverts lambda = Lambda + Lambda*q/(Lambda-1) on the physical branch
     Lambda > 1 + sqrt(q)."""
+    if q <= 0:
+        raise ValueError("q must be positive")
     lam_plus = (1.0 + np.sqrt(q)) ** 2
     if lambda_obs <= lam_plus:
         raise ValueError(

@@ -20,7 +20,6 @@ __all__ = [
     "student_panel",
     "wick_check",
     "make_rng",
-    "spawn_seeds",
 ]
 
 # Recorded in output metadata so runs are reproducible across versions.
@@ -30,11 +29,6 @@ GENERATOR_ID = "numpy-pcg64"
 def make_rng(seed) -> np.random.Generator:
     """Canonical generator for all stochastic routines in this package."""
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed, n: int):
-    """Independent child seeds for parallel replicas."""
-    return np.random.SeedSequence(seed).spawn(n)
 
 
 @dataclass(frozen=True)

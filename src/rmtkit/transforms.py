@@ -1,18 +1,16 @@
 """Numerical free-probability engine.
 
 Resolvent (Stieltjes transform), its functional inverse (Blue function),
-R- and S-transforms, location of spectrum edges from stationary points of the
-Blue function, and free additive/multiplicative convolution by subordination
-(Belinschi & Bercovici, J. Anal. Math. 101, 2007): one fixed point per grid
-point, solved on a coarse subgrid first and then at the other points from
-the coarse fixed points interpolated in lambda, each stage over all its
-points at once, with guarded secant steps, from forward evaluations of the
-Cauchy transform or of psi alone; both come from one real-arithmetic
-quadrature, ``_cauchy``.  One inversion engine,
-``blue``, serves both inverse transforms: S inverts psi through ``blue`` of
-the size-biased law.  ``blue`` solves real and complex w alike by guarded
-Newton steps run through ``_subordinate``; Brent's method remains only in
-``spectrum_edges``.
+R- and S-transforms, and free additive/multiplicative convolution by
+subordination (Belinschi & Bercovici, J. Anal. Math. 101, 2007): one fixed
+point per grid point, solved on a coarse subgrid first and then at the
+other points from the coarse fixed points interpolated in lambda, each
+stage over all its points at once, with guarded secant steps, from forward
+evaluations of the Cauchy transform or of psi alone; both come from one
+real-arithmetic quadrature, ``_cauchy``.  One inversion engine, ``blue``,
+serves both inverse transforms: S inverts psi through ``blue`` of the
+size-biased law.  ``blue`` solves real and complex w alike by guarded
+Newton steps run through ``_subordinate``.
 
 Conventions: densities are evaluated on the line ``z = lambda - i*eps`` with
 small ``eps > 0``; on that line ``Im G > 0`` and ``rho = Im G / pi``.  For
@@ -38,7 +36,6 @@ __all__ = [
     "s_transform",
     "free_add",
     "free_multiply",
-    "spectrum_edges",
 ]
 
 logger = logging.getLogger(__name__)
@@ -276,67 +273,6 @@ def s_transform(density: SpectralDensity, w: complex) -> complex:
         density.grid, density.grid * density.density / mean,
         tuple((loc, loc * m / mean) for loc, m in density.atoms))
     return (1.0 + w) / w / blue(nu, w / mean)
-
-
-# ---------------------------------------------------------------------------
-# Spectrum edges
-
-# Where ``spectrum_edges`` looks for sign changes of B'(w): 600 log-spaced
-# |w| from 1e-4 to 1e3 on each side of w = 0; and the relative step of its
-# central differences.
-EDGE_SCAN = np.concatenate([-np.logspace(-4, 3, 600)[::-1],
-                            np.logspace(-4, 3, 600)])
-EDGE_STEP = 1e-6
-
-
-def spectrum_edges(blue_fn):
-    """Edges (lambda_minus, lambda_plus) = B at real stationary points of B.
-
-    Stationary points are found by scanning B'(w) (central differences, step
-    ``EDGE_STEP`` scaled by 1 + |w|) over ``EDGE_SCAN`` for sign changes and
-    refining with Brent's method.
-    """
-    # imported on first use: scipy.optimize is slow to load, and import
-    # rmtkit never needs it
-    from scipy.optimize import brentq
-
-    def deriv(w):
-        step = EDGE_STEP * (1.0 + abs(w))
-        try:
-            return (_real(blue_fn(w + step)) - _real(blue_fn(w - step))) / (2 * step)
-        except TransformError:
-            return np.nan
-
-    edges = []
-    prev_w, prev_d = None, None
-    for w in EDGE_SCAN:
-        d = deriv(w)
-        if not np.isfinite(d):
-            prev_w, prev_d = None, None
-            continue
-        if prev_d is not None and np.sign(d) != np.sign(prev_d) and prev_d != 0:
-            try:
-                w_star = brentq(deriv, prev_w, w, xtol=1e-14)
-                lam = _real(blue_fn(w_star))
-                if np.isfinite(lam):
-                    edges.append(lam)
-            except (ValueError, TransformError):
-                pass
-        prev_w, prev_d = w, d
-
-    edges = sorted(set(round(e, 9) for e in edges))
-    if len(edges) < 2:
-        raise TransformError(
-            "fewer than two stationary points: one-sided or unbounded "
-            f"support (found {edges})")
-    return edges[0], edges[-1]
-
-
-def _real(z) -> float:
-    z = complex(z)
-    if abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
-        return np.nan
-    return z.real
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -77,14 +78,26 @@ def test_real_r_transform_leaves_optimize_unloaded():
     assert loaded == str("scipy.optimize" in baseline)
 
 
-# spectrum_edges, the one brentq caller, imports scipy.optimize on first use
-def test_brentq_callers_load_optimize_on_first_call():
-    out = _fresh(
-        "import sys\n"
-        "from rmtkit import spectra, transforms\n"
-        "lo, hi = transforms.spectrum_edges(spectra.mp_blue(0.5))\n"
-        "print(lo, hi, 'scipy.optimize' in sys.modules)")
-    lo, hi, loaded = out.split()
-    assert float(lo) == pytest.approx((1.0 - 0.5 ** 0.5) ** 2, abs=1e-6)
-    assert float(hi) == pytest.approx((1.0 + 0.5 ** 0.5) ** 2, abs=1e-6)
-    assert loaded == "True"
+# Every edge rmtkit needs has a closed form, and its one inversion engine,
+# ``blue``, is its own Newton map: no module imports scipy.optimize, not
+# even inside a function.
+def _imports_optimize(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module] + [f"{node.module}.{alias.name}"
+                                 for alias in node.names]
+    else:
+        return False
+    return any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+               for n in names)
+
+
+def test_no_module_imports_optimize():
+    offenders = []
+    for modname in MODULES:
+        path = importlib.import_module(modname).__file__
+        tree = ast.parse(Path(path).read_text(), path)
+        offenders += [f"{modname}:{node.lineno}" for node in ast.walk(tree)
+                      if _imports_optimize(node)]
+    assert not offenders

@@ -24,6 +24,17 @@ class TestEdgeScaling:
         assert e.width_exponent == 0.5
         assert e.scale == pytest.approx(1000 ** -0.5)
 
+    # one rule for both constructors and a direct EdgeScaling: N >= 1
+    @pytest.mark.parametrize("make", [
+        lambda N: spikes.edge_scaling_mp(0.25, N),
+        spikes.edge_scaling_wigner,
+        lambda N: spikes.EdgeScaling(2.0, 1.0, N)],
+        ids=["mp", "wigner", "direct"])
+    @pytest.mark.parametrize("N", [0, -8])
+    def test_rejects_non_positive_N(self, make, N):
+        with pytest.raises(ValueError, match="N must be positive"):
+            make(N)
+
 
 class TestBbpMap:
     def test_detached_location(self):
@@ -50,6 +61,12 @@ class TestBbpMap:
     def test_invert_rejects_bulk(self):
         with pytest.raises(ValueError, match="inside the bulk"):
             spikes.invert_spike_mp(2.0, 0.25)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_invert_rejects_non_positive_q(self, q):
+        # as its inverse bbp_map_mp does
+        with pytest.raises(ValueError, match="q must be positive"):
+            spikes.invert_spike_mp(3.0, q)
 
     def test_matches_simulation(self):
         # sample top eigenvalue concentrates on the mapped location

@@ -18,11 +18,6 @@ class TestSeeding:
         b = synth.gaussian_panel(C, 20, seed=2)
         assert not np.array_equal(a.values, b.values)
 
-    def test_spawned_seeds_independent(self):
-        seeds = synth.spawn_seeds(0, 3)
-        draws = [synth.make_rng(s).standard_normal(5) for s in seeds]
-        assert not np.allclose(draws[0], draws[1])
-
 
 class TestHaarRotation:
     def test_orthogonal(self):

@@ -366,6 +366,19 @@ class TestBlue:
         with pytest.raises(ConvergenceError, match=r"G\(edge-\)"):
             transforms.blue(semicircle, -1.5)
 
+    @pytest.mark.parametrize("q", [0.25, 0.5])
+    def test_mp_folds_at_its_edges(self, q):
+        # the edges are B at its stationary points w = G(edge), which for
+        # MP(q) are (edge + q - 1)/(2 q edge): just inside one, B(w) is at
+        # the edge; just beyond it, w has no preimage
+        d = spectra.mp_density(q)
+        for edge in spectra.mp_edges(q):
+            w = (edge + q - 1) / (2 * q * edge)
+            assert transforms.blue(d, 0.99 * w).real == pytest.approx(
+                edge, rel=1e-4)
+            with pytest.raises(ConvergenceError):
+                transforms.blue(d, 1.001 * w)
+
     @pytest.mark.parametrize("w", [1 + 1j, 2 - 1j])
     def test_no_preimage_off_axis_raises(self, semicircle, w):
         # |G| <= 1 for the unit semicircle; the quadrature sum still has
@@ -382,31 +395,6 @@ class TestBlue:
         for w in [0.1, 0.3, -0.2]:
             r = transforms.r_transform(semicircle, w)
             assert complex(r).real == pytest.approx(w, abs=5e-3)
-
-
-class TestSpectrumEdges:
-    def test_mp_edges_analytic(self):
-        lo, hi = transforms.spectrum_edges(spectra.mp_blue(0.25))
-        assert lo == pytest.approx(0.25, abs=1e-6)
-        assert hi == pytest.approx(2.25, abs=1e-6)
-
-    def test_wigner_edges_analytic(self):
-        lo, hi = transforms.spectrum_edges(spectra.wigner_blue(1.0))
-        assert lo == pytest.approx(-2.0, abs=1e-6)
-        assert hi == pytest.approx(2.0, abs=1e-6)
-
-    def test_ewma_edges_match_root_condition(self):
-        lo, hi = transforms.spectrum_edges(spectra.ewma_blue(0.5))
-        for lam in (lo, hi):
-            assert lam - np.log(lam) - 1.5 == pytest.approx(0.0, abs=1e-7)
-
-    def test_one_sided_raises(self):
-        # B(w) = 1/w + exp(w) has a single reachable stationary point in the
-        # scan window on the positive side only when restricted
-        def B(w):
-            return 1.0 / w + 1.0  # atom: no stationary points at all
-        with pytest.raises(TransformError):
-            transforms.spectrum_edges(B)
 
 
 class TestSTransform:
