@@ -24,6 +24,11 @@ __all__ = [
 SCHEME_KINDS = ("clip", "powerlaw", "shrink", "ledoit")
 
 EIGENVALUE_FLOOR = 1e-8
+# (1-alpha)N within this of an integer is that integer: binary rounding of a
+# decimal alpha leaves the product off by up to about N * 2^-52 ((1 - 0.45)
+# * 100 reads 55.00000000000001), which ceil would round up to one
+# eigenvalue too many; the tolerance holds for N below 4e6
+COUNT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,15 @@ def clip(E: CorrelationMatrix, alpha: float,
     """Eigenvalue clipping: keep the (1-alpha)N largest eigenvalues, replace
     the rest by a common value chosen to preserve the trace.
 
-    A fractional (1-alpha)N keeps ceil((1-alpha)N) eigenvalues.  The
+    A fractional (1-alpha)N keeps ceil((1-alpha)N) eigenvalues, with the
+    product read as exact for a decimal alpha (``COUNT_TOL``).  The
     reconstructed matrix has a non-unit diagonal unless
     ``renormalize_diagonal`` is set.
     """
     _check_alpha(alpha)
     vals = E.eigenvalues
     N = E.N
-    n_keep = int(np.ceil((1.0 - alpha) * N))
+    n_keep = int(np.ceil((1.0 - alpha) * N - COUNT_TOL))
     new_vals = vals.copy()
     if n_keep < N:
         kept = vals[:n_keep].sum()

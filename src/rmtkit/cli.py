@@ -231,10 +231,12 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_svd(args) -> int:
-    X = fileio.read_panel_csv(args.x)
-    Y = fileio.read_panel_csv(args.y)
-    Xh = crosscorr.normalize_principal_components(standardize(X))
-    Yh = crosscorr.normalize_principal_components(standardize(Y))
+    # one panel at a time, and no name on a raw or standardized panel: each
+    # is freed once the next stage has it, so no more than two copies of
+    # the larger panel are alive at once
+    whiten = crosscorr.normalize_principal_components
+    Xh = whiten(standardize(fileio.read_panel_csv(args.x)))
+    Yh = whiten(standardize(fileio.read_panel_csv(args.y)))
     result = crosscorr.cross_singulars(Xh, Yh)
     lo, hi = result.null_band
     sv = result.singular_values

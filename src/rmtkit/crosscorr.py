@@ -43,6 +43,11 @@ def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
     Null directions of the sample correlation matrix (eigenvalue below
     ``RANK_TOL`` times the top one) are dropped with a warning, so the output
     can have fewer columns than the input.
+
+    Memory: on a standardized input, at most one T x N array besides the
+    input is alive at a time; the components are divided by sqrt(lambda) in
+    place.  A caller that keeps no other name on the input frees it when
+    this returns.
     """
     if not panel.is_standardized(tol=1e-6):
         panel = standardize(panel)
@@ -58,7 +63,8 @@ def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
             f"dropping {int((~keep).sum())} null principal directions",
             stacklevel=2)
     vals, vecs = vals[keep], vecs[:, keep]
-    comps = X @ vecs / np.sqrt(vals)
+    comps = X @ vecs
+    comps /= np.sqrt(vals)
     return ReturnPanel(comps, time_ids=panel.time_ids)
 
 

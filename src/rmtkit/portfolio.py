@@ -96,6 +96,10 @@ def _window_estimates(panel: ReturnPanel, scheme: CleaningScheme | None,
     """Checks the arguments, then yields (t, sigma, X, E) at each rebalance
     date t: the trailing ``window`` days X standardized by their volatility
     sigma, and their correlation matrix E cleaned with ``scheme``."""
+    if window < 2:
+        raise ValueError("window must be at least 2 days")
+    if horizon < 1:
+        raise ValueError("horizon must be a positive number of days")
     if panel.T < window + horizon + 1:
         raise EstimatorError(
             f"insufficient history: need {window + horizon + 1} days, "

@@ -118,15 +118,19 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
 
     The unconditional correlation is (mu/(mu-2)) C_hat; the returned panel is
     column-standardized by default.
+
+    Memory: the Gaussian draw and its product with C_hat^{1/2} are alive
+    together for one matrix product; the volatility scaling is then done in
+    place, and ``standardize`` copies the only unstandardized panel left.
     """
     if mu <= 2:
         raise ValueError("mu must exceed 2 for a finite variance")
     if T < 2:
         raise ValueError("T must be at least 2")
     rng = make_rng(seed)
-    xi = rng.standard_normal((T, C_hat.N)) @ C_hat.sqrt()
+    r = rng.standard_normal((T, C_hat.N)) @ C_hat.sqrt()
     s = rng.chisquare(mu, size=T)
-    r = np.sqrt(mu / s)[:, None] * xi
+    r *= np.sqrt(mu / s)[:, None]
     panel = ReturnPanel(r)
     return standardize(panel) if standardized else panel
 

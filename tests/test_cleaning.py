@@ -3,7 +3,8 @@ import pytest
 
 from rmtkit import cleaning, synth
 from rmtkit.cleaning import CleaningScheme
-from rmtkit.estimators import ReturnPanel, pearson, standardize
+from rmtkit.estimators import (CorrelationMatrix, ReturnPanel, pearson,
+                               standardize)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,18 @@ class TestClip:
         assert n_keep == int(np.ceil(0.4 * 100))
         bulk = out.eigenvalues[n_keep:]
         assert np.ptp(bulk) < 1e-10
+
+    def test_kept_count_exact_for_decimal_alpha(self):
+        # ceil((1 - k/100) N) = N - floor(kN/100) in integers; the float
+        # product (1 - 0.45) * 100 reads 55.00000000000001
+        wrong = []
+        for N in (10, 40, 100, 200, 500, 1000):
+            E = CorrelationMatrix(np.eye(N))
+            for k in range(1, 100):
+                kept = cleaning.clip(E, k / 100).metadata["kept"]
+                if kept != N - k * N // 100:
+                    wrong.append((N, k / 100, kept))
+        assert not wrong
 
     def test_keeps_top_eigenvalues(self, noisy_estimate):
         out = cleaning.clip(noisy_estimate, 0.6)

@@ -87,6 +87,17 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "0"), ("--horizon", "-5"), ("--window", "0")])
+    def test_unworkable_backtest_is_input_error(self, panel_path, tmp_path,
+                                                capsys, flag, value):
+        out = tmp_path / "bt.csv"
+        assert run(["backtest", "--panel", str(panel_path), "--window",
+                    "200", "--horizon", "50", flag, value,
+                    "--out", str(out)]) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         from rmtkit.transforms import ConvergenceError
 

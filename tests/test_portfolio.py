@@ -115,6 +115,19 @@ class TestBacktest:
                 portfolio.backtest(panel, None, window=300, horizon=50,
                                    step=step)
 
+    # a zero horizon averaged an empty slice into a NaN risk, a negative one
+    # indexed past the panel, a zero window standardized empty windows and a
+    # one-day window read as a constant column
+    @pytest.mark.parametrize("run", [portfolio.backtest,
+                                     portfolio.residual_test])
+    @pytest.mark.parametrize("window, horizon, match", [
+        (300, 0, "horizon must"), (300, -5, "horizon must"),
+        (0, 50, "window must"), (1, 50, "window must")])
+    def test_unworkable_window_or_horizon(self, panel, run, window, horizon,
+                                          match):
+        with pytest.raises(ValueError, match=match):
+            run(panel, None, window=window, horizon=horizon, step=100)
+
     def test_random_predictor_requires_seed(self, panel):
         with pytest.raises(ValueError, match="seed"):
             portfolio.backtest(panel, None, window=300, horizon=50,
