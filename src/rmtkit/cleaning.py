@@ -1,6 +1,7 @@
 """The four correlation-matrix cleaning schemes: eigenvalue clipping,
 power-law eigenvalue replacement, and shrinkage towards the identity or the
-constant-correlation target."""
+constant-correlation target.  Each keeps the input's metadata (its asset ids
+among them) and adds its own keys."""
 
 from __future__ import annotations
 
@@ -64,8 +65,8 @@ def clip(E: CorrelationMatrix, alpha: float,
     if n_keep < N:
         kept = vals[:n_keep].sum()
         new_vals[n_keep:] = (N - kept) / (N - n_keep)
-    out = E.with_spectrum(new_vals, {"scheme": "clip", "alpha": alpha,
-                                     "kept": n_keep})
+    out = E.with_spectrum(new_vals, {**E.metadata, "scheme": "clip",
+                                     "alpha": alpha, "kept": n_keep})
     if renormalize_diagonal:
         d = np.sqrt(np.clip(np.diag(out.values), 1e-12, None))
         out = CorrelationMatrix(out.values / np.outer(d, d), out.metadata)
@@ -87,15 +88,17 @@ def powerlaw_clean(E: CorrelationMatrix, alpha: float,
     new_vals = E.eigenvalues.copy()
     k = np.arange(2, N + 1)
     new_vals[1:] = np.clip(prior.eigenvalue_ladder(N, k), EIGENVALUE_FLOOR, None)
-    return E.with_spectrum(new_vals, {"scheme": "powerlaw", "alpha": alpha,
-                                      "mu": mu, "trace": float(new_vals.sum())})
+    return E.with_spectrum(new_vals, {**E.metadata, "scheme": "powerlaw",
+                                      "alpha": alpha, "mu": mu,
+                                      "trace": float(new_vals.sum())})
 
 
 def shrink_identity(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     """Linear shrinkage (1-alpha) E + alpha I."""
     _check_alpha(alpha)
     out = (1.0 - alpha) * E.values + alpha * np.eye(E.N)
-    return CorrelationMatrix(out, {"scheme": "shrink", "alpha": alpha})
+    return CorrelationMatrix(out, {**E.metadata, "scheme": "shrink",
+                                   "alpha": alpha})
 
 
 def shrink_const_corr(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
@@ -108,8 +111,8 @@ def shrink_const_corr(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     target = np.full((N, N), rho_bar)
     np.fill_diagonal(target, 1.0)
     out = (1.0 - alpha) * E.values + alpha * target
-    return CorrelationMatrix(out, {"scheme": "ledoit", "alpha": alpha,
-                                   "rho_bar": float(rho_bar)})
+    return CorrelationMatrix(out, {**E.metadata, "scheme": "ledoit",
+                                   "alpha": alpha, "rho_bar": float(rho_bar)})
 
 
 def apply_scheme(E: CorrelationMatrix, scheme: CleaningScheme) -> CorrelationMatrix:

@@ -198,9 +198,8 @@ def _require_matrix(args):
 def _cmd_clean(args) -> int:
     E = _require_matrix(args)
     scheme = CleaningScheme(args.scheme, args.alpha, args.mu)
-    cleaned = apply_scheme(E, scheme)
     fileio.write_matrix_csv(
-        args.out, cleaned, asset_ids=E.metadata["asset_ids"],
+        args.out, apply_scheme(E, scheme),
         header_lines=fileio.metadata_header(
             "clean", {"scheme": args.scheme, "alpha": args.alpha,
                       "mu": args.mu}))

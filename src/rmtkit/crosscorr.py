@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorError, ReturnPanel, standardize
+from .estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
+                         standardize)
 from .spectra import rsvd_band
-from .synth import make_rng
 
 __all__ = [
     "CrossCorrelationResult",
@@ -40,9 +40,11 @@ def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
     """Rotate a standardized panel onto its exactly whitened principal
     components: unit sample variance, zero mutual sample correlation.
 
-    Null directions of the sample correlation matrix (eigenvalue below
-    ``RANK_TOL`` times the top one) are dropped with a warning, so the output
-    can have fewer columns than the input.
+    The components follow the eigenvectors of ``CorrelationMatrix(X^T X /
+    T)``: its descending order and its sign rule (largest-magnitude
+    component positive).  Null directions (eigenvalue below ``RANK_TOL``
+    times the top one) are dropped with a warning, so the output can have
+    fewer columns than the input.
 
     Memory: on a standardized input, at most one T x N array besides the
     input is alive at a time; the components are divided by sqrt(lambda) in
@@ -52,11 +54,8 @@ def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
     if not panel.is_standardized(tol=1e-6):
         panel = standardize(panel)
     X = panel.values
-    T = panel.T
-    E = X.T @ X / T
-    vals, vecs = np.linalg.eigh(E)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
+    E = CorrelationMatrix(X.T @ X / panel.T)
+    vals, vecs = E.eigenvalues, E.eigenvectors
     keep = vals > RANK_TOL * max(vals[0], 1e-30)
     if not np.all(keep):
         warnings.warn(
@@ -99,7 +98,7 @@ def planted_factor_panels(N: int, M: int, T: int, strength: float, seed):
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must lie in [0, 1]")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     X = rng.standard_normal((T, N))
     loadings = rng.standard_normal(N)
     loadings /= np.linalg.norm(loadings)

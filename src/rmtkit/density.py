@@ -98,11 +98,13 @@ class SpectralDensity:
         return cls(grid, density, atoms)
 
     @classmethod
-    def from_samples(cls, values, nbins: int = 100, span=None) -> "SpectralDensity":
-        """Histogram estimate of a density from eigenvalue samples."""
+    def from_samples(cls, values, nbins: int = 100) -> "SpectralDensity":
+        """Histogram estimate of a density from eigenvalue samples, binned
+        over their range."""
         values = np.asarray(values, dtype=float).ravel()
-        lo, hi = span if span is not None else (values.min(), values.max())
-        hist, edges = np.histogram(values, bins=nbins, range=(lo, hi), density=True)
+        hist, edges = np.histogram(values, bins=nbins,
+                                   range=(values.min(), values.max()),
+                                   density=True)
         mid = 0.5 * (edges[:-1] + edges[1:])
         return cls.from_unnormalized(mid, hist)
 

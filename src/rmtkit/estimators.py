@@ -233,17 +233,6 @@ class CorrelationMatrix:
     def eigenvectors(self) -> np.ndarray:
         return self._eig[1]
 
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalues in descending order, without the eigenvectors.
-
-        A matrix built by ``with_spectrum`` returns ``eigenvalues``; any
-        other takes them from ``eigvalsh``, about 1.5 times faster than
-        ``eigenvalues`` (``dsytrd`` + ``dstevd``) at N = 500, and caches
-        nothing.  They may differ from ``eigenvalues`` by rounding."""
-        if self._held is not None:
-            return self.eigenvalues
-        return _require_psd(np.linalg.eigvalsh(self.values)[::-1])
-
     def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
         """The matrix with this one's eigenvectors and new eigenvalues.
 
@@ -460,8 +449,8 @@ def dual_spectrum_check(panel: ReturnPanel):
     T, N = R.shape
     E = R.T @ R / T
     Edual = R @ R.T / N  # T x T dual, eigenvalues (T/N) * lambda
-    eigs_n = np.sort(np.linalg.eigvalsh(E))[::-1]
-    eigs_t = np.sort(np.linalg.eigvalsh(Edual))[::-1] * (N / T)
+    eigs_n = np.linalg.eigvalsh(E)[::-1]  # eigvalsh returns them ascending
+    eigs_t = np.linalg.eigvalsh(Edual)[::-1] * (N / T)
     k = min(N, T)
     a, b = eigs_n[:k], eigs_t[:k]
     scale = max(a[0], 1e-30)

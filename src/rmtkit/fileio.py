@@ -186,9 +186,8 @@ def read_matrix_csv(path) -> CorrelationMatrix:
     return CorrelationMatrix(values, {"asset_ids": assets})
 
 
-def write_matrix_csv(path, M: CorrelationMatrix, asset_ids=None,
-                     header_lines=()) -> None:
-    assets = tuple(asset_ids or M.metadata.get("asset_ids")
+def write_matrix_csv(path, M: CorrelationMatrix, header_lines=()) -> None:
+    assets = tuple(M.metadata.get("asset_ids")
                    or (f"A{i:04d}" for i in range(M.N)))
     write_table(path, assets, [M.values], header_lines)
 

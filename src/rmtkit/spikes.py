@@ -186,13 +186,12 @@ def detect_spikes(E: CorrelationMatrix, q: float,
 
     The overlap estimate reuses the Wigner formula (no closed form is
     implemented for correlation spikes) and is labelled a heuristic.  Only
-    eigenvalues are read, so ``E.spectrum()`` takes them without the
-    eigenvectors.
+    eigenvalues are read, so E never forms its dense eigenvectors.
     """
     edge = edge_scaling_mp(q, E.N)
     threshold = edge.threshold(u_threshold)
     outliers = []
-    for rank, lam in enumerate(E.spectrum(), start=1):
+    for rank, lam in enumerate(E.eigenvalues, start=1):
         if lam <= threshold:
             break
         implied = invert_spike_mp(float(lam), q)

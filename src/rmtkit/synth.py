@@ -19,16 +19,12 @@ __all__ = [
     "gaussian_panel",
     "student_panel",
     "wick_check",
-    "make_rng",
 ]
 
 # Recorded in output metadata so runs are reproducible across versions.
 GENERATOR_ID = "numpy-pcg64"
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Canonical generator for all stochastic routines in this package."""
-    return np.random.default_rng(seed)
+# wick_check samples this many index quadruples, drawn from seed 0
+WICK_QUADRUPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,8 @@ class TrueCorrelationSpec:
 
     kinds: ``identity``; ``single_spike`` (unit diagonal, rho_bar
     off-diagonal); ``multi_spike`` (given top eigenvalues, bulk adjusted to
-    keep Tr C = N); ``powerlaw`` (ladder eigenvalues conjugated by a Haar
+    keep Tr C = N); ``powerlaw`` (the ladder eigenvalues of
+    ``PowerLawPrior(alpha)``, tail exponent 2, conjugated by a Haar
     rotation).
     """
 
@@ -46,7 +43,6 @@ class TrueCorrelationSpec:
     rho_bar: float = 0.0
     spikes: tuple = ()
     alpha: float = 0.5
-    mu: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("identity", "single_spike", "multi_spike",
@@ -71,7 +67,7 @@ def haar_rotation(N: int, seed) -> np.ndarray:
     the R-diagonal sign fix."""
     if N < 1:
         raise ValueError("N must be positive")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, N))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))
@@ -94,19 +90,19 @@ def build_true_correlation(spec: TrueCorrelationSpec, seed=None) -> CorrelationM
         C = (O * vals) @ O.T
         return CorrelationMatrix(C, {**meta, "spikes": spec.spikes})
     # powerlaw
-    prior = PowerLawPrior(spec.alpha, spec.mu)
+    prior = PowerLawPrior(spec.alpha)
     vals = prior.eigenvalue_ladder(N, np.arange(1, N + 1))
     vals = np.clip(vals, 1e-8, None)
     O = haar_rotation(N, seed)
     C = (O * vals) @ O.T
-    return CorrelationMatrix(C, {**meta, "alpha": spec.alpha, "mu": spec.mu})
+    return CorrelationMatrix(C, {**meta, "alpha": spec.alpha})
 
 
 def gaussian_panel(C: CorrelationMatrix, T: int, seed) -> ReturnPanel:
     """T IID Gaussian rows with covariance C, built as X C^{1/2}."""
-    if T < 1:
-        raise ValueError("T must be positive")
-    rng = make_rng(seed)
+    if T < 2:
+        raise ValueError("T must be at least 2")
+    rng = np.random.default_rng(seed)
     X = rng.standard_normal((T, C.N))
     return ReturnPanel(X @ C.sqrt())
 
@@ -127,7 +123,7 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
         raise ValueError("mu must exceed 2 for a finite variance")
     if T < 2:
         raise ValueError("T must be at least 2")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     r = rng.standard_normal((T, C_hat.N)) @ C_hat.sqrt()
     s = rng.chisquare(mu, size=T)
     r *= np.sqrt(mu / s)[:, None]
@@ -135,10 +131,10 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
     return standardize(panel) if standardized else panel
 
 
-def wick_check(panel: ReturnPanel, mu: float, n_quadruples: int = 2000,
-               seed=0) -> float:
+def wick_check(panel: ReturnPanel, mu: float) -> float:
     """Max absolute deviation of sampled fourth moments from the elliptic
-    Wick prediction ((mu-2)/(mu-4)) [C_ij C_kl + C_ik C_jl + C_il C_jk].
+    Wick prediction ((mu-2)/(mu-4)) [C_ij C_kl + C_ik C_jl + C_il C_jk],
+    over ``WICK_QUADRUPLES`` random index quadruples (i, j, k, l).
 
     ``mu=inf`` checks the plain Gaussian Wick relation (prefactor 1).
     """
@@ -149,8 +145,7 @@ def wick_check(panel: ReturnPanel, mu: float, n_quadruples: int = 2000,
     C = R.T @ R / T
     Rt = np.ascontiguousarray(R.T)  # asset rows: contiguous reads below
     prefactor = 1.0 if np.isinf(mu) else (mu - 2.0) / (mu - 4.0)
-    rng = make_rng(seed)
-    idx = rng.integers(0, N, size=(n_quadruples, 4))
+    idx = np.random.default_rng(0).integers(0, N, size=(WICK_QUADRUPLES, 4))
     worst = 0.0
     for i, j, k, l in idx:
         emp = float(np.mean(Rt[i] * Rt[j] * Rt[k] * Rt[l]))

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from rmtkit import cleaning, synth
+from rmtkit import cleaning, fileio, synth
 from rmtkit.cleaning import CleaningScheme
 from rmtkit.estimators import (CorrelationMatrix, ReturnPanel, pearson,
                                standardize)
@@ -99,6 +101,19 @@ class TestShrinkage:
         off = out.values[~np.eye(100, dtype=bool)]
         assert np.allclose(off, rho, atol=1e-12)
         assert np.allclose(np.diag(out.values), 1.0)
+
+
+@pytest.mark.parametrize("kind", cleaning.SCHEME_KINDS)
+def test_written_header_is_the_input_tickers(kind, tmp_path):
+    tickers = ("AAPL", "MSFT", "XOM", "JPM", "KO", "PG")
+    rng = np.random.default_rng(9)
+    E = pearson(standardize(ReturnPanel(rng.standard_normal((80, 6)),
+                                        tickers)))
+    out = cleaning.apply_scheme(E, CleaningScheme(kind, 0.5))
+    path = tmp_path / "clean.csv"
+    fileio.write_matrix_csv(path, out)
+    with open(path, newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == tickers
 
 
 class TestApplyScheme:

@@ -98,6 +98,15 @@ class TestExitCodes:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_row_simulate_is_input_error(self, tmp_path, capsys):
+        # every panel command needs two rows; a Gaussian panel of one row
+        # is refused up front, as the Student one (--mu) is
+        out = tmp_path / "p.csv"
+        assert run(["simulate", "--N", "10", "--T", "1", "--seed", "1",
+                    "--out", str(out)]) == 1
+        assert "T must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         from rmtkit.transforms import ConvergenceError
 
@@ -234,7 +243,7 @@ def test_clean_keeps_asset_ids(kind, scheme, tmp_path):
     if kind == "panel":
         fileio.write_panel_csv(path, panel)
     else:
-        fileio.write_matrix_csv(path, pearson(standardize(panel)), TICKERS)
+        fileio.write_matrix_csv(path, pearson(standardize(panel)))
     out = tmp_path / "clean.csv"
     assert run(["clean", f"--{kind}", str(path), "--scheme", scheme,
                 "--out", str(out)]) == 0

@@ -13,6 +13,29 @@ class TestWhitening:
         E = white.values.T @ white.values / white.T
         assert np.allclose(E, np.eye(white.N), atol=1e-10)
 
+    def test_raw_panel_is_standardized_first(self):
+        rng = np.random.default_rng(7)
+        T, N = 400, 20
+        raw = 5.0 + rng.standard_normal((T, N)) @ rng.uniform(0, 2, (N, N))
+        white = crosscorr.normalize_principal_components(ReturnPanel(raw))
+        # reference: sqrt(T) times the left singular vectors of the
+        # standardized panel, by SVD, up to each column's sign
+        U = np.linalg.svd((raw - raw.mean(axis=0)) / raw.std(axis=0),
+                          full_matrices=False)[0]
+        ref = np.sqrt(T) * U
+        ref *= np.sign(np.sum(white.values * ref, axis=0))
+        assert np.max(np.abs(white.values - ref)) <= 1e-9
+
+    def test_component_signs_follow_the_sign_rule(self):
+        rng = np.random.default_rng(8)
+        panel = standardize(ReturnPanel(rng.standard_normal((300, 40))))
+        white = crosscorr.normalize_principal_components(panel)
+        # column k of X^T C / T is sqrt(lambda_k) v_k, so its largest-
+        # magnitude entry carries v_k's sign, which the rule makes positive
+        loadings = panel.values.T @ white.values / panel.T
+        top = np.argmax(np.abs(loadings), axis=0)
+        assert np.all(loadings[top, np.arange(white.N)] > 0)
+
     def test_rank_deficit_dropped_with_warning(self):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((200, 30))

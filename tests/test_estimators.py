@@ -183,15 +183,29 @@ class TestCorrelationMatrix:
 
     def test_spectrum_skips_the_eigenvectors(self, gauss_panel):
         E = pearson(gauss_panel)
-        vals = E.spectrum()
+        vals = E.eigenvalues
         assert "_eig" not in E.__dict__
+        assert "vectors" not in E._tri.__dict__  # no dense Q Z formed
         assert np.all(np.diff(vals) <= 0)
-        assert np.allclose(vals, E.eigenvalues, rtol=0, atol=1e-13)
-        held = E.with_spectrum(E.eigenvalues)
-        assert np.array_equal(held.spectrum(), E.eigenvalues)
         M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(EstimatorError, match="PSD"):
-            CorrelationMatrix(M).spectrum()
+            CorrelationMatrix(M).eigenvalues
+
+    def test_values_on_a_resorted_parent_match_dense_rebuild(self,
+                                                             gauss_panel):
+        E = pearson(gauss_panel)
+        # the ladder re-sorts the parent's columns, so clip's child reads
+        # its vectors through a column permutation
+        mid = cleaning.powerlaw_clean(E, 0.35)
+        out = cleaning.clip(mid, 0.5)
+        assert out._cols is not None
+        # reference: clip by hand on eigh's pairs of the dense middle matrix
+        vals, vecs = np.linalg.eigh(mid.values)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        k = out.metadata["kept"]
+        vals[k:] = (E.N - vals[:k].sum()) / (E.N - k)
+        ref = (vecs * vals) @ vecs.T
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_solve_matches_inverse(self, gauss_panel):
         E = pearson(gauss_panel)

@@ -101,3 +101,52 @@ def test_no_module_imports_optimize():
         offenders += [f"{modname}:{node.lineno}" for node in ast.walk(tree)
                       if _imports_optimize(node)]
     assert not offenders
+
+
+# A correlation matrix is decomposed one way, by CorrelationMatrix in
+# estimators; the tracker (kernels) runs its own small dense solves.  No
+# other module calls a LAPACK eigensolver, under any import alias.
+EIGENSOLVERS = {f"{lib}.{name}" for lib in ("numpy.linalg", "scipy.linalg")
+                for name in ("eigh", "eigvalsh", "eig", "eigvals")}
+
+
+def _bindings(tree):
+    """Each imported name and the dotted path it stands for."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    out[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    out[root] = root
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                out[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return out
+
+
+def _dotted(node, bindings):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(bindings.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+def test_only_estimators_and_kernels_call_an_eigensolver():
+    offenders = []
+    for modname in MODULES:
+        if modname in ("rmtkit.estimators", "rmtkit.kernels"):
+            continue
+        path = importlib.import_module(modname).__file__
+        tree = ast.parse(Path(path).read_text(), path)
+        bindings = _bindings(tree)
+        offenders += [f"{modname}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.Attribute, ast.Name))
+                      and _dotted(node, bindings) in EIGENSOLVERS]
+    assert not offenders

@@ -50,6 +50,16 @@ class TestRiskTriple:
         assert r.in_sample == pytest.approx(r.true_risk)
         assert r.out_of_sample == pytest.approx(r.true_risk)
 
+    def test_unknown_population_gives_in_sample_risk_only(self, true_corr):
+        panel = standardize(synth.gaussian_panel(true_corr, 120, seed=4))
+        E = pearson(panel)
+        g = np.random.default_rng(4).standard_normal(60)
+        r = portfolio.risk_triple(E, None, g, G=2.0)
+        ref = 2.0 / np.sqrt(g @ np.linalg.solve(E.values, g))
+        assert r.in_sample == pytest.approx(ref, rel=1e-12)
+        assert np.isnan(r.out_of_sample)
+        assert r.true_risk is None
+
     def test_ordering_in_lt_true_lt_out(self, true_corr):
         rng = np.random.default_rng(1)
         panel = standardize(synth.gaussian_panel(true_corr, 120, seed=1))

@@ -296,6 +296,23 @@ class TestRsvdBenchmark:
         assert d.atom_mass() == pytest.approx(1.0 - min(n, m), abs=1e-6)
         assert d.continuous_mass() == pytest.approx(min(n, m), abs=1e-6)
 
+    def test_unit_atom_counts_shared_directions(self):
+        # two demeaned panels span N and M directions of the T - 1 left
+        # orthogonal to the constant, so they share N + M - T + 1: each is
+        # a unit singular value of the whitened cross matrix (the cosine of
+        # a zero principal angle).  The atom at 1 carries (N + M - T) / T,
+        # one direction fewer: the demeaning's.
+        rng = np.random.default_rng(12)
+        T, N, M = 200, 130, 110
+        X, Y = rng.standard_normal((T, N)), rng.standard_normal((T, M))
+        qx = np.linalg.qr(X - X.mean(axis=0))[0]
+        qy = np.linalg.qr(Y - Y.mean(axis=0))[0]
+        cosines = np.linalg.svd(qy.T @ qx, compute_uv=False)
+        shared = int(np.sum(cosines > 1.0 - 1e-10))
+        assert shared == N + M - T + 1
+        atoms = dict(spectra.rsvd_benchmark(N / T, M / T).atoms)
+        assert atoms[1.0] * T == pytest.approx(shared - 1, rel=1e-12)
+
     def test_matches_sampled_singular_values(self):
         rng = np.random.default_rng(11)
         T, N, M = 2000, 250, 170

@@ -116,7 +116,7 @@ class TestDetector:
             seed=3)
         E = pearson(standardize(synth.gaussian_panel(C, T, seed=4)))
         ours = spikes.detect_spikes(E, N / T).to_text()
-        assert "_eig" not in E.__dict__  # eigvalsh only, no eigh
+        assert "_eig" not in E.__dict__  # eigenvalues only, no eigenvectors
         # a matrix held as eigenpairs reports eigh's eigenvalues
         held = E.with_spectrum(E.eigenvalues)
         assert spikes.detect_spikes(held, N / T).to_text() == ours

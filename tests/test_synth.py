@@ -74,6 +74,12 @@ class TestPanels:
         emp = panel.values.T @ panel.values / panel.T
         assert np.max(np.abs(emp - C.values)) < 0.05
 
+    def test_gaussian_panel_needs_two_rows(self):
+        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
+        with pytest.raises(ValueError, match="at least 2"):
+            synth.gaussian_panel(C, 1, seed=0)
+        assert synth.gaussian_panel(C, 2, seed=0).T == 2
+
     def test_student_panel_standardized(self):
         C = synth.build_true_correlation(TrueCorrelationSpec("identity", 20))
         panel = synth.student_panel(C, 5.0, 500, seed=4)

@@ -454,6 +454,16 @@ class TestFreeAdd:
         assert lo == pytest.approx(ref_lo + 2.0, abs=1e-5)
         assert hi == pytest.approx(ref_hi + 2.0, abs=1e-5)
 
+    def test_point_mass_first_shifts_the_second(self, mp025):
+        # R of a point mass at c is the constant c: delta_c + MP(1/4) is
+        # MP(1/4) moved right by c, whose density is closed-form
+        out = transforms.free_add(SpectralDensity.atom(2.0), mp025)
+        assert out.atoms == ()
+        x = out.grid - 2.0
+        inner = np.clip((2.25 - x) * (x - 0.25), 0.0, None)
+        ref = np.sqrt(inner) / (2.0 * np.pi * 0.25 * x)
+        assert np.max(np.abs(out.density - ref)) <= 1e-6 * ref.max()
+
     def test_mean_additivity(self, mp025, semicircle):
         out = transforms.free_add(mp025, semicircle)
         assert out.mean() == pytest.approx(mp025.mean() + semicircle.mean(),
