@@ -47,15 +47,13 @@ class CleaningScheme:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def clip(E: CorrelationMatrix, alpha: float,
-         renormalize_diagonal: bool = False) -> CorrelationMatrix:
+def clip(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     """Eigenvalue clipping: keep the (1-alpha)N largest eigenvalues, replace
     the rest by a common value chosen to preserve the trace.
 
     A fractional (1-alpha)N keeps ceil((1-alpha)N) eigenvalues, with the
-    product read as exact for a decimal alpha (``COUNT_TOL``).  The
-    reconstructed matrix has a non-unit diagonal unless
-    ``renormalize_diagonal`` is set.
+    product read as exact for a decimal alpha (``COUNT_TOL``).  The trace
+    is kept; the diagonal is not rescaled to 1.
     """
     _check_alpha(alpha)
     vals = E.eigenvalues
@@ -65,12 +63,8 @@ def clip(E: CorrelationMatrix, alpha: float,
     if n_keep < N:
         kept = vals[:n_keep].sum()
         new_vals[n_keep:] = (N - kept) / (N - n_keep)
-    out = E.with_spectrum(new_vals, {**E.metadata, "scheme": "clip",
-                                     "alpha": alpha, "kept": n_keep})
-    if renormalize_diagonal:
-        d = np.sqrt(np.clip(np.diag(out.values), 1e-12, None))
-        out = CorrelationMatrix(out.values / np.outer(d, d), out.metadata)
-    return out
+    return E.with_spectrum(new_vals, {**E.metadata, "scheme": "clip",
+                                      "alpha": alpha, "kept": n_keep})
 
 
 def powerlaw_clean(E: CorrelationMatrix, alpha: float,

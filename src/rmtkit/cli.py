@@ -278,6 +278,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    if args.tau_max < 1:
+        raise _InputError("--tau-max must be at least 1")
     panel = fileio.read_panel_csv(args.panel)
     track = dynamics.track_top(panel, args.epsilon)
     tau = np.unique(np.geomspace(1, args.tau_max, 40).astype(int))

@@ -17,7 +17,6 @@ __all__ = [
     "CrossCorrelationResult",
     "normalize_principal_components",
     "cross_singulars",
-    "planted_factor_panels",
 ]
 
 # Multiplier on the soft-edge fluctuation scale used for the significance
@@ -51,7 +50,7 @@ def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
     place.  A caller that keeps no other name on the input frees it when
     this returns.
     """
-    if not panel.is_standardized(tol=1e-6):
+    if not panel.is_standardized():
         panel = standardize(panel)
     X = panel.values
     E = CorrelationMatrix(X.T @ X / panel.T)
@@ -89,22 +88,3 @@ def cross_singulars(Xhat: ReturnPanel, Yhat: ReturnPanel) -> CrossCorrelationRes
     significant = int(np.sum(s > threshold))
     return CrossCorrelationResult(s, U, Vt.T, (lo, hi), significant, threshold)
 
-
-def planted_factor_panels(N: int, M: int, T: int, strength: float, seed):
-    """Test-fixture pair of panels sharing one common factor.
-
-    X is IID Gaussian; Y mixes the factor (a fixed combination of X columns)
-    at the given strength with fresh noise, then both are standardized.
-    """
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError("strength must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((T, N))
-    loadings = rng.standard_normal(N)
-    loadings /= np.linalg.norm(loadings)
-    factor = X @ loadings
-    exposure = rng.standard_normal(M)
-    exposure /= np.linalg.norm(exposure)
-    noise = rng.standard_normal((T, M))
-    Y = strength * np.outer(factor, exposure) + np.sqrt(1 - strength ** 2) * noise
-    return standardize(ReturnPanel(X)), standardize(ReturnPanel(Y))

@@ -76,9 +76,9 @@ class SpectralDensity:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def atom(cls, location: float, mass: float = 1.0) -> "SpectralDensity":
-        """A purely discrete density (single point mass by default)."""
-        return cls(np.array([location]), np.array([0.0]), ((location, mass),))
+    def atom(cls, location: float) -> "SpectralDensity":
+        """A unit point mass at ``location``."""
+        return cls(np.array([location]), np.array([0.0]), ((location, 1.0),))
 
     @classmethod
     def from_unnormalized(cls, grid, density, atoms=()) -> "SpectralDensity":

@@ -139,7 +139,7 @@ def theoretical_variograms(Lambda1: float, Lambda_b: float, epsilon: float,
     ``stationary_angle_density`` is built on, and the sign-aligned variogram
     2 - 2|cos dtheta| saturates at twice that variance.
     """
-    if not Lambda1 > Lambda_b > 0 or epsilon <= 0:
+    if not (Lambda1 > Lambda_b > 0 and epsilon > 0):
         raise ValueError("need Lambda1 > Lambda_b > 0 and epsilon > 0")
     tau = np.asarray(tau_grid, dtype=float)
     decay = 1.0 - np.exp(-epsilon * tau)

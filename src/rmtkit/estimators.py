@@ -19,7 +19,6 @@ __all__ = [
     "pearson",
     "ewma_estimator",
     "student_ml",
-    "dual_spectrum_check",
     "eigenportfolio_report",
     "eigenvector_kurtosis",
 ]
@@ -35,6 +34,8 @@ logger = logging.getLogger(__name__)
 # weight map (Anderson mixing); the estimated contraction rate is the largest
 # secant ratio among as many recent iterates
 ANDERSON_DEPTH = 6
+# largest |column mean| and |column variance - 1| of a standardized panel
+STANDARDIZED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,11 @@ class ReturnPanel:
         return ReturnPanel(self.values[start:stop], self.asset_ids,
                            self.time_ids[start:stop])
 
-    def is_standardized(self, tol: float = 1e-8) -> bool:
+    def is_standardized(self) -> bool:
         mu = self.values.mean(axis=0)
         var = self.values.var(axis=0)
-        return bool(np.all(np.abs(mu) < tol) and np.all(np.abs(var - 1) < tol))
+        return bool(np.all(np.abs(mu) < STANDARDIZED_TOL)
+                    and np.all(np.abs(var - 1) < STANDARDIZED_TOL))
 
 
 class _Eigenbasis:
@@ -295,7 +297,7 @@ def standardize(panel: ReturnPanel) -> ReturnPanel:
 
 def pearson(panel: ReturnPanel) -> CorrelationMatrix:
     """E = X^T X with X = values/sqrt(T); requires a standardized panel."""
-    if not panel.is_standardized(tol=1e-6):
+    if not panel.is_standardized():
         raise EstimatorError("pearson requires a standardized panel")
     return CorrelationMatrix(_corr(panel.values),
                              {"estimator": "pearson", "T": panel.T,
@@ -343,9 +345,9 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
     image of the last iterate.  Raises ``EstimatorError`` on a singular
     iterate and after ``max_iter`` iterations.
     """
-    if mu <= 2:
-        raise EstimatorError("mu must exceed 2")
-    if not panel.is_standardized(tol=1e-6):
+    if not 2 < mu < np.inf:
+        raise EstimatorError("mu must be finite and exceed 2")
+    if not panel.is_standardized():
         raise EstimatorError("student_ml requires a standardized panel")
     started = time.perf_counter()
     R = panel.values
@@ -437,26 +439,6 @@ def _log_student_ml(stats, started):
     logger.debug("student_ml: N=%(n)d T=%(t)d iterations=%(iterations)d "
                  "step=%(step).3e bound=%(bound).3e fallbacks=%(fallbacks)d "
                  "seconds=%(seconds).3f", stats)
-
-
-def dual_spectrum_check(panel: ReturnPanel):
-    """Compare the N x N spectrum with the (rescaled) T x T dual spectrum.
-
-    Returns (eigs_N, eigs_T_rescaled, max_relative_gap) over the shared
-    non-zero eigenvalues.
-    """
-    R = panel.values
-    T, N = R.shape
-    E = R.T @ R / T
-    Edual = R @ R.T / N  # T x T dual, eigenvalues (T/N) * lambda
-    eigs_n = np.linalg.eigvalsh(E)[::-1]  # eigvalsh returns them ascending
-    eigs_t = np.linalg.eigvalsh(Edual)[::-1] * (N / T)
-    k = min(N, T)
-    a, b = eigs_n[:k], eigs_t[:k]
-    scale = max(a[0], 1e-30)
-    keep = (a > 1e-12 * scale) & (b > 1e-12 * scale)
-    gap = np.max(np.abs(a[keep] - b[keep]) / a[keep]) if keep.any() else 0.0
-    return eigs_n, eigs_t, float(gap)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from .cleaning import CleaningScheme, apply_scheme
 from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel, _corr
 
 __all__ = [
-    "PortfolioWeights",
     "RiskReport",
     "BacktestRow",
     "markowitz_weights",
@@ -24,50 +23,39 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PortfolioWeights:
-    w: np.ndarray
-    target_gain: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-
-
-@dataclass(frozen=True)
 class RiskReport:
     in_sample: float
     out_of_sample: float
     true_risk: float | None = None
 
 
-def markowitz_weights(C: CorrelationMatrix, g: np.ndarray,
-                      G: float = 1.0) -> PortfolioWeights:
-    """Minimum-risk weights at fixed expected gain:
-    w = G C^{-1} g / (g^T C^{-1} g)."""
+def markowitz_weights(C: CorrelationMatrix, g: np.ndarray) -> np.ndarray:
+    """Minimum-risk weights at unit expected gain (w^T g = 1):
+    w = C^{-1} g / (g^T C^{-1} g)."""
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         raise ValueError("predicted-gain vector g must be non-zero")
     Cg = C.solve(g)
-    w = G * Cg / (g @ Cg)
-    return PortfolioWeights(w, G)
+    return Cg / (g @ Cg)
 
 
 def risk_triple(E: CorrelationMatrix, C_true: CorrelationMatrix | None,
-                g: np.ndarray, G: float = 1.0) -> RiskReport:
+                g: np.ndarray) -> RiskReport:
     """In-sample risk from the estimate E; true and out-of-sample risks when
-    the population matrix is known.
+    the population matrix is known, all at unit expected gain.
 
-    R^2_in = G^2/(g^T E^{-1} g); R^2_true = G^2/(g^T C^{-1} g);
-    R^2_out = G^2 g^T E^{-1} C E^{-1} g / (g^T E^{-1} g)^2.  Returned values
+    R^2_in = 1/(g^T E^{-1} g); R^2_true = 1/(g^T C^{-1} g);
+    R^2_out = g^T E^{-1} C E^{-1} g / (g^T E^{-1} g)^2.  Returned values
     are risks (square roots).
     """
     g = np.asarray(g, dtype=float)
     Einv_g = E.solve(g)
     denom = g @ Einv_g
-    r_in = G / math.sqrt(denom)
+    r_in = 1.0 / math.sqrt(denom)
     if C_true is None:
         return RiskReport(r_in, float("nan"))
-    r_true = G / math.sqrt(g @ C_true.solve(g))
-    r_out = G * math.sqrt(Einv_g @ (C_true.values @ Einv_g)) / denom
+    r_true = 1.0 / math.sqrt(g @ C_true.solve(g))
+    r_out = math.sqrt(Einv_g @ (C_true.values @ Einv_g)) / denom
     return RiskReport(r_in, r_out, r_true)
 
 

@@ -59,8 +59,8 @@ def mp_density(q: float) -> SpectralDensity:
 
     For q > 1 an atom of mass 1 - 1/q sits at zero.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
     if q < ATOM_Q:
         return SpectralDensity.atom(1.0)
     lo, hi = mp_edges(q)
@@ -88,8 +88,8 @@ def ewma_edges(q: float) -> tuple[float, float]:
     """Edges of the EWMA spectrum, the two roots of lambda - log(lambda) =
     q + 1, in closed form: ``lambda = -W_k(-exp(-(q + 1)))`` with the
     Lambert W branch k = 0 for the lower edge and k = -1 for the upper."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
     x = -np.exp(-(q + 1.0))
     return float(-lambertw(x, 0).real), float(-lambertw(x, -1).real)
 
@@ -109,8 +109,8 @@ def ewma_density(q: float) -> SpectralDensity:
     q of about 11.5, where the grid's first step no longer resolves the
     ``1/lambda`` pile-up of mass just above the lower edge.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
     if q < ATOM_Q:
         return SpectralDensity.atom(1.0)
     lo, hi = ewma_edges(q)
@@ -161,8 +161,8 @@ class PowerLawPrior:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.mu <= 1.0:
-            raise ValueError("mu must exceed 1")
+        if not 1.0 < self.mu < np.inf:
+            raise ValueError("mu must be finite and exceed 1")
 
     @property
     def amplitude(self) -> float:
@@ -173,10 +173,6 @@ class PowerLawPrior:
     def lambda0(self) -> float:
         # 2*alpha - 1 when mu = 2
         return 1.0 - self.mu * (1.0 - self.alpha) / (self.mu - 1.0)
-
-    @property
-    def lambda_min(self) -> float:
-        return self.alpha
 
     def eigenvalue_ladder(self, N: int, k) -> np.ndarray:
         """Typical k-th largest eigenvalue, lambda_k = x0 + (A N / k)^(1/mu)."""
@@ -211,9 +207,9 @@ class EllipticParams:
     mu: float
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.mu <= 2:
+        if not 0 < self.q < np.inf:
+            raise ValueError("q must be positive and finite")
+        if not self.mu > 2:
             raise ValueError("mu must exceed 2")
 
 

@@ -41,8 +41,8 @@ class EdgeScaling:
     theta: float = 0.5
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.N < 1:
             raise ValueError("N must be positive")
 
@@ -62,8 +62,8 @@ class EdgeScaling:
 def edge_scaling_mp(q: float, N: int) -> EdgeScaling:
     """Soft-edge scaling of a null sample correlation matrix:
     lambda_+ = (1+sqrt(q))^2, gamma = sqrt(q) lambda_+^(2/3)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
     lam_plus = (1.0 + np.sqrt(q)) ** 2
     return EdgeScaling(lam_plus, np.sqrt(q) * lam_plus ** (2.0 / 3.0), N)
 
@@ -81,8 +81,8 @@ def bbp_map_mp(Lambda: float, q: float) -> float:
 
     Above the condensation threshold 1 + sqrt(q) the spike detaches to
     Lambda + Lambda*q/(Lambda - 1); below it sticks to the bulk edge."""
-    if Lambda <= 0 or q <= 0:
-        raise ValueError("Lambda and q must be positive")
+    if not (0 < Lambda < np.inf and 0 < q < np.inf):
+        raise ValueError("Lambda and q must be positive and finite")
     if Lambda <= 1.0 + np.sqrt(q):
         return (1.0 + np.sqrt(q)) ** 2
     return Lambda + Lambda * q / (Lambda - 1.0)
@@ -101,9 +101,11 @@ def invert_spike_mp(lambda_obs: float, q: float) -> float:
 
     Inverts lambda = Lambda + Lambda*q/(Lambda-1) on the physical branch
     Lambda > 1 + sqrt(q)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < np.inf:
+        raise ValueError("q must be positive and finite")
     lam_plus = (1.0 + np.sqrt(q)) ** 2
+    if not np.isfinite(lambda_obs):
+        raise ValueError("observed eigenvalue must be finite")
     if lambda_obs <= lam_plus:
         raise ValueError(
             f"observed eigenvalue {lambda_obs:.6g} is inside the bulk "
@@ -130,7 +132,7 @@ def heavy_tail_regime(mu: float) -> HeavyTailRegime:
 
     mu > 4: Tracy-Widom; 2 < mu < 4: Frechet with lambda_max growing as
     N^(2/mu - 1/2); mu = 4: marginal mixture."""
-    if mu <= 2:
+    if not mu > 2:
         raise ValueError("mu <= 2 (infinite-variance regime) is unsupported")
     if mu > 4:
         return HeavyTailRegime("TracyWidom", mu)
@@ -188,6 +190,8 @@ def detect_spikes(E: CorrelationMatrix, q: float,
     implemented for correlation spikes) and is labelled a heuristic.  Only
     eigenvalues are read, so E never forms its dense eigenvectors.
     """
+    if not np.isfinite(u_threshold):
+        raise ValueError("u_threshold must be finite")
     edge = edge_scaling_mp(q, E.N)
     threshold = edge.threshold(u_threshold)
     outliers = []

@@ -119,8 +119,8 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
     together for one matrix product; the volatility scaling is then done in
     place, and ``standardize`` copies the only unstandardized panel left.
     """
-    if mu <= 2:
-        raise ValueError("mu must exceed 2 for a finite variance")
+    if not 2 < mu < np.inf:
+        raise ValueError("mu must be finite and exceed 2")
     if T < 2:
         raise ValueError("T must be at least 2")
     rng = np.random.default_rng(seed)
@@ -138,7 +138,7 @@ def wick_check(panel: ReturnPanel, mu: float) -> float:
 
     ``mu=inf`` checks the plain Gaussian Wick relation (prefactor 1).
     """
-    if mu <= 4:
+    if not mu > 4:
         raise ValueError("mu must exceed 4 (finite fourth moments)")
     R = panel.values
     T, N = R.shape

@@ -53,10 +53,6 @@ class TestClip:
         np.testing.assert_allclose(out.eigenvalues[:5],
                                    noisy_estimate.eigenvalues[:5], rtol=1e-10)
 
-    def test_diagonal_renormalization(self, noisy_estimate):
-        out = cleaning.clip(noisy_estimate, 0.6, renormalize_diagonal=True)
-        assert np.allclose(np.diag(out.values), 1.0, atol=1e-12)
-
 
 @pytest.fixture(scope="module")
 def market_estimate():

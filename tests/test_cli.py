@@ -107,6 +107,51 @@ class TestExitCodes:
         assert "T must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    # NaN passes a range check written as x <= c, and infinity passes one
+    # that has no upper end; either then failed as a numerical error or
+    # with a misleading message
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--law", "mp", "--q", "nan"], "q must be positive"),
+        (["spectrum", "--law", "mp", "--q", "inf"], "q must be positive"),
+        (["spectrum", "--law", "ewma", "--q", "nan"], "q must be positive"),
+        (["spectrum", "--law", "elliptic", "--q", "nan"], "q must be positive"),
+        (["spectrum", "--law", "elliptic", "--mu", "nan"], "mu must exceed 2"),
+        (["spectrum", "--law", "powerlaw-dressed", "--q", "nan"],
+         "q must be positive"),
+        (["spikes", "--u", "nan"], "u_threshold must be finite"),
+    ], ids=["mp-q-nan", "mp-q-inf", "ewma-q-nan", "elliptic-q-nan",
+            "elliptic-mu-nan", "powerlaw-dressed-q-nan", "spikes-u-nan"])
+    def test_non_finite_parameter_is_input_error(self, panel_path, tmp_path,
+                                                 capsys, argv, message):
+        out = tmp_path / "out.csv"
+        if argv[0] == "spikes":
+            argv = argv + ["--panel", str(panel_path)]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # a NaN tail exponent made every entry of the power-law ladder NaN
+    @pytest.mark.parametrize("argv", [
+        ["clean"], ["backtest", "--window", "200", "--horizon", "50"]],
+        ids=["clean", "backtest"])
+    def test_nan_power_law_exponent_is_input_error(self, panel_path,
+                                                   tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--panel", str(panel_path), "--scheme",
+                           "powerlaw", "--mu", "nan", "--out", str(out)]) == 1
+        assert "mu must be finite and exceed 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    # np.geomspace(1, tau_max) holds NaN below 1, which became lag -9.2e18
+    @pytest.mark.parametrize("tau_max", ["0", "-3"])
+    def test_tau_max_below_one_is_input_error(self, panel_path, tmp_path,
+                                              capsys, tau_max):
+        out = tmp_path / "v.csv"
+        assert run(["dynamics", "--panel", str(panel_path), "--tau-max",
+                    tau_max, "--out", str(out)]) == 1
+        assert "--tau-max must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         from rmtkit.transforms import ConvergenceError
 

@@ -5,6 +5,26 @@ from rmtkit import crosscorr
 from rmtkit.estimators import EstimatorError, ReturnPanel, standardize
 
 
+def planted_factor_panels(N: int, M: int, T: int, strength: float, seed):
+    """Pair of panels sharing one common factor.
+
+    X is IID Gaussian; Y mixes the factor (a fixed combination of X columns)
+    at the given strength with fresh noise, then both are standardized.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise ValueError("strength must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((T, N))
+    loadings = rng.standard_normal(N)
+    loadings /= np.linalg.norm(loadings)
+    factor = X @ loadings
+    exposure = rng.standard_normal(M)
+    exposure /= np.linalg.norm(exposure)
+    noise = rng.standard_normal((T, M))
+    Y = strength * np.outer(factor, exposure) + np.sqrt(1 - strength ** 2) * noise
+    return standardize(ReturnPanel(X)), standardize(ReturnPanel(Y))
+
+
 class TestWhitening:
     def test_exact_unit_covariance(self):
         rng = np.random.default_rng(0)
@@ -60,7 +80,7 @@ class TestCrossSingulars:
         assert res.singular_values.max() <= 1.0 + 1e-8
 
     def test_planted_factor_detected(self):
-        X, Y = crosscorr.planted_factor_panels(150, 100, 1500, 0.8, seed=3)
+        X, Y = planted_factor_panels(150, 100, 1500, 0.8, seed=3)
         res = crosscorr.cross_singulars(
             crosscorr.normalize_principal_components(X),
             crosscorr.normalize_principal_components(Y))
@@ -68,7 +88,7 @@ class TestCrossSingulars:
         assert res.singular_values[0] > res.threshold
 
     def test_weak_factor_hidden(self):
-        X, Y = crosscorr.planted_factor_panels(150, 100, 1500, 0.05, seed=4)
+        X, Y = planted_factor_panels(150, 100, 1500, 0.05, seed=4)
         res = crosscorr.cross_singulars(
             crosscorr.normalize_principal_components(X),
             crosscorr.normalize_principal_components(Y))
@@ -84,10 +104,13 @@ class TestCrossSingulars:
 
 class TestPlantedFactorPanels:
     def test_standardized_outputs(self):
-        X, Y = crosscorr.planted_factor_panels(20, 15, 300, 0.5, seed=6)
-        assert X.is_standardized(tol=1e-8)
-        assert Y.is_standardized(tol=1e-8)
+        X, Y = planted_factor_panels(20, 15, 300, 0.5, seed=6)
+        for panel in (X, Y):
+            np.testing.assert_allclose(panel.values.mean(axis=0), 0.0,
+                                       rtol=0, atol=1e-8)
+            np.testing.assert_allclose(panel.values.var(axis=0), 1.0,
+                                       rtol=0, atol=1e-8)
 
     def test_strength_validation(self):
         with pytest.raises(ValueError):
-            crosscorr.planted_factor_panels(10, 10, 100, 1.5, seed=0)
+            planted_factor_panels(10, 10, 100, 1.5, seed=0)

@@ -29,7 +29,7 @@ class TestInvariants:
 
     def test_atom_mass_bounds(self):
         with pytest.raises(DensityError):
-            SpectralDensity.atom(1.0, mass=1.5)
+            SpectralDensity([1.0], [0.0], ((1.0, 1.5),))
 
     def test_nan_density_rejected(self):
         # nan fails neither the sign test nor the mass test

@@ -169,6 +169,11 @@ class TestVariograms:
             assert vec[i] == pytest.approx(np.mean(
                 [2 - 2 * abs(np.cos(phi[b] - phi[a])) for a, b in pairs]))
 
+    @pytest.mark.parametrize("epsilon", [0.0, np.nan])
+    def test_theoretical_parameter_validation(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon > 0"):
+            dynamics.theoretical_variograms(4.0, 1.0, epsilon, [1, 10])
+
     def test_lag_validation(self, spiked_track):
         track, _ = spiked_track
         with pytest.raises(ValueError, match="exceeds"):

@@ -37,6 +37,22 @@ def test_no_builder_takes_a_grid_size(modname):
         assert "npoints" not in params, name
 
 
+# One value serves each of these, so none is an option: a unit atom's mass,
+# the standardization tolerance, clip's unrescaled diagonal and the
+# portfolio's unit expected gain.
+def test_single_value_options_are_gone():
+    from rmtkit import cleaning, portfolio
+    from rmtkit.density import SpectralDensity
+    from rmtkit.estimators import ReturnPanel
+
+    gone = {"mass", "tol", "renormalize_diagonal", "G"}
+    for func in (SpectralDensity.atom, ReturnPanel.is_standardized,
+                 cleaning.clip, portfolio.markowitz_weights,
+                 portfolio.risk_triple):
+        params = inspect.signature(func).parameters
+        assert not gone & set(params), func.__qualname__
+
+
 SRC = str(Path(rmtkit.__file__).resolve().parents[1])
 HEAVY = ("scipy.stats", "scipy.optimize")
 
@@ -104,8 +120,9 @@ def test_no_module_imports_optimize():
 
 
 # A correlation matrix is decomposed one way, by CorrelationMatrix in
-# estimators; the tracker (kernels) runs its own small dense solves.  No
-# other module calls a LAPACK eigensolver, under any import alias.
+# estimators through LAPACK's dsytrd and dstevd; the tracker (kernels) runs
+# its own small dense solves.  No other module, estimators included, calls a
+# NumPy or SciPy eigensolver, under any import alias.
 EIGENSOLVERS = {f"{lib}.{name}" for lib in ("numpy.linalg", "scipy.linalg")
                 for name in ("eigh", "eigvalsh", "eig", "eigvals")}
 
@@ -141,7 +158,7 @@ def _dotted(node, bindings):
 def test_only_estimators_and_kernels_call_an_eigensolver():
     offenders = []
     for modname in MODULES:
-        if modname in ("rmtkit.estimators", "rmtkit.kernels"):
+        if modname == "rmtkit.kernels":
             continue
         path = importlib.import_module(modname).__file__
         tree = ast.parse(Path(path).read_text(), path)

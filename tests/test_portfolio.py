@@ -19,14 +19,14 @@ class TestWeights:
     def test_closed_form(self):
         C = CorrelationMatrix(np.eye(3))
         g = np.array([1.0, 2.0, 2.0])
-        w = portfolio.markowitz_weights(C, g, G=2.0)
-        # identity C: w = G g / |g|^2
-        assert np.allclose(w.w, 2.0 * g / 9.0)
+        w = portfolio.markowitz_weights(C, g)
+        # identity C: w = g / |g|^2
+        assert np.allclose(w, g / 9.0)
 
     def test_gain_constraint_satisfied(self, true_corr):
         g = np.linspace(1, 2, 60)
-        w = portfolio.markowitz_weights(true_corr, g, G=1.5)
-        assert w.w @ g == pytest.approx(1.5)
+        w = portfolio.markowitz_weights(true_corr, g)
+        assert w @ g == pytest.approx(1.0)
 
     def test_zero_predictor_rejected(self, true_corr):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestWeights:
         E = pearson(panel)
         C = apply_scheme(E, CleaningScheme("clip", 0.5))
         g = np.linspace(1, 2, 60)
-        w = portfolio.markowitz_weights(C, g).w
+        w = portfolio.markowitz_weights(C, g)
         assert "_eig" not in vars(E) and "_eig" not in vars(C)
         Cg = C.inverse() @ g
         assert np.allclose(w, Cg / (g @ Cg), rtol=1e-12, atol=0)
@@ -54,8 +54,8 @@ class TestRiskTriple:
         panel = standardize(synth.gaussian_panel(true_corr, 120, seed=4))
         E = pearson(panel)
         g = np.random.default_rng(4).standard_normal(60)
-        r = portfolio.risk_triple(E, None, g, G=2.0)
-        ref = 2.0 / np.sqrt(g @ np.linalg.solve(E.values, g))
+        r = portfolio.risk_triple(E, None, g)
+        ref = 1.0 / np.sqrt(g @ np.linalg.solve(E.values, g))
         assert r.in_sample == pytest.approx(ref, rel=1e-12)
         assert np.isnan(r.out_of_sample)
         assert r.true_risk is None

@@ -168,7 +168,7 @@ class TestPowerLawPrior:
         p = spectra.PowerLawPrior(0.35)
         lam = p.eigenvalue_ladder(500, np.arange(1, 501))
         assert np.all(np.diff(lam) < 0)
-        assert lam[-1] >= p.lambda_min - 1e-9
+        assert lam[-1] >= p.alpha - 1e-9
 
     def test_density_normalized_near_unit_mean(self):
         d = spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.5))
@@ -185,6 +185,28 @@ class TestPowerLawPrior:
     def test_alpha_one_degenerates_to_atom(self):
         d = spectra.powerlaw_prior_density(spectra.PowerLawPrior(1.0))
         assert d.is_atomic
+
+
+# a range check written as x <= c lets NaN through, and one with no upper
+# end lets infinity through where no law exists; either failed later, as a
+# non-finite density or not at all
+@pytest.mark.parametrize("build, message", [
+    (lambda: spectra.mp_density(np.nan), "q must be positive"),
+    (lambda: spectra.mp_density(np.inf), "q must be positive"),
+    (lambda: spectra.ewma_edges(np.nan), "q must be positive"),
+    (lambda: spectra.ewma_density(np.nan), "q must be positive"),
+    (lambda: spectra.ewma_density(np.inf), "q must be positive"),
+    (lambda: spectra.EllipticParams(np.nan, 4.0), "q must be positive"),
+    (lambda: spectra.EllipticParams(np.inf, 4.0), "q must be positive"),
+    (lambda: spectra.EllipticParams(0.5, np.nan), "mu must exceed 2"),
+    (lambda: spectra.PowerLawPrior(0.35, np.nan), "mu must be finite"),
+    (lambda: spectra.PowerLawPrior(0.35, np.inf), "mu must be finite"),
+], ids=["mp-nan", "mp-inf", "ewma_edges-nan", "ewma-nan", "ewma-inf",
+        "elliptic-q-nan", "elliptic-q-inf", "elliptic-mu-nan",
+        "prior-mu-nan", "prior-mu-inf"])
+def test_non_finite_parameter_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestEllipticStudent:

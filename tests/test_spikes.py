@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmtkit import spikes, synth
-from rmtkit.estimators import pearson, standardize
+from rmtkit.estimators import CorrelationMatrix, pearson, standardize
 
 
 class TestEdgeScaling:
@@ -95,6 +95,30 @@ class TestHeavyTailRegime:
         with pytest.raises(ValueError):
             spikes.heavy_tail_regime(2.0)
 
+    def test_infinite_tail_index_is_gaussian(self):
+        assert spikes.heavy_tail_regime(np.inf).label == "TracyWidom"
+
+
+# a range check written as x <= c lets NaN through
+@pytest.mark.parametrize("call", [
+    lambda: spikes.edge_scaling_mp(np.nan, 100),
+    lambda: spikes.edge_scaling_mp(np.inf, 100),
+    lambda: spikes.EdgeScaling(4.0, np.nan, 100),
+    lambda: spikes.EdgeScaling(4.0, np.inf, 100),
+    lambda: spikes.bbp_map_mp(np.nan, 0.5),
+    lambda: spikes.bbp_map_mp(np.inf, 0.5),
+    lambda: spikes.bbp_map_mp(3.0, np.nan),
+    lambda: spikes.invert_spike_mp(5.0, np.nan),
+    lambda: spikes.invert_spike_mp(np.nan, 0.5),
+    lambda: spikes.invert_spike_mp(np.inf, 0.5),
+    lambda: spikes.heavy_tail_regime(np.nan),
+], ids=["edge-q-nan", "edge-q-inf", "gamma-nan", "gamma-inf", "bbp-nan",
+        "bbp-inf", "bbp-q-nan", "invert-q-nan", "invert-nan", "invert-inf",
+        "regime-nan"])
+def test_non_finite_parameter_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
 
 class TestDetector:
     def test_finds_planted_spike(self):
@@ -131,6 +155,14 @@ class TestDetector:
         report = spikes.detect_spikes(pearson(panel), 0.25)
         assert report.outliers == ()
         assert "no outliers" in report.to_text()
+
+    @pytest.mark.parametrize("u", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, u):
+        # a NaN threshold flagged every eigenvalue, and the first bulk one
+        # then raised "inside the bulk"
+        E = CorrelationMatrix(np.eye(10))
+        with pytest.raises(ValueError, match="u_threshold must be finite"):
+            spikes.detect_spikes(E, 0.25, u_threshold=u)
 
     def test_report_text_format(self):
         C = synth.build_true_correlation(

@@ -83,7 +83,10 @@ class TestPanels:
     def test_student_panel_standardized(self):
         C = synth.build_true_correlation(TrueCorrelationSpec("identity", 20))
         panel = synth.student_panel(C, 5.0, 500, seed=4)
-        assert panel.is_standardized(tol=1e-10)
+        np.testing.assert_allclose(panel.values.mean(axis=0), 0.0, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(panel.values.var(axis=0), 1.0, rtol=0,
+                                   atol=1e-10)
 
     def test_student_panel_heavy_tails(self):
         C = synth.build_true_correlation(TrueCorrelationSpec("identity", 10))
@@ -97,6 +100,9 @@ class TestPanels:
         C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
         with pytest.raises(ValueError):
             synth.student_panel(C, 2.0, 100, seed=0)
+        for mu in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                synth.student_panel(C, mu, 100, seed=0)
 
 
 class TestWickCheck:
@@ -118,3 +124,5 @@ class TestWickCheck:
         panel = synth.gaussian_panel(C, 100, seed=8)
         with pytest.raises(ValueError):
             synth.wick_check(panel, 3.0)
+        with pytest.raises(ValueError):
+            synth.wick_check(panel, np.nan)
