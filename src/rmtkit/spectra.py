@@ -65,12 +65,18 @@ def mp_density(q: float) -> SpectralDensity:
         return SpectralDensity.atom(1.0)
     lo, hi = mp_edges(q)
     grid = _edge_grid(lo, hi, GRID_POINTS)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"q = {q:g} is too large: the {GRID_POINTS}-point "
+                         "grid of its bulk is not strictly ascending")
     inner = np.clip(4.0 * grid * q - (grid + q - 1.0) ** 2, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.sqrt(inner) / (2.0 * np.pi * grid * q)
     rho = np.nan_to_num(rho)
+    # the bulk's mass min(1, 1/q), not 1 minus the atom's: that difference
+    # rounds away at large q
+    rho *= min(1.0, 1.0 / q) / np.trapezoid(rho, grid)
     atoms = ((0.0, 1.0 - 1.0 / q),) if q > 1 else ()
-    return SpectralDensity.from_unnormalized(grid, rho, atoms)
+    return SpectralDensity(grid, rho, atoms)
 
 
 def wigner_semicircle(sigma: float = 1.0) -> SpectralDensity:

@@ -2,15 +2,14 @@
 
 Resolvent (Stieltjes transform), its functional inverse (Blue function),
 R- and S-transforms, and free additive/multiplicative convolution by
-subordination (Belinschi & Bercovici, J. Anal. Math. 101, 2007): one fixed
-point per grid point, solved on a coarse subgrid first and then at the
-other points from the coarse fixed points interpolated in lambda, each
-stage over all its points at once, with guarded secant steps, from forward
-evaluations of the Cauchy transform or of psi alone; both come from one
-real-arithmetic quadrature, ``_cauchy``.  One inversion engine, ``blue``,
-serves both inverse transforms: S inverts psi through ``blue`` of the
-size-biased law.  ``blue`` solves real and complex w alike by guarded
-Newton steps run through ``_subordinate``.
+subordination (Belinschi & Bercovici, J. Anal. Math. 101, 2007).  One loop,
+``_subordinate``, solves every fixed point: all points of a grid at once,
+a coarse subgrid first, each point by Aitken's secant step where that step
+is safe (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  The maps need
+forward evaluations of the Cauchy transform or of psi alone; both come
+from one real-arithmetic quadrature, ``_cauchy``.  ``blue`` inverts both
+transforms (S through the size-biased law), real and complex w alike, by
+guarded Newton steps run through ``_subordinate``.
 
 Conventions: densities are evaluated on the line ``z = lambda - i*eps`` with
 small ``eps > 0``; on that line ``Im G > 0`` and ``rho = Im G / pi``.  For
@@ -42,10 +41,9 @@ logger = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-12
 # Subordination sweeps of one stage before giving up.  In the tests a point
-# of a free sum or product needs at most 38 and one of the elliptic bulk
-# 130; inputs made only of atoms contract at a rate of 1 - O(eps), with
-# Im w so small that the disc of ``_subordinate`` refuses most secant
-# steps, and hit the cap.
+# of a free sum or product needs at most 22 and one of the elliptic bulk
+# 66; a sum of two Bernoulli laws, made only of atoms, contracts at a rate
+# of 1 - O(eps) and needs 1317.
 MAX_SWEEPS = 2000
 # Grid stride of the coarse stage of ``_subordinate``.  On the ops of the
 # ``solvers`` benchmark (one core), strides 4, 8, 16 and 32 ran them in
@@ -293,15 +291,13 @@ def _subordinate(f, z, grid, name):
     alone.
 
     Each sweep evaluates the map at every point still moving.  A point's
-    next iterate is the map's image f(w_k), or the secant step
-    ``w_k + r_k / (1 - rho_k)`` on ``r = f(w) - w`` (Aitken's step, Anderson
-    mixing of depth one) where the map's observed derivative
-    ``rho_k = (f(w_k) - f(w_{k-1})) / (w_k - w_{k-1})`` has settled:
-    ``|rho_k| < 1`` and ``|rho_k - rho_{k-1}| < 0.1 |rho_k|``, and where
-    the step stays within ``|Im w_k| / 2`` of w_k, which keeps it at a
-    bounded hyperbolic distance inside the half-plane.  A map whose rho does
-    not settle, such as the damped Newton step of ``blue``, runs as a plain
-    fixed point.
+    next iterate is the secant step ``w_k + r_k / (1 - rho_k)`` on
+    ``r = f(w) - w`` (Aitken's step, Anderson mixing of depth one), with
+    ``rho_k = (f(w_k) - f(w_{k-1})) / (w_k - w_{k-1})`` the map's observed
+    derivative, where ``|rho_k| < 1`` and the step stays within
+    ``|Im w_k| / 2`` of w_k, which keeps it at a bounded hyperbolic
+    distance inside the half-plane.  Elsewhere it is the map's image
+    f(w_k).
 
     A point stops once ``|r_k| / (1 - |rho_k|) <= NEWTON_TOL (1 + |f(w_k)|)``,
     a bound on its distance to the fixed point where the map contracts by
@@ -340,9 +336,9 @@ def _iterate(f, wa, z, idx, grid, w, stats, started):
     """One stage of ``_subordinate``: iterate the points ``idx`` of z from
     ``wa``, write each one's fixed point into ``w`` and add to ``stats``."""
     za = z[idx]
-    # dw_prev = w_k - w_{k-1}, fp = f(w_{k-1}) and rp = rho_{k-1}: NaN until
-    # two sweeps have run, which blocks both stops and the secant step
-    fp = dw_prev = rp = np.full(idx.size, np.nan, dtype=complex)
+    # dw_prev = w_k - w_{k-1} and fp = f(w_{k-1}): NaN until two sweeps
+    # have run, which blocks both stops and the secant step
+    fp = dw_prev = np.full(idx.size, np.nan, dtype=complex)
     for sweep in range(1, MAX_SWEEPS + 1):
         stats["evaluations"] += idx.size
         fa = f(wa, za)
@@ -357,18 +353,15 @@ def _iterate(f, wa, z, idx, grid, w, stats, started):
             rounding = ((size <= ROUNDING_TOL * scale)
                         & (np.abs(dw_prev) <= ROUNDING_TOL * scale))
             done = bounded | rounding
-            # secant steps where rho has settled, within |Im w|/2 of w
-            sel = np.flatnonzero(np.abs(rho - rp) < 0.1 * a)
+            # secant steps where |rho| < 1, within |Im w|/2 of w
+            step = r / (1 - rho)
+            sel = np.flatnonzero((a < 1) & ~done
+                                 & (np.abs(step) < 0.5 * np.abs(wa.imag)))
             if sel.size:
-                step = r[sel] / (1 - rho[sel])
-                ok = ((np.abs(step) < 0.5 * np.abs(wa.imag[sel]))
-                      & (a[sel] < 1) & ~done[sel])
-                if ok.any():
-                    sel, step = sel[ok], step[ok]
-                    nxt, dw = fa.copy(), r.copy()
-                    nxt[sel] = wa[sel] + step
-                    dw[sel] = step
-                    stats["secant_steps"] += sel.size
+                nxt, dw = fa.copy(), r.copy()
+                nxt[sel] = wa[sel] + step[sel]
+                dw[sel] = step[sel]
+                stats["secant_steps"] += sel.size
         if done.any():
             d = np.flatnonzero(done)
             w[idx[d]] = fa[d]
@@ -386,9 +379,8 @@ def _iterate(f, wa, z, idx, grid, w, stats, started):
             if not k.size:
                 stats["sweeps"] = max(stats["sweeps"], sweep)
                 return
-            idx, za, nxt, dw, fa, rho = (
-                v.take(k) for v in (idx, za, nxt, dw, fa, rho))
-        wa, fp, dw_prev, rp = nxt, fa, dw, rho
+            idx, za, nxt, dw, fa = (v.take(k) for v in (idx, za, nxt, dw, fa))
+        wa, fp, dw_prev = nxt, fa, dw
     stats.update(sweeps=MAX_SWEEPS, unconverged=idx.size, bound=np.inf,
                  worst_lambda=float(grid[idx[0]]))
     _log_subordinate(stats, started)

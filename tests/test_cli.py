@@ -98,6 +98,13 @@ class TestExitCodes:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unbuildable_mp_grid_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--law", "mp", "--q", "1e22",
+                    "--out", str(out)]) == 1
+        assert "q = 1e+22" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_row_simulate_is_input_error(self, tmp_path, capsys):
         # every panel command needs two rows; a Gaussian panel of one row
         # is refused up front, as the Student one (--mu) is

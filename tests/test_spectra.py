@@ -33,6 +33,17 @@ class TestMarchenkoPastur:
         assert d.continuous_mass() == pytest.approx(0.5, abs=1e-6)
         assert d.mean() == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("q", [1e6, 1e12, 1e20])
+    def test_large_q_keeps_unit_mean(self, q):
+        # the bulk holds mass 1/q; formed as 1 - (1 - 1/q) it rounds away,
+        # and the mean reads 0.99997788 at q = 1e12 and 0 at q = 1e20
+        assert spectra.mp_density(q).mean() == pytest.approx(1.0, abs=1e-9)
+
+    def test_unbuildable_grid_raises(self):
+        # from about q = 1e22 the bulk's grid cannot ascend in floating point
+        with pytest.raises(ValueError, match=r"q = 1e\+22"):
+            spectra.mp_density(1e22)
+
     def test_tiny_q_collapses_to_atom(self):
         d = spectra.mp_density(1e-12)
         assert d.is_atomic
