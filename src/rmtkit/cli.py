@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
 def _load_config(path) -> dict:
     out = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -301,7 +301,7 @@ def _cmd_spikes(args) -> int:
     report = spikes.detect_spikes(E, q, u_threshold=args.u)
     text = report.to_text()
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.out} ({len(report.outliers)} outliers)")
     else:

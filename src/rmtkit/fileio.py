@@ -4,8 +4,10 @@ the package writes goes through ``write_table``."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,48 +27,77 @@ __all__ = [
 ]
 
 
-def _loadtxt_table(path, labelled):
-    """The header cells, the first-column labels (if ``labelled``) and the
-    numeric block of a table CSV, parsed by ``np.loadtxt``.
+_QUOTED_REST = re.compile(rb'[^"]*(?:""[^"]*)*"(?!")')  # "" is a quote
 
-    The blank and ``#`` lines before the first data row are skipped here;
-    the data rows go from the open file straight to ``np.loadtxt``, which
-    skips blank lines itself.  A panel's dates are collected by a converter
-    on column 0.
 
-    Returns None when the file has no data row, a quote character, a row
-    with the wrong number of fields, a ``#`` line inside the data or a
-    value ``np.loadtxt`` rejects; ``_csv_table`` then re-reads the file and
-    names the offending line."""
-    # universal newlines: a file without quotes splits into the same lines
-    # either way, and TextIOWrapper reads translated lines faster
-    with open(path) as fh:
-        lines = (line for line in fh if line.strip("\r\n")
-                 and not line.lstrip().startswith("#"))
-        header = next(lines, "")
-        first = next(lines, None)
-        if first is None or '"' in header:
-            return None
-        header = header.rstrip("\r\n").split(",")
-        labels = []
+def _ends_quoted(line, inside):
+    """Whether ``line`` ends within a quoted cell, given whether it starts
+    in one.  As in ``csv.reader``, only a field's first quote opens one."""
+    line, pos = b"," + line, 1  # a line starts a field, as a comma does
+    while True:
+        if inside:
+            rest = _QUOTED_REST.match(line, pos)
+            if rest is None:
+                return True
+            pos = rest.end()
+        pos = line.find(b'"', pos) + 1
+        if pos == 0:
+            return False
+        inside = line[pos - 2] == ord(",")
 
-        def label(text):
-            # a quoted date or a comment line is the row reader's to handle
-            if '"' in text or text.lstrip().startswith("#"):
-                raise ValueError("quoted date or comment line")
-            labels.append(text.strip())
-            return 0.0
 
+def _read_table(path, labelled):
+    """``(header, labels, values)`` of a table CSV, ``labels`` being a
+    panel's dates if ``labelled``.  A file without data rows is an error.
+
+    One generator hands the file's lines on, less ``#`` lines outside
+    quoted cells, to ``csv.reader`` (header, first row) and ``np.loadtxt``
+    (all rows), which skip blank lines.  It records the row handed over
+    last; ``loadtxt`` takes one line at a time, so errors name its line."""
+    last, labels = SimpleNamespace(lineno=0, row=[]), []
+
+    def label(text):  # a panel's date, read as 0.0 into the label column
+        labels.append(text.strip())
+        return 0.0
+
+    def data_lines(fh):
+        fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)  # skip a BOM
+        inside = False  # within a quoted cell
+        for item in fh:  # an item ends at "\n"; a bare "\r" ends a line too
+            start = 0
+            while start < len(item):
+                end = item.find(b"\r", start) + 1 or len(item)
+                end += item[end:end + 1] == b"\n"
+                line, start = item[start:end], end
+                last.lineno += 1
+                if not inside:
+                    if line.lstrip().startswith(b"#"):
+                        continue
+                    last.row = []
+                last.row.append(line)
+                if b'"' in line:
+                    inside = _ends_quoted(line, inside)
+                yield line
+
+    with open(path, "rb") as fh:
+        lines = data_lines(fh)
+        rows = filter(None, csv.reader(line.decode() for line in lines))
+        header, first = next(rows, []), next(rows, None)
+        if first is None:
+            raise EstimatorError(f"{path}: no data rows")
         try:
-            # without usecols, loadtxt rejects a row with a missing or an
-            # extra field
-            block = np.loadtxt(itertools.chain([first], fh), delimiter=",",
-                               comments=None, ndmin=2,
+            # loadtxt holds every row to the first one's width
+            if len(first) != len(header):
+                raise ValueError("the first row's width is not the header's")
+            block = np.loadtxt(itertools.chain(last.row, lines),
+                               delimiter=",", quotechar='"', comments=None,
+                               ndmin=2, encoding="utf-8",
                                converters={0: label} if labelled else None)
-        except ValueError:  # the row reader says what is wrong, and where
-            return None
-    if block.shape[1] != len(header):
-        return None
+        except ValueError as exc:
+            got = len(next(csv.reader(line.decode() for line in last.row)))
+            raise EstimatorError(f"{path}:{last.lineno}: " + (
+                "non-numeric value" if got == len(header)
+                else f"expected {len(header)} fields, got {got}")) from exc
     return header, labels, _drop_first_column(block) if labelled else block
 
 
@@ -86,49 +117,11 @@ def _drop_first_column(block):
     return block
 
 
-def _csv_table(path, labelled):
-    """What ``_loadtxt_table`` returns, read by ``csv.reader`` row by row:
-    quoted cells are unquoted, and a row with the wrong number of fields or
-    a non-numeric value raises an error naming its line of the file.  Blank
-    rows and ``#`` comment lines are skipped but still counted."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = (row for row in reader
-                if row and not row[0].lstrip().startswith("#"))
-        header = next(rows, [])
-        labels, values = [], []
-        for row in rows:
-            if len(row) != len(header):
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: expected {len(header)} "
-                    f"fields, got {len(row)}")
-            if labelled:
-                labels.append(row[0].strip())
-            try:
-                values.append(np.array(row[labelled:], dtype=float))
-            except ValueError as exc:
-                raise EstimatorError(
-                    f"{path}:{reader.line_num}: non-numeric value") from exc
-    return header, labels, np.array(values, dtype=float)
-
-
-def _read_table(path, labelled):
-    """``(header, labels, values)`` of a table CSV: by ``np.loadtxt`` when it
-    can parse the file, else by ``csv.reader`` with errors naming the line.
-    A file without data rows is an error."""
-    header, labels, values = (_loadtxt_table(path, labelled)
-                              or _csv_table(path, labelled))
-    if not len(values):
-        raise EstimatorError(f"{path}: no data rows")
-    return header, labels, values
-
-
 def read_panel_csv(path) -> ReturnPanel:
     """Panel CSV: header ``date,TICKER1,...``, one row per day, no gaps.
 
-    Blank lines and lines starting with ``#`` are skipped.  A file without
-    quotes is parsed by ``np.loadtxt``; a quoted or malformed one row by
-    row, and errors name the line of the file."""
+    Blank lines and lines starting with ``#`` are skipped, and errors name
+    the line of the file."""
     header, dates, values = _read_table(path, labelled=True)
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise EstimatorError(f"{path}: first header column must be 'date'")
@@ -138,6 +131,19 @@ def read_panel_csv(path) -> ReturnPanel:
                        tuple(dates))
 
 
+def _cells(texts):
+    """Each text as a cell written by ``csv.writer``, quoted also when its
+    first non-blank character is ``#``."""
+    # csv.writer quotes "\r" and "\n" only because its terminator holds
+    # them, so each text is written as a row before an empty cell, and the
+    # ",\r\n" after it is cut here; a cell left unquoted holds no '"'
+    cells = []
+    csv.writer(SimpleNamespace(write=cells.append)).writerows(
+        [text, ""] for text in texts)
+    return [f'"{c[:-3]}"' if c.lstrip().startswith("#") else c[:-3]
+            for c in cells]
+
+
 def write_table(path, header, columns, comments=()) -> None:
     """Write a table CSV: each comment as a ``# `` line, then the header row
     and the data rows as the bytes ``csv.writer`` would write, ``\r\n``
@@ -145,7 +151,8 @@ def write_table(path, header, columns, comments=()) -> None:
 
     ``columns`` is read left to right.  A 2-D float array is a block of
     columns, each value written as ``f"{x:.12g}"``; any other sequence is
-    one text column."""
+    one text column.  A text or header cell whose first non-blank character
+    is ``#`` is quoted too, or its line would read back as a comment."""
     parts = []
     for k, col in enumerate(columns):
         end = "\r\n" if k == len(columns) - 1 else ","
@@ -154,17 +161,10 @@ def write_table(path, header, columns, comments=()) -> None:
             rows = map(tuple, map(np.ndarray.tolist, col))
             parts.append(map(fmt.__mod__, rows))
         else:
-            # csv.writer quotes "\r" and "\n" only because its terminator
-            # holds them, so each text is written as a row before an empty
-            # cell, and the ",\r\n" after it is cut here
-            cells = []
-            csv.writer(SimpleNamespace(write=cells.append)).writerows(
-                [text, ""] for text in col)
-            parts.append([cell[:-3] + end for cell in cells])
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        csv.writer(fh).writerow(header)
+            parts.append([cell + end for cell in _cells(col)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write(",".join(_cells(header)) + "\r\n")
         fh.writelines(itertools.chain.from_iterable(zip(*parts, strict=True)))
 
 
@@ -176,9 +176,8 @@ def write_panel_csv(path, panel: ReturnPanel, header_lines=()) -> None:
 def read_matrix_csv(path) -> CorrelationMatrix:
     """Dense matrix CSV with a header row of asset ids.
 
-    Blank lines and lines starting with ``#`` are skipped.  A file without
-    quotes is parsed by ``np.loadtxt``; a quoted or malformed one row by
-    row, and errors name the line of the file."""
+    Blank lines and lines starting with ``#`` are skipped, and errors name
+    the line of the file."""
     header, _, values = _read_table(path, labelled=False)
     assets = tuple(h.strip() for h in header)
     if values.shape != (len(assets), len(assets)):
@@ -208,7 +207,7 @@ def read_density_csv(path) -> SpectralDensity:
     if [h.strip() for h in header] != ["lambda", "rho"]:
         raise EstimatorError(f"{path}: header must be 'lambda,rho'")
     atoms = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             words = line.split()
             if words[:2] != ["#", "atom"]:

@@ -167,3 +167,17 @@ def test_only_estimators_and_kernels_call_an_eigensolver():
                       if isinstance(node, (ast.Attribute, ast.Name))
                       and _dotted(node, bindings) in EIGENSOLVERS]
     assert not offenders
+
+
+# A table CSV is parsed one way, by fileio's one np.loadtxt call: no second
+# parser stands behind it as a fallback.
+def test_one_loadtxt_call():
+    calls = []
+    for modname in MODULES:
+        path = importlib.import_module(modname).__file__
+        tree = ast.parse(Path(path).read_text(), path)
+        bindings = _bindings(tree)
+        calls += [f"{modname}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _dotted(node.func, bindings) == "numpy.loadtxt"]
+    assert len(calls) == 1 and calls[0].startswith("rmtkit.fileio:"), calls

@@ -1,3 +1,4 @@
+import codecs
 import csv
 
 import numpy as np
@@ -27,6 +28,19 @@ def reference_csv(path, header, rows, header_lines=()):
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
+
+
+def csv_table(path, labelled):
+    """The header, labels and values of a table CSV read by csv.reader, for
+    a file with no cell whose first non-blank character is '#': blank rows
+    and rows whose first cell starts with '#' are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh)
+                if row and not row[0].lstrip().startswith("#")]
+    header, body = rows[0], rows[1:]
+    labels = [row[0].strip() for row in body] if labelled else []
+    return header, labels, np.array([row[labelled:] for row in body],
+                                    dtype=float)
 
 
 def edge_panel(time_ids=("2020,01", 'a"b', "d3", "d4", "d5")):
@@ -68,7 +82,10 @@ class TestPanelCsv:
 
     def test_quoted_dates_roundtrip(self, tmp_path):
         for time_ids in [("2020,01", 'a"b', "d3", "d4", "d5"),
-                         ("d\n1", "e\r2", "d3", "d4", "d5")]:
+                         ("d\n1", "e\r2", "d3", "d4", "d5"),
+                         ("a\n#b", "a\n\nb", "d3", "d4", "d5"),
+                         # quoted, or it would read back as a comment line
+                         ("d1", "#d2", "d3", "d4", "d5")]:
             p = edge_panel(time_ids)
             path = tmp_path / "panel.csv"
             fileio.write_panel_csv(path, p)
@@ -83,15 +100,28 @@ class TestPanelCsv:
             -8, 8, (40, 7)))
         path = tmp_path / "panel.csv"
         fileio.write_panel_csv(path, p, ["command: test"])
-        fast = fileio._loadtxt_table(path, labelled=True)
-        assert fast is not None
-        header, dates, values = fileio._csv_table(path, labelled=True)
-        assert fast[0] == header == ["date", *p.asset_ids]
-        assert fast[1] == dates == list(map(str, p.time_ids))
-        assert np.array_equal(fast[2], values)
+        ours = fileio._read_table(path, labelled=True)
+        header, dates, values = csv_table(path, labelled=True)
+        assert ours[0] == header == ["date", *p.asset_ids]
+        assert ours[1] == dates == list(map(str, p.time_ids))
+        assert np.array_equal(ours[2], values)
         q = fileio.read_panel_csv(path)
         assert np.array_equal(q.values, values)
         assert q.time_ids == tuple(dates) and q.asset_ids == p.asset_ids
+
+    def test_lines_inside_a_quoted_date_count(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b'date,AAA\r\n"a\r\n\r\nb",1\r\nd2,oops\r\n')
+        with pytest.raises(EstimatorError, match=r"x\.csv:5: non-numeric"):
+            fileio.read_panel_csv(path)
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "x.csv"
+        for text in (b"date,AAA\nd1,0.5\n",
+                     b"# command: test\ndate,AAA\nd1,0.5\n"):
+            path.write_bytes(codecs.BOM_UTF8 + text)
+            p = fileio.read_panel_csv(path)
+            assert p.asset_ids == ("AAA",) and p.time_ids == ("d1",)
 
     def test_values_fill_one_contiguous_buffer(self, tmp_path):
         # the label column is dropped in place: no second T x N copy, and
@@ -109,13 +139,12 @@ class TestPanelCsv:
         assert np.array_equal(values, [[float(f"{x:.12g}") for x in row]
                                        for row in p.values])
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_endings_and_blank_lines(self, tmp_path, newline):
         path = tmp_path / "x.csv"
         path.write_bytes(newline.join(
             ["# command: test", "date,AAA,BBB", "d1,0.5,0.25", "",
              "d2,-1,2e-3", ""]).encode())
-        assert fileio._loadtxt_table(path, labelled=True) is not None
         p = fileio.read_panel_csv(path)
         assert p.time_ids == ("d1", "d2") and p.asset_ids == ("AAA", "BBB")
         assert np.array_equal(p.values, [[0.5, 0.25], [-1.0, 2e-3]])
@@ -125,7 +154,6 @@ class TestPanelCsv:
         # a quoted date splits on no comma, or on one
         for date in ('"d2"', '"d,2"'):
             path.write_text(f"date,AAA\nd1,0.5\n{date},0.25\n")
-            assert fileio._loadtxt_table(path, labelled=True) is None
             p = fileio.read_panel_csv(path)
             assert p.time_ids == ("d1", date.strip('"'))
             assert np.array_equal(p.values, [[0.5], [0.25]])
@@ -144,6 +172,14 @@ class TestPanelCsv:
             fileio.read_panel_csv(path)
         # on every row, so that the rows agree with each other
         path.write_text("date,AAA\nd1,0.5,1\nd2,0.5,1\n")
+        with pytest.raises(EstimatorError,
+                           match=r"x\.csv:2: expected 2 fields, got 3"):
+            fileio.read_panel_csv(path)
+
+    def test_first_row_width_error_names_line(self, tmp_path):
+        # the rows after it would be held to its width
+        path = tmp_path / "x.csv"
+        path.write_text("date,AAA\nd1,0.5,1\nd2,0.5\n")
         with pytest.raises(EstimatorError,
                            match=r"x\.csv:2: expected 2 fields, got 3"):
             fileio.read_panel_csv(path)
@@ -235,25 +271,31 @@ class TestMatrixCsv:
         M = CorrelationMatrix(X.T @ X / 30)
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
-        fast = fileio._loadtxt_table(path, labelled=False)
-        assert fast is not None
-        header, labels, values = fileio._csv_table(path, labelled=False)
-        assert fast[0] == header and fast[1] == labels == []
-        assert np.array_equal(fast[2], values)
+        ours = fileio._read_table(path, labelled=False)
+        header, labels, values = csv_table(path, labelled=False)
+        assert ours[0] == header and ours[1] == labels == []
+        assert np.array_equal(ours[2], values)
         M2 = fileio.read_matrix_csv(path)
         assert np.array_equal(M2.values, values)
         assert M2.metadata["asset_ids"] == tuple(header)
 
     def test_quoted_asset_ids_roundtrip(self, tmp_path):
-        # quoted ids send the file to the csv.reader fallback
         M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
                               {"asset_ids": ("X,1", 'Y"2')})
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
-        assert fileio._loadtxt_table(path, labelled=False) is None
         M2 = fileio.read_matrix_csv(path)
         assert np.array_equal(M2.values, M.values)
         assert M2.metadata["asset_ids"] == ("X,1", 'Y"2')
+
+    def test_asset_id_starting_with_a_comment_character(self, tmp_path):
+        M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
+                              {"asset_ids": ("#A", "B")})
+        path = tmp_path / "m.csv"
+        fileio.write_matrix_csv(path, M, header_lines=["command: test"])
+        M2 = fileio.read_matrix_csv(path)
+        assert np.array_equal(M2.values, M.values)
+        assert M2.metadata["asset_ids"] == ("#A", "B")
 
     def test_extra_field_error_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -324,6 +366,23 @@ class TestTable:
         reference_csv(ref, header, rows, comments)
         assert ours.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_reader_matches_csv_reader(self, tmp_path, newline):
+        path = tmp_path / "t.csv"
+        path.write_bytes(newline.join([
+            "# command: test", "", 'date,"A,1","B""2"', '"d,1",0.5,1', "",
+            "# note", '"d\n2",-1,2e-3', '"d\r3", 7 ,"8"', '"a""b",1,2',
+            # a "" before a line break is a quote, not the cell's end
+            '"e""\n# 5",5,6',
+            # a quote inside an unquoted cell opens no quoted cell
+            'd"4,3,4', "# note", ""]).encode())
+        ours = fileio._read_table(path, labelled=True)
+        header, labels, values = csv_table(path, labelled=True)
+        assert ours[0] == header == ["date", "A,1", 'B"2']
+        assert ours[1] == labels == ["d,1", "d\n2", "d\r3", 'a"b',
+                                     'e"\n# 5', 'd"4']
+        assert np.array_equal(ours[2], values)
+
     def test_columns_of_unequal_length(self, tmp_path):
         with pytest.raises(ValueError):
             fileio.write_table(tmp_path / "t.csv", ["s", "x"],
@@ -350,6 +409,14 @@ class TestDensityCsv:
         path.write_text("x,y\n0,1\n1,1\n")
         with pytest.raises(EstimatorError, match="lambda,rho"):
             fileio.read_density_csv(path)
+
+    def test_byte_order_mark_before_an_atom(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(codecs.BOM_UTF8
+                         + b"# atom 2 0.5\nlambda,rho\n0,0.5\n1,0.5\n")
+        d = fileio.read_density_csv(path)
+        assert d.atoms == ((2.0, 0.5),)
+        assert np.array_equal(d.grid, [0.0, 1.0])
 
     def test_atoms_and_crlf_rows(self, tmp_path):
         path = tmp_path / "d.csv"
