@@ -331,12 +331,16 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
     The fixed point of ``C = ((N+mu)/T) sum_t r_t r_t^T / (mu + r_t^T C^{-1}
     r_t)`` is found as a fixed point of the T Student weights
     ``w_t = (N+mu) / (T (mu + r_t^T C(w)^{-1} r_t))`` with
-    ``C(w) = R^T diag(w) R``, from the Pearson start ``w = 1/T``.  The
+    ``C(w) = R^T diag(w) R``, from the Pearson start ``w = 1/T``.  The map
+    returns its weights divided by their sum: at the fixed point they sum
+    to 1 already (the trace of ``C^{-1} C`` is N), so the fixed point is
+    the same, and the division removes the map's slow scale mode.  The
     quadratic forms come from one Cholesky factor of ``C(w)`` and one
     triangular solve.  Each new weight vector is the Anderson mixture of the
     last ``ANDERSON_DEPTH`` steps of the weight map; the plain step is taken
     instead (and counted as a fallback) when a mixed iterate has a weight
-    <= 0 or a larger residual than the current one.
+    <= 0 or a larger residual than the current one.  A plain step's
+    ``C(w)`` is the Gram matrix of the last image, already formed.
 
     ``tol`` bounds the distance to the fixed point, in max-abs entries of C:
     the loop stops when the plain-map step ``s`` satisfies
@@ -368,10 +372,11 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
             Y, info = lapack.dtrtrs(L, work.T, lower=1, overwrite_b=1)
         if info != 0:
             raise EstimatorError("singular iterate in student_ml")
-        return (N + mu) / (T * (mu + np.einsum("ij,ij->j", Y, Y)))
+        g = 1.0 / (mu + np.einsum("ij,ij->j", Y, Y))
+        return g / g.sum()
 
-    def evaluate(w):
-        C = gram(w)
+    def evaluate(w, C=None):
+        C = gram(w) if C is None else C
         g = weight_map(C)
         Cg = gram(g)
         return w, C, g, Cg, _max_gap(Cg, C)
@@ -401,7 +406,7 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
                 mixed = None
                 d_res.clear()
                 d_img.clear()
-        state = mixed or evaluate(g)
+        state = mixed or evaluate(g, Cg)
         w_new, C_new, g_new, Cg_new, _ = state
         d_res.append((g_new - w_new) - (g - w))
         d_img.append(g_new - g)

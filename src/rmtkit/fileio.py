@@ -60,6 +60,13 @@ def _read_table(path, labelled):
         labels.append(text.strip())
         return 0.0
 
+    def decode(line):
+        try:
+            return line.decode()
+        except UnicodeDecodeError as exc:
+            raise EstimatorError(
+                f"{path}:{last.lineno}: not UTF-8 text") from exc
+
     def data_lines(fh):
         fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)  # skip a BOM
         inside = False  # within a quoted cell
@@ -81,7 +88,7 @@ def _read_table(path, labelled):
 
     with open(path, "rb") as fh:
         lines = data_lines(fh)
-        rows = filter(None, csv.reader(line.decode() for line in lines))
+        rows = filter(None, csv.reader(map(decode, lines)))
         header, first = next(rows, []), next(rows, None)
         if first is None:
             raise EstimatorError(f"{path}: no data rows")
@@ -94,7 +101,7 @@ def _read_table(path, labelled):
                                ndmin=2, encoding="utf-8",
                                converters={0: label} if labelled else None)
         except ValueError as exc:
-            got = len(next(csv.reader(line.decode() for line in last.row)))
+            got = len(next(csv.reader(map(decode, last.row))))
             raise EstimatorError(f"{path}:{last.lineno}: " + (
                 "non-numeric value" if got == len(header)
                 else f"expected {len(header)} fields, got {got}")) from exc

@@ -288,7 +288,11 @@ def _subordinate(f, z, grid, name):
     from any start in it (Belinschi & Bercovici), and a convex combination
     of points of a half-plane stays in it.  A call with no point between
     its coarse ones, such as ``blue``'s single point, runs the coarse stage
-    alone.
+    alone.  Each coarse point keeps the last ``rho_k`` (below) it measured,
+    the map's derivative at its fixed point; a fine point's first step is
+    the secant step on that rho, interpolated as the start is, unless the
+    start's residual is already at ``ROUNDING_TOL``.  Every stop waits for
+    a measured rho_k.
 
     Each sweep evaluates the map at every point still moving.  A point's
     next iterate is the secant step ``w_k + r_k / (1 - rho_k)`` on
@@ -319,25 +323,33 @@ def _subordinate(f, z, grid, name):
                  secant_steps=0, rounding_stops=0, worst_lambda=np.nan,
                  bound=0.0)
     w = np.empty_like(z)
+    rho = np.full_like(z, np.nan)  # no estimate opens the coarse stage
     coarse = np.zeros(z.size, dtype=bool)
     coarse[::COARSE_STRIDE] = coarse[-1] = True
-    _iterate(f, z[coarse], z, np.flatnonzero(coarse), grid, w, stats, started)
+    _iterate(f, z[coarse], z, np.flatnonzero(coarse), grid, w, rho, stats,
+             started)
     fine = np.flatnonzero(~coarse)
     if fine.size:
-        x, xc, wc = grid[fine], grid[coarse], w[coarse]
-        start = (np.interp(x, xc, wc.real)
-                 + 1j * np.interp(x, xc, wc.imag))
-        _iterate(f, start, z, fine, grid, w, stats, started)
+        x, xc = grid[fine], grid[coarse]
+
+        def lerp(v):
+            return np.interp(x, xc, v.real) + 1j * np.interp(x, xc, v.imag)
+
+        rho[fine] = lerp(rho[coarse])
+        _iterate(f, lerp(w[coarse]), z, fine, grid, w, rho, stats, started)
     _log_subordinate(stats, started)
     return w
 
 
-def _iterate(f, wa, z, idx, grid, w, stats, started):
+def _iterate(f, wa, z, idx, grid, w, rho, stats, started):
     """One stage of ``_subordinate``: iterate the points ``idx`` of z from
-    ``wa``, write each one's fixed point into ``w`` and add to ``stats``."""
+    ``wa``, write each one's fixed point into ``w`` and its last measured
+    rho into ``rho``, and add to ``stats``.  The first sweep, which has no
+    measured rho, takes its secant step on the estimate ``rho[idx]`` (NaN
+    for none), except where the start is already at rounding level."""
     za = z[idx]
     # dw_prev = w_k - w_{k-1} and fp = f(w_{k-1}): NaN until two sweeps
-    # have run, which blocks both stops and the secant step
+    # have run, which blocks both stops
     fp = dw_prev = np.full(idx.size, np.nan, dtype=complex)
     for sweep in range(1, MAX_SWEEPS + 1):
         stats["evaluations"] += idx.size
@@ -347,15 +359,18 @@ def _iterate(f, wa, z, idx, grid, w, stats, started):
         scale = 1 + np.abs(fa)
         nxt, dw = fa, r
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = (fa - fp) / dw_prev
-            a = np.abs(rho)
+            rho_k = (fa - fp) / dw_prev
+            a = np.abs(rho_k)
             bounded = size <= NEWTON_TOL * scale * np.fmax(1 - a, 0)
             rounding = ((size <= ROUNDING_TOL * scale)
                         & (np.abs(dw_prev) <= ROUNDING_TOL * scale))
             done = bounded | rounding
-            # secant steps where |rho| < 1, within |Im w|/2 of w
-            step = r / (1 - rho)
-            sel = np.flatnonzero((a < 1) & ~done
+            # secant steps where |rho| < 1, within |Im w|/2 of w; the
+            # first sweep, with no rho_k yet, steps on the estimate
+            secant = rho_k if sweep > 1 else np.where(
+                size > ROUNDING_TOL * scale, rho[idx], np.nan)
+            step = r / (1 - secant)
+            sel = np.flatnonzero((np.abs(secant) < 1) & ~done
                                  & (np.abs(step) < 0.5 * np.abs(wa.imag)))
             if sel.size:
                 nxt, dw = fa.copy(), r.copy()
@@ -365,6 +380,7 @@ def _iterate(f, wa, z, idx, grid, w, stats, started):
         if done.any():
             d = np.flatnonzero(done)
             w[idx[d]] = fa[d]
+            rho[idx[d]] = rho_k[d]
             # each stopped point's bound relative to the tolerance's scale;
             # a bounded stop with r != 0 has 1 - |rho| > 0
             rel = size[d] / scale[d]

@@ -71,6 +71,12 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert run(["backtest", "--panel", "/nonexistent.csv"]) == 1
 
+    def test_non_utf8_panel_names_its_line(self, tmp_path, capsys):
+        panel = tmp_path / "p.csv"
+        panel.write_bytes(b"date,A,B\nd1,1,2\nd2,3,4\xe9\n")
+        assert run(["spikes", "--panel", str(panel)]) == 1
+        assert "p.csv:3: not UTF-8 text" in capsys.readouterr().err
+
     def test_indefinite_matrix_is_input_error(self, tmp_path):
         # an indefinite "correlation" matrix passes parsing but fails
         # eigendecomposition validation downstream

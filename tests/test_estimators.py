@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,7 +348,8 @@ class TestStudentML:
 
     @pytest.fixture(scope="class")
     def heavy_panel(self):
-        # q = N/T = 0.5, where the plain fixed-point map contracts at ~0.98
+        # q = N/T = 0.5, where the plain normalised map contracts at ~0.58
+        # (~0.95 without the normalisation)
         from rmtkit import synth
         C = synth.build_true_correlation(
             synth.TrueCorrelationSpec("identity", 100))
@@ -377,6 +379,48 @@ class TestStudentML:
                      if r.getMessage().startswith("student_ml:")]
         assert record.args["iterations"] >= 1
         assert record.args["bound"] <= 3e-5
+
+    @staticmethod
+    def student_input(seed, N=300, T=600, mu=5.0):
+        # the Student panel of the `solvers` benchmark (seed 0 there)
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((T, N))
+        X = np.sqrt(mu / rng.chisquare(mu, size=T))[:, None] * xi
+        return ReturnPanel((X - X.mean(axis=0)) / X.std(axis=0))
+
+    def test_normalised_map_iterations_pinned(self, caplog):
+        # the unnormalised weight map took 13 iterations here
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.estimators"):
+            estimators.student_ml(self.student_input(0), 5.0, tol=3e-5)
+        (record,) = [r for r in caplog.records
+                     if r.getMessage().startswith("student_ml:")]
+        assert record.args["iterations"] <= 8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_error_bounded_on_benchmark_inputs(self, seed):
+        panel = self.student_input(seed)
+        ref = estimators.student_ml(panel, 5.0, tol=1e-12)
+        ml = estimators.student_ml(panel, 5.0, tol=3e-5)
+        assert np.max(np.abs(ml.values - ref.values)) <= 0.5 * 3e-5
+
+    def test_plain_step_reuses_gram(self, monkeypatch, caplog):
+        # the start costs two Gram matrices, the plain first step one (its
+        # C is the start's image), each mixed step two, the returning
+        # iteration none; the benchmark input takes no fallback
+        calls = []
+        real = estimators.blas.dsyrk
+
+        def dsyrk(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "blas", SimpleNamespace(dsyrk=dsyrk))
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.estimators"):
+            estimators.student_ml(self.student_input(0), 5.0, tol=3e-5)
+        (record,) = [r for r in caplog.records
+                     if r.getMessage().startswith("student_ml:")]
+        assert record.args["fallbacks"] == 0
+        assert len(calls) == 2 * record.args["iterations"] - 1
 
 
 class TestDiagnostics:

@@ -184,6 +184,18 @@ class TestPanelCsv:
                            match=r"x\.csv:2: expected 2 fields, got 3"):
             fileio.read_panel_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        (b"date,A\xe9\nd1,0.5\nd2,1\n", 1),
+        (b"date,AAA\nd\xe9,0.5\nd2,1\n", 2),
+        (b"date,AAA\nd1,0.5\nd2,1\n# note\nd\xe9,2\n", 5)],
+        ids=["header", "first_row", "later_row"])
+    def test_latin1_byte_error_names_line(self, tmp_path, text, line):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text)
+        with pytest.raises(EstimatorError,
+                           match=rf"x\.csv:{line}: not UTF-8 text"):
+            fileio.read_panel_csv(path)
+
     def test_comment_character_inside_a_row_is_not_a_comment(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("date,AAA\nd1,0.5\nd2,0.5#x\n")
@@ -337,6 +349,12 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("# command: test\nX,Y\n1.0,0.3\n0.3,oops\n")
         with pytest.raises(EstimatorError, match=r"m\.csv:4: non-numeric"):
+            fileio.read_matrix_csv(path)
+
+    def test_latin1_byte_error_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"X,Y\n1.0,0.3\n0.3,1.0 \xe9\n")
+        with pytest.raises(EstimatorError, match=r"m\.csv:3: not UTF-8 text"):
             fileio.read_matrix_csv(path)
 
 

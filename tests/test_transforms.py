@@ -121,13 +121,17 @@ SUBORDINATED = {
 }
 
 
-# case: (run, caller of _subordinate, `gated` of test_evaluations_pinned)
+# case: (run, caller of _subordinate, `gated` and `plain_opening` of
+# test_evaluations_pinned)
 EVALUATED = {
-    "free_add": (SUBORDINATED["free_add"], "free_add", 9151),
-    "free_multiply": (SUBORDINATED["free_multiply"], "free_multiply", 8965),
-    "dressed_q0.5": (SUBORDINATED["dressed_q0.5"], "free_multiply", 9146),
+    "free_add": (SUBORDINATED["free_add"], "free_add", 9151, 7702),
+    "free_multiply": (SUBORDINATED["free_multiply"], "free_multiply", 8965,
+                      7761),
+    "dressed_q0.5": (SUBORDINATED["dressed_q0.5"], "free_multiply", 9146,
+                     7766),
     "elliptic": (lambda: spectra.elliptic_student_density(
-        spectra.EllipticParams(0.5, 4.0)), "elliptic_student_density", 7554),
+        spectra.EllipticParams(0.5, 4.0)), "elliptic_student_density", 7554,
+        6392),
 }
 
 
@@ -207,14 +211,16 @@ class TestSubordinate:
                               ("dressed_q0.5", 12662), ("elliptic", 11970)])
     def test_evaluations_pinned(self, case, single_stage, caplog):
         # map evaluations over all points; a single stage, every point
-        # started at w = z, took single_stage, and secant steps gated on a
-        # settled rho (|rho_k - rho_{k-1}| < 0.1 |rho_k|) took `gated`
-        run, caller, gated = EVALUATED[case]
+        # started at w = z, took single_stage, secant steps gated on a
+        # settled rho (|rho_k - rho_{k-1}| < 0.1 |rho_k|) took `gated`, and
+        # fine points opening with a plain step took `plain_opening`
+        run, caller, gated, plain_opening = EVALUATED[case]
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
             run()
         stats = _subordinate_record(caplog, caller)
         assert stats["evaluations"] <= 0.75 * single_stage
         assert stats["evaluations"] <= 0.9 * gated
+        assert stats["evaluations"] <= 0.95 * plain_opening
         assert stats["evaluations"] >= stats["points"] * 2
 
     def test_rounding_stop_counted(self, caplog):
