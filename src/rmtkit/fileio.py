@@ -201,7 +201,9 @@ def write_matrix_csv(path, M: CorrelationMatrix, header_lines=()) -> None:
 def write_density_csv(path, density: SpectralDensity) -> None:
     """Two-column CSV (lambda, rho); atoms as ``# atom loc mass`` comments.
     Values print to 12 significant digits; a ``_subordinate`` density is
-    known to about 1e-12 absolute, so small values' last digits are noise."""
+    known to a few 1e-12 absolute (within 2.6e-12 of a plain fixed point
+    run to 1e-14 on the tested free sums and products), so small values'
+    last digits are noise."""
     write_table(path, ["lambda", "rho"],
                 [np.column_stack([density.grid, density.density])],
                 [f"atom {loc:.12g} {mass:.12g}" for loc, mass in density.atoms])

@@ -7,9 +7,11 @@ subordination (Belinschi & Bercovici, J. Anal. Math. 101, 2007).  One loop,
 a coarse subgrid first, each point by Aitken's secant step where that step
 is safe (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  The maps need
 forward evaluations of the Cauchy transform or of psi alone; both come
-from one real-arithmetic quadrature, ``_cauchy``.  ``blue`` inverts both
-transforms (S through the size-biased law), real and complex w alike, by
-guarded Newton steps run through ``_subordinate``.
+from one real-arithmetic quadrature, ``_cauchy``.  A free convolution's
+density is read off the transform its map evaluates first, at each
+point's last iterate, with no quadrature after the solve.  ``blue``
+inverts both transforms (S through the size-biased law), real and complex
+w alike, by guarded Newton steps run through ``_subordinate``.
 
 Conventions: densities are evaluated on the line ``z = lambda - i*eps`` with
 small ``eps > 0``; on that line ``Im G > 0`` and ``rho = Im G / pi``.  For
@@ -133,6 +135,30 @@ def _psi(x, c, y):
     return _cauchy(x, x * c, 1.0 / np.asarray(y, dtype=complex))
 
 
+def _lone_atom(density: SpectralDensity, name: str):
+    """Location of the atom when ``density`` is one atom, else None.
+
+    ``is_atomic`` lets through a continuous part of mass below 1e-12, which
+    can still hold a first moment that matters: MP(1e13) puts its 1e-13 of
+    bulk near 1e13, so its mean is 1.  Dropping such a part loses the
+    mean, and a quadrature on its grid resolves nothing at the scale of
+    the atom.  So a continuous part whose first moment exceeds
+    ``1e-12 (1 + |atom|)`` raises TransformError naming the law ``name``.
+    """
+    if not (density.is_atomic and len(density.atoms) == 1):
+        return None
+    loc = density.atoms[0][0]
+    if density.grid.size >= 2:
+        first = float(np.trapezoid(density.grid * density.density,
+                                   density.grid))
+        if abs(first) > 1e-12 * (1 + abs(loc)):
+            raise TransformError(
+                f"{name} is one atom at {loc:.6g} plus a continuous part of "
+                f"mass {density.continuous_mass():.3g} and first moment "
+                f"{first:.6g}, too light to resolve and too heavy to drop")
+    return loc
+
+
 # ---------------------------------------------------------------------------
 # Resolvent
 
@@ -183,9 +209,10 @@ def blue(density: SpectralDensity, w: complex) -> complex:
     w = complex(w)
     if w == 0:
         raise TransformError("Blue function diverges at w = 0")
-    if density.is_atomic and len(density.atoms) == 1:
+    loc = _lone_atom(density, "blue's law")
+    if loc is not None:
         # G(z) = 1/(z - m) inverts in closed form
-        return density.atoms[0][0] + 1.0 / w
+        return loc + 1.0 / w
     xk, ck = _nodes(density)
     if abs(w.imag) <= 1e-12 * abs(w.real):
         w = w.real
@@ -206,7 +233,8 @@ def blue(density: SpectralDensity, w: complex) -> complex:
         start = np.array([1.0 / w + density.mean()])
 
     def newton(z, _):
-        # z - (G(z) - w)/G'(z), with G' = -sum_k c_k/(z - x_k)^2
+        # z - (G(z) - w)/G'(z), with G' = -sum_k c_k/(z - x_k)^2; the map
+        # reads its own image
         d = 1.0 / (z[:, None] - xk)
         step = (_cauchy(xk, ck, z) - w) / ((d * d) @ ck)
         limit = 0.3 * (np.abs(z) + 0.1)
@@ -214,7 +242,8 @@ def blue(density: SpectralDensity, w: complex) -> complex:
         out = np.sign((z + step).imag) != np.sign(z.imag)
         if out.any():
             step[out] *= _halving(np.abs(step.imag[out]), np.abs(z.imag[out]))
-        return z + step
+        z = z + step
+        return z, z
 
     z = complex(_subordinate(newton, start, start.real, "blue")[0])
     # closer to the support than one grid step, the quadrature sum has roots
@@ -255,11 +284,12 @@ def s_transform(density: SpectralDensity, w: complex) -> complex:
     w = complex(w)
     if w == 0:
         raise TransformError("S-transform is defined for w != 0")
-    if density.is_atomic and len(density.atoms) == 1:
-        return 1.0 / density.atoms[0][0]
     mean = density.mean()
     if abs(mean) < 1e-14:
         raise TransformError("S-transform requires a density with non-zero mean")
+    loc = _lone_atom(density, "s_transform's law")
+    if loc is not None:
+        return 1.0 / loc
     if density.support()[0] < 0:
         raise TransformError("S-transform requires non-negative support")
     floor = sum(m for loc, m in density.atoms if loc == 0.0) - 1.0
@@ -277,7 +307,14 @@ def s_transform(density: SpectralDensity, w: complex) -> complex:
 # Free convolutions by subordination
 
 def _subordinate(f, z, grid, name):
-    """Fixed point of w <- f(w, z) at every z, coarse points first.
+    """Fixed point of w <- f(w, z) at every z, coarse points first, and
+    the reading the map takes on its way there.
+
+    ``f(w, z)`` returns ``(image, reading)``: the map's image and a value
+    it computed at w, such as G_a(w) for ``free_add``.  The iterates use
+    the image alone.  The call returns each point's reading from its last
+    evaluation, at the last iterate w_k, whose distance to the fixed point
+    the stop below bounds; ``blue``'s map reads its own image f(w_k).
 
     ``grid``, the lambda of each z, must increase.  The coarse stage
     iterates every ``COARSE_STRIDE``-th point and the last from w = z.  The
@@ -309,7 +346,7 @@ def _subordinate(f, z, grid, name):
     shrink them faster than the map contracts.  It also stops once its last
     two steps are both at most ``ROUNDING_TOL (1 + |f(w_k)|)``: within
     rounding of the fixed point rho_k is a ratio of rounding errors, and may
-    read |rho_k| >= 1.  A point returns the map's own image f(w_k).
+    read |rho_k| >= 1.
 
     Logs one DEBUG record on the ``rmtkit.transforms`` logger: caller,
     points, sweeps (the most map evaluations any one point took),
@@ -323,11 +360,12 @@ def _subordinate(f, z, grid, name):
                  secant_steps=0, rounding_stops=0, worst_lambda=np.nan,
                  bound=0.0)
     w = np.empty_like(z)
+    reading = np.empty_like(z)
     rho = np.full_like(z, np.nan)  # no estimate opens the coarse stage
     coarse = np.zeros(z.size, dtype=bool)
     coarse[::COARSE_STRIDE] = coarse[-1] = True
-    _iterate(f, z[coarse], z, np.flatnonzero(coarse), grid, w, rho, stats,
-             started)
+    _iterate(f, z[coarse], z, np.flatnonzero(coarse), grid, w, reading, rho,
+             stats, started)
     fine = np.flatnonzero(~coarse)
     if fine.size:
         x, xc = grid[fine], grid[coarse]
@@ -336,15 +374,17 @@ def _subordinate(f, z, grid, name):
             return np.interp(x, xc, v.real) + 1j * np.interp(x, xc, v.imag)
 
         rho[fine] = lerp(rho[coarse])
-        _iterate(f, lerp(w[coarse]), z, fine, grid, w, rho, stats, started)
+        _iterate(f, lerp(w[coarse]), z, fine, grid, w, reading, rho, stats,
+                 started)
     _log_subordinate(stats, started)
-    return w
+    return reading
 
 
-def _iterate(f, wa, z, idx, grid, w, rho, stats, started):
+def _iterate(f, wa, z, idx, grid, w, reading, rho, stats, started):
     """One stage of ``_subordinate``: iterate the points ``idx`` of z from
-    ``wa``, write each one's fixed point into ``w`` and its last measured
-    rho into ``rho``, and add to ``stats``.  The first sweep, which has no
+    ``wa``, write each one's last image f(w_k) into ``w``, the reading of
+    that evaluation into ``reading`` and its last measured rho into
+    ``rho``, and add to ``stats``.  The first sweep, which has no
     measured rho, takes its secant step on the estimate ``rho[idx]`` (NaN
     for none), except where the start is already at rounding level."""
     za = z[idx]
@@ -353,7 +393,7 @@ def _iterate(f, wa, z, idx, grid, w, rho, stats, started):
     fp = dw_prev = np.full(idx.size, np.nan, dtype=complex)
     for sweep in range(1, MAX_SWEEPS + 1):
         stats["evaluations"] += idx.size
-        fa = f(wa, za)
+        fa, ra = f(wa, za)
         r = fa - wa
         size = np.abs(r)
         scale = 1 + np.abs(fa)
@@ -380,6 +420,7 @@ def _iterate(f, wa, z, idx, grid, w, rho, stats, started):
         if done.any():
             d = np.flatnonzero(done)
             w[idx[d]] = fa[d]
+            reading[idx[d]] = ra[d]
             rho[idx[d]] = rho_k[d]
             # each stopped point's bound relative to the tolerance's scale;
             # a bounded stop with r != 0 has 1 - |rho| > 0
@@ -428,26 +469,33 @@ def free_add(a: SpectralDensity, b: SpectralDensity) -> SpectralDensity:
     """Density whose R-transform is R_a + R_b (free additive convolution).
 
     G_{a+b}(z) = G_a(w), where w is the fixed point of
-    w <- z + h_b(z + h_a(w)) with h = 1/G - id.
+    w <- z + h_b(z + h_a(w)) with h = 1/G - id.  G_a(w) is the map's first
+    quadrature; the density is read off it at each point's last iterate.
     """
-    if a.is_atomic and len(a.atoms) == 1:
-        return b.shifted(a.atoms[0][0])
-    if b.is_atomic and len(b.atoms) == 1:
-        return a.shifted(b.atoms[0][0])
+    loc = _lone_atom(a, "free_add's a")
+    if loc is not None:
+        return b.shifted(loc)
+    loc = _lone_atom(b, "free_add's b")
+    if loc is not None:
+        return a.shifted(loc)
 
     (xa, ca), (xb, cb) = _nodes(a), _nodes(b)
 
-    def h(x, c, w):
-        return 1.0 / _cauchy(x, c, w) - w
+    def h(g, w):
+        # 1/G - id at w, from g = G(w)
+        return 1.0 / g - w
+
+    def f(w, z):
+        g = _cauchy(xa, ca, w)
+        v = z + h(g, w)
+        return z + h(_cauchy(xb, cb, v), v), g
 
     lo_a, hi_a = a.support()
     lo_b, hi_b = b.support()
     lo, hi = lo_a + lo_b, hi_a + hi_b
     grid = np.linspace(lo, hi, GRID_POINTS)
     z = grid - 1j * 1e-4 * (hi - lo)
-    w = _subordinate(lambda w, z: z + h(xb, cb, z + h(xa, ca, w)), z, grid,
-                     "free_add")
-    rho = _cauchy(xa, ca, w).imag / np.pi
+    rho = _subordinate(f, z, grid, "free_add").imag / np.pi
     return SpectralDensity.from_unnormalized(grid, rho)
 
 
@@ -465,6 +513,12 @@ def free_multiply(a: SpectralDensity, b: SpectralDensity) -> SpectralDensity:
         if d.support()[0] < -1e-10:
             raise TransformError(
                 "free multiplication requires non-negative matrices")
+    loc = _lone_atom(a, "free_multiply's a")
+    if loc is not None:
+        return b.scaled(loc)
+    loc = _lone_atom(b, "free_multiply's b")
+    if loc is not None:
+        return a.scaled(loc)
     lo_a, hi_a = a.support()
     lo_b, hi_b = b.support()
     lo = max(1e-9, 0.25 * lo_a * lo_b)
@@ -498,24 +552,24 @@ def _product(a: SpectralDensity, b: SpectralDensity, grid, eps: float,
 
     With y = 1/z, psi_{ab}(y) = psi_a(w), where w is the fixed point of
     w <- y * h_b(y * h_a(w)) with h = eta/id and eta = psi/(1 + psi);
-    then G_{ab}(z) = y * (1 + psi_a(w)).  The product holds an atom at zero
-    of mass m0 = max(a({0}), b({0})); its part m0 * y of G is taken out
-    before the density is read.
+    then G_{ab}(z) = y * (1 + psi_a(w)), with psi_a(w) the map's first
+    quadrature at each point's last iterate.  The product holds an atom at
+    zero of mass m0 = max(a({0}), b({0})); its part m0 * y of G is taken
+    out before the density is read.
     """
-    if a.is_atomic and len(a.atoms) == 1:
-        return b.scaled(a.atoms[0][0])
-    if b.is_atomic and len(b.atoms) == 1:
-        return a.scaled(b.atoms[0][0])
-
     (xa, ca), (xb, cb) = _nodes(a), _nodes(b)
 
-    def h(x, c, w):
-        p = _psi(x, c, w)
+    def h(p, w):
+        # eta/id at w, from p = psi(w)
         return p / ((1.0 + p) * w)
 
+    def f(w, y):
+        p = _psi(xa, ca, w)
+        v = y * h(p, w)
+        return y * h(_psi(xb, cb, v), v), p
+
     y = 1.0 / (grid - 1j * eps)
-    w = _subordinate(lambda w, y: y * h(xb, cb, y * h(xa, ca, w)), y, grid,
-                     name)
+    psi = _subordinate(f, y, grid, name)
     m0 = max(sum(m for loc, m in d.atoms if loc == 0.0) for d in (a, b))
-    rho = (y * (1.0 + _psi(xa, ca, w) - m0)).imag / np.pi
+    rho = (y * (1.0 + psi - m0)).imag / np.pi
     return SpectralDensity.from_unnormalized(grid, rho, ((0.0, m0),))

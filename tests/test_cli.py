@@ -77,6 +77,15 @@ class TestExitCodes:
         assert run(["spikes", "--panel", str(panel)]) == 1
         assert "p.csv:3: not UTF-8 text" in capsys.readouterr().err
 
+    def test_atom_with_far_bulk_is_numerical_failure(self, tmp_path,
+                                                      capsys):
+        # MP(1e13) is an atom at 0 with 1e-13 of its mass near 1e13
+        out = tmp_path / "d.csv"
+        assert run(["spectrum", "--law", "powerlaw-dressed", "--q", "1e13",
+                    "--out", str(out)]) == 2
+        assert "free_multiply's b is one atom" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_indefinite_matrix_is_input_error(self, tmp_path):
         # an indefinite "correlation" matrix passes parsing but fails
         # eigendecomposition validation downstream

@@ -62,16 +62,19 @@ class TestQuadrature:
 
 def _plain_fixed_point(f, z, grid, name, tol=1e-14):
     """w <- f(w, z) from w = z with no acceleration, each point until its
-    step is below tol (1 + |w|): the reference for ``_subordinate``."""
+    step is below tol (1 + |w|): the reference for ``_subordinate``, whose
+    maps return (image, reading).  Returns each point's reading from its
+    last evaluation."""
     w = z.copy()
+    reading = np.empty_like(z)
     active = np.arange(z.size)
     for _ in range(20000):
-        new = f(w[active], z[active])
+        new, reading[active] = f(w[active], z[active])
         step = np.abs(new - w[active])
         w[active] = new
         active = active[step >= tol * (1 + np.abs(new))]
         if not active.size:
-            return w
+            return reading
     raise AssertionError(f"{name}: {active.size} points still moving")
 
 
@@ -100,7 +103,8 @@ def _ewma_newton(q):
         over = np.isfinite(dg) & (m >= half_u)
         if over.any():
             dg[over] *= transforms._halving(m[over], half_u[over])
-        return 1.0 / (g + dg)
+        w = 1.0 / (g + dg)
+        return w, w
 
     return newton, grid - 1j * 1e-6 * (hi - lo), grid, "ewma_newton"
 
@@ -155,7 +159,8 @@ class TestSubordinate:
 
         def f(w, z):
             e = w - (z + 0.3)
-            return z + 0.3 + rho * e + 0.5 * e ** 2
+            image = z + 0.3 + rho * e + 0.5 * e ** 2
+            return image, image
 
         w = transforms._subordinate(f, z, grid, "test")
         assert np.all(np.abs(w - fixed)
@@ -223,6 +228,26 @@ class TestSubordinate:
         assert stats["evaluations"] <= 0.95 * plain_opening
         assert stats["evaluations"] >= stats["points"] * 2
 
+    @pytest.mark.parametrize("case", EVALUATED)
+    def test_density_read_off_last_evaluation(self, case, caplog,
+                                              monkeypatch):
+        # each map evaluation runs one quadrature per law, and the density
+        # is the first one's at each point's last evaluation: no quadrature
+        # pass follows the solve
+        points = []
+        cauchy = transforms._cauchy
+
+        def counted(x, c, z):
+            points.append(np.size(z))
+            return cauchy(x, c, z)
+
+        monkeypatch.setattr(transforms, "_cauchy", counted)
+        run, caller, *_ = EVALUATED[case]
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            run()
+        stats = _subordinate_record(caplog, caller)
+        assert sum(points) == 2 * stats["evaluations"]
+
     def test_rounding_stop_counted(self, caplog):
         # fine points that start within rounding of the fixed point read
         # rho as a ratio of rounding errors, here with |rho| >= 1; they stop
@@ -231,7 +256,8 @@ class TestSubordinate:
         z = grid - 0.5j
 
         def f(w, z):
-            return z + 0.3 - 0.9 * (w - (z + 0.3))
+            image = z + 0.3 - 0.9 * (w - (z + 0.3))
+            return image, image
 
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
             w = transforms._subordinate(f, z, grid, "test")
@@ -534,6 +560,41 @@ class TestFreeAdd:
         inner = np.abs(out.grid) <= 1.9
         ref = 1 / (np.pi * np.sqrt(4 - out.grid[inner] ** 2))
         assert np.max(np.abs(out.density[inner] / ref - 1)) <= 0.015
+
+
+class TestLoneAtom:
+    """A law of one atom is taken in closed form only when its continuous
+    part is negligible in mass and in first moment.  MP(1e13) holds 1e-13
+    of its mass near 1e13, so its mean is 1; dropping that part read the
+    mean of MP(1e13) + semicircle as 0."""
+
+    @pytest.fixture(scope="class")
+    def light_far_bulk(self):
+        return spectra.mp_density(1e13)
+
+    @pytest.mark.parametrize("call, law", [
+        (lambda d, sc: transforms.free_add(d, sc), "free_add's a"),
+        (lambda d, sc: transforms.free_add(sc, d), "free_add's b"),
+        (lambda d, sc: transforms.free_multiply(d, spectra.mp_density(0.5)),
+         "free_multiply's a"),
+        (lambda d, sc: transforms.free_multiply(spectra.mp_density(0.5), d),
+         "free_multiply's b"),
+        (lambda d, sc: transforms.blue(d, 0.3 + 0.1j), "blue's law"),
+        (lambda d, sc: transforms.s_transform(d, 0.3 + 0.1j),
+         "s_transform's law")],
+        ids=["free_add_a", "free_add_b", "free_multiply_a",
+             "free_multiply_b", "blue", "s_transform"])
+    def test_light_far_bulk_raises(self, light_far_bulk, semicircle, call,
+                                   law):
+        with pytest.raises(TransformError, match=f"^{law} is one atom at 0"):
+            call(light_far_bulk, semicircle)
+
+    def test_point_mass_shifts_semicircle(self, semicircle):
+        out = transforms.free_add(SpectralDensity.atom(2.0), semicircle)
+        ref = semicircle.shifted(2.0)
+        assert np.array_equal(out.grid, ref.grid)
+        assert np.array_equal(out.density, ref.density)
+        assert out.atoms == ()
 
 
 # w in both half-planes for the R- and S-transform identities
