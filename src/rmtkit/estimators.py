@@ -30,10 +30,9 @@ class EstimatorError(ValueError):
 
 logger = logging.getLogger(__name__)
 
-# student_ml extrapolates each weight vector from this many past steps of the
-# weight map (Anderson mixing); the estimated contraction rate is the largest
-# secant ratio among as many recent iterates
-ANDERSON_DEPTH = 6
+# student_ml's stop reads the largest secant contraction ratio among this
+# many recent iterates
+RATE_WINDOW = 6
 # largest |column mean| and |column variance - 1| of a standardized panel
 STANDARDIZED_TOL = 1e-6
 
@@ -336,18 +335,20 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
     to 1 already (the trace of ``C^{-1} C`` is N), so the fixed point is
     the same, and the division removes the map's slow scale mode.  The
     quadratic forms come from one Cholesky factor of ``C(w)`` and one
-    triangular solve.  Each new weight vector is the Anderson mixture of the
-    last ``ANDERSON_DEPTH`` steps of the weight map; the plain step is taken
-    instead (and counted as a fallback) when a mixed iterate has a weight
-    <= 0 or a larger residual than the current one.  A plain step's
-    ``C(w)`` is the Gram matrix of the last image, already formed.
+    triangular solve.  Once two contraction ratios ``rho`` (below) are
+    measured, the next weight vector is Aitken's step ``w + (g(w) - w) /
+    (1 - rho)`` on the last one, where it is below 1, as in
+    ``transforms._subordinate``; the plain step ``g(w)`` is taken instead,
+    and a fallback counted, when that candidate has a weight <= 0 or a
+    larger step than the current one.  A plain step's ``C(w)`` is the Gram
+    matrix of the last image, already formed.
 
     ``tol`` bounds the distance to the fixed point, in max-abs entries of C:
     the loop stops when the plain-map step ``s`` satisfies
     ``s / (1 - rho) <= tol``, with ``rho`` the largest secant contraction
-    ratio of the map observed over the recent iterates, and returns the plain
-    image of the last iterate.  Raises ``EstimatorError`` on a singular
-    iterate and after ``max_iter`` iterations.
+    ratio of the map observed over the last ``RATE_WINDOW`` iterates, and
+    returns the plain image of the last iterate.  Raises ``EstimatorError``
+    on a singular iterate and after ``max_iter`` iterations.
     """
     if not 2 < mu < np.inf:
         raise EstimatorError("mu must be finite and exceed 2")
@@ -382,9 +383,9 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
         return w, C, g, Cg, _max_gap(Cg, C)
 
     state = evaluate(np.full(T, 1.0 / T))
-    d_res, d_img, rates = [], [], []
+    rates = []
     stats = dict(n=N, t=T, iterations=0, step=state[-1], bound=np.inf,
-                 fallbacks=0)
+                 fallbacks=0, secant_steps=0)
     for iteration in range(1, max_iter + 1):
         w, C, g, Cg, step = state
         rho = max(rates, default=1.0)
@@ -394,28 +395,24 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
             _log_student_ml(stats, started)
             return CorrelationMatrix(Cg + np.tril(Cg, -1).T,
                                      {"estimator": "student_ml", "mu": mu})
-        mixed = None
-        if d_res:
-            gamma = np.linalg.lstsq(np.column_stack(d_res), g - w,
-                                    rcond=None)[0]
-            candidate = g - np.column_stack(d_img) @ gamma
+        secant = None
+        # the first rate, measured at the Pearson start, extrapolates badly
+        if len(rates) >= 2 and rates[-1] < 1.0:
+            candidate = w + (g - w) / (1.0 - rates[-1])
             if np.all(candidate > 0):
-                mixed = evaluate(candidate)
-            if mixed is None or mixed[-1] > step:
+                secant = evaluate(candidate)
+            if secant is None or secant[-1] > step:
                 stats["fallbacks"] += 1
-                mixed = None
-                d_res.clear()
-                d_img.clear()
-        state = mixed or evaluate(g, Cg)
-        w_new, C_new, g_new, Cg_new, _ = state
-        d_res.append((g_new - w_new) - (g - w))
-        d_img.append(g_new - g)
+                secant = None
+            else:
+                stats["secant_steps"] += 1
+        state = secant or evaluate(g, Cg)
+        _, C_new, _, Cg_new, _ = state
         moved = _max_gap(C_new, C)
         # a secant across a move at rounding level measures only noise
         if moved > 1e-13 * np.max(np.abs(C)):
             rates.append(_max_gap(Cg_new, Cg) / moved)
-        del d_res[:-ANDERSON_DEPTH], d_img[:-ANDERSON_DEPTH]
-        del rates[:-ANDERSON_DEPTH]
+        del rates[:-RATE_WINDOW]
     _log_student_ml(stats, started)
     raise EstimatorError(
         f"student_ml did not converge in {max_iter} iterations "
@@ -443,7 +440,7 @@ def _log_student_ml(stats, started):
     stats["seconds"] = time.perf_counter() - started
     logger.debug("student_ml: N=%(n)d T=%(t)d iterations=%(iterations)d "
                  "step=%(step).3e bound=%(bound).3e fallbacks=%(fallbacks)d "
-                 "seconds=%(seconds).3f", stats)
+                 "secant_steps=%(secant_steps)d seconds=%(seconds).3f", stats)
 
 
 @dataclass(frozen=True)

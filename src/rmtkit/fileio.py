@@ -47,14 +47,16 @@ def _ends_quoted(line, inside):
 
 
 def _read_table(path, labelled):
-    """``(header, labels, values)`` of a table CSV, ``labels`` being a
-    panel's dates if ``labelled``.  A file without data rows is an error.
+    """``(header, labels, values, comments)`` of a table CSV, ``labels``
+    being a panel's dates if ``labelled`` and ``comments`` each ``#`` line
+    as ``(line number, bytes)``.  A file without data rows is an error.
 
     One generator hands the file's lines on, less ``#`` lines outside
     quoted cells, to ``csv.reader`` (header, first row) and ``np.loadtxt``
-    (all rows), which skip blank lines.  It records the row handed over
-    last; ``loadtxt`` takes one line at a time, so errors name its line."""
-    last, labels = SimpleNamespace(lineno=0, row=[]), []
+    (all rows), which skip blank lines; it keeps the ``#`` lines for
+    ``comments``.  It records the row handed over last; ``loadtxt`` takes
+    one line at a time, so errors name its line."""
+    last, labels, comments = SimpleNamespace(lineno=0, row=[]), [], []
 
     def label(text):  # a panel's date, read as 0.0 into the label column
         labels.append(text.strip())
@@ -79,6 +81,7 @@ def _read_table(path, labelled):
                 last.lineno += 1
                 if not inside:
                     if line.lstrip().startswith(b"#"):
+                        comments.append((last.lineno, line))
                         continue
                     last.row = []
                 last.row.append(line)
@@ -105,7 +108,9 @@ def _read_table(path, labelled):
             raise EstimatorError(f"{path}:{last.lineno}: " + (
                 "non-numeric value" if got == len(header)
                 else f"expected {len(header)} fields, got {got}")) from exc
-    return header, labels, _drop_first_column(block) if labelled else block
+    if labelled:
+        block = _drop_first_column(block)
+    return header, labels, block, comments
 
 
 def _drop_first_column(block):
@@ -129,7 +134,7 @@ def read_panel_csv(path) -> ReturnPanel:
 
     Blank lines and lines starting with ``#`` are skipped, and errors name
     the line of the file."""
-    header, dates, values = _read_table(path, labelled=True)
+    header, dates, values, _ = _read_table(path, labelled=True)
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise EstimatorError(f"{path}: first header column must be 'date'")
     if not np.all(np.isfinite(values)):
@@ -185,7 +190,7 @@ def read_matrix_csv(path) -> CorrelationMatrix:
 
     Blank lines and lines starting with ``#`` are skipped, and errors name
     the line of the file."""
-    header, _, values = _read_table(path, labelled=False)
+    header, _, values, _ = _read_table(path, labelled=False)
     assets = tuple(h.strip() for h in header)
     if values.shape != (len(assets), len(assets)):
         raise EstimatorError(f"{path}: matrix shape does not match header")
@@ -212,21 +217,20 @@ def write_density_csv(path, density: SpectralDensity) -> None:
 def read_density_csv(path) -> SpectralDensity:
     """Density CSV: header ``lambda,rho``, one row per grid point, and one
     ``# atom loc mass`` line per atom.  Errors name the line of the file."""
-    header, _, values = _read_table(path, labelled=False)
+    header, _, values, comments = _read_table(path, labelled=False)
     if [h.strip() for h in header] != ["lambda", "rho"]:
         raise EstimatorError(f"{path}: header must be 'lambda,rho'")
     atoms = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            words = line.split()
-            if words[:2] != ["#", "atom"]:
-                continue
-            try:
-                loc, mass = map(float, words[2:])
-            except ValueError as exc:
-                raise EstimatorError(
-                    f"{path}:{lineno}: expected '# atom loc mass'") from exc
-            atoms.append((loc, mass))
+    for lineno, line in comments:
+        words = line.split()
+        if words[:2] != [b"#", b"atom"]:
+            continue
+        try:
+            loc, mass = map(float, words[2:])
+        except ValueError as exc:
+            raise EstimatorError(
+                f"{path}:{lineno}: expected '# atom loc mass'") from exc
+        atoms.append((loc, mass))
     return SpectralDensity(values[:, 0], values[:, 1], tuple(atoms))
 
 

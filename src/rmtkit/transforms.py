@@ -333,7 +333,8 @@ def _subordinate(f, z, grid, name):
 
     Each sweep evaluates the map at every point still moving.  A point's
     next iterate is the secant step ``w_k + r_k / (1 - rho_k)`` on
-    ``r = f(w) - w`` (Aitken's step, Anderson mixing of depth one), with
+    ``r = f(w) - w`` (Aitken's step, Anderson mixing of depth one; the step
+    ``estimators.student_ml`` takes on its weights), with
     ``rho_k = (f(w_k) - f(w_{k-1})) / (w_k - w_{k-1})`` the map's observed
     derivative, where ``|rho_k| < 1`` and the step stays within
     ``|Im w_k| / 2`` of w_k, which keeps it at a bounded hyperbolic

@@ -394,7 +394,7 @@ class TestStudentML:
             estimators.student_ml(self.student_input(0), 5.0, tol=3e-5)
         (record,) = [r for r in caplog.records
                      if r.getMessage().startswith("student_ml:")]
-        assert record.args["iterations"] <= 8
+        assert record.args["iterations"] <= 6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_error_bounded_on_benchmark_inputs(self, seed):
@@ -403,10 +403,23 @@ class TestStudentML:
         ml = estimators.student_ml(panel, 5.0, tol=3e-5)
         assert np.max(np.abs(ml.values - ref.values)) <= 0.5 * 3e-5
 
+    @pytest.mark.parametrize("mu", [3.0, 10.0])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.67])
+    @pytest.mark.parametrize("N", [50, 100])
+    def test_error_bounded_across_shapes(self, N, q, mu):
+        from rmtkit import synth
+        C = synth.build_true_correlation(
+            synth.TrueCorrelationSpec("identity", N))
+        T = round(N / q)
+        panel = synth.student_panel(C, mu, T, seed=N + T + int(mu))
+        ref = estimators.student_ml(panel, mu, tol=1e-12, max_iter=2000)
+        ml = estimators.student_ml(panel, mu, tol=3e-5, max_iter=2000)
+        assert np.max(np.abs(ml.values - ref.values)) <= 3e-5
+
     def test_plain_step_reuses_gram(self, monkeypatch, caplog):
-        # the start costs two Gram matrices, the plain first step one (its
-        # C is the start's image), each mixed step two, the returning
-        # iteration none; the benchmark input takes no fallback
+        # the start costs two Gram matrices, each plain step one (its C is
+        # the last image's), each secant step two, the returning iteration
+        # none; the benchmark input takes no fallback
         calls = []
         real = estimators.blas.dsyrk
 
@@ -420,7 +433,8 @@ class TestStudentML:
         (record,) = [r for r in caplog.records
                      if r.getMessage().startswith("student_ml:")]
         assert record.args["fallbacks"] == 0
-        assert len(calls) == 2 * record.args["iterations"] - 1
+        assert len(calls) == (record.args["iterations"] + 1
+                              + record.args["secant_steps"])
 
 
 class TestDiagnostics:

@@ -436,6 +436,15 @@ class TestDensityCsv:
         assert d.atoms == ((2.0, 0.5),)
         assert np.array_equal(d.grid, [0.0, 1.0])
 
+    def test_non_utf8_comment_is_skipped(self, tmp_path):
+        # a comment is never decoded; only an atom line's numbers are read
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"# atom 2 0.5\n# note \xff\nlambda,rho\n0,0.5\n"
+                         b"1,0.5\n")
+        d = fileio.read_density_csv(path)
+        assert d.atoms == ((2.0, 0.5),)
+        assert np.array_equal(d.grid, [0.0, 1.0])
+
     def test_atoms_and_crlf_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"# atom 2 0.5\nlambda,rho\r\n0,0.5\r\n1,0.5\r\n")
