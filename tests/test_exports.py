@@ -54,7 +54,10 @@ def test_single_value_options_are_gone():
 
 
 SRC = str(Path(rmtkit.__file__).resolve().parents[1])
-HEAVY = ("scipy.stats", "scipy.optimize")
+# scipy.interpolate took 0.17-0.18 s to import after rmtkit.cli (2 CPUs,
+# Python 3.11, SciPy 1.17), against about 0.39 s for the whole of the
+# benchmark's set-up: ``transforms._pchip`` is a few lines of NumPy instead.
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
 
 
 def _fresh(code):
@@ -73,7 +76,7 @@ def _loaded_after(statement):
 
 
 # scipy.stats and scipy.optimize cost about a second and 40 MB to import,
-# and no command needs them at start-up.  A SciPy release whose linalg or
+# scipy.interpolate the time above, and no command needs them at start-up.  A SciPy release whose linalg or
 # special pulls one in is not rmtkit's doing, hence the baseline.
 def test_import_loads_neither_stats_nor_optimize():
     baseline = _loaded_after("import scipy.linalg, scipy.special")
@@ -92,6 +95,19 @@ def test_real_r_transform_leaves_optimize_unloaded():
     assert float(r) == pytest.approx(1.0 / (1.0 - 0.5 * 0.3), rel=1e-12)
     assert float(r_imag) == 0.0
     assert loaded == str("scipy.optimize" in baseline)
+
+
+# The fine stage of a free convolution starts from a monotone cubic of the
+# coarse fixed points, which does not take SciPy's PchipInterpolator.
+def test_free_add_leaves_interpolate_unloaded():
+    baseline = _loaded_after("import scipy.linalg, scipy.special")
+    out = _fresh(
+        "import sys\n"
+        "from rmtkit import spectra, transforms\n"
+        "transforms.free_add(spectra.mp_density(0.25), "
+        "spectra.wigner_semicircle(1.0))\n"
+        "print('scipy.interpolate' in sys.modules)")
+    assert out.split() == [str("scipy.interpolate" in baseline)]
 
 
 # Every edge rmtkit needs has a closed form, and its one inversion engine,

@@ -122,21 +122,82 @@ SUBORDINATED = {
         spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 0.5),
     "dressed_q2": lambda: spectra.dressed_spectrum(
         spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 2.0),
+    # where the cubic fine start moved the density most
+    "dressed_q1.1": lambda: spectra.dressed_spectrum(
+        spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 1.1),
+    "elliptic_0.5_4": lambda: spectra.elliptic_student_density(
+        spectra.EllipticParams(0.5, 4.0)),
+    "elliptic_0.05_10": lambda: spectra.elliptic_student_density(
+        spectra.EllipticParams(0.05, 10.0)),
 }
 
 
-# case: (run, caller of _subordinate, `gated` and `plain_opening` of
-# test_evaluations_pinned)
+# case: (run, caller of _subordinate, `gated`, `plain_opening` and
+# `linear_start` of test_evaluations_pinned)
 EVALUATED = {
-    "free_add": (SUBORDINATED["free_add"], "free_add", 9151, 7702),
+    "free_add": (SUBORDINATED["free_add"], "free_add", 9151, 7702, 7129),
     "free_multiply": (SUBORDINATED["free_multiply"], "free_multiply", 8965,
-                      7761),
+                      7761, 6506),
     "dressed_q0.5": (SUBORDINATED["dressed_q0.5"], "free_multiply", 9146,
-                     7766),
-    "elliptic": (lambda: spectra.elliptic_student_density(
-        spectra.EllipticParams(0.5, 4.0)), "elliptic_student_density", 7554,
-        6392),
+                     7766, 6981),
+    "elliptic": (SUBORDINATED["elliptic_0.5_4"], "elliptic_student_density",
+                 7554, 6392, 5420),
 }
+
+
+def _catmull_rom(x, xp, fp):
+    """The 4-point (Catmull-Rom) cubic through (xp, fp), xp a unit-spaced
+    grid, each node's slope the centred secant of its neighbours, read at
+    interior x."""
+    k = np.searchsorted(xp, x, side="right") - 1
+    t = x - xp[k]
+    d = np.gradient(fp, xp)
+    return ((2 * t**3 - 3 * t**2 + 1) * fp[k] + (t**3 - 2 * t**2 + t) * d[k]
+            + (-2 * t**3 + 3 * t**2) * fp[k + 1] + (t**3 - t**2) * d[k + 1])
+
+
+class TestPchip:
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_matches_scipy(self, monotone):
+        # uneven nodes whose last interval is short, as the coarse grid's
+        # is; the oracle is imported here alone, as it is slow to import
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(3, 40))
+            xp = np.cumsum(rng.uniform(0.1, 2.0, n))
+            xp[-1] = xp[-2] + rng.uniform(0.01, 0.1)
+            fp = rng.normal(size=n)
+            if monotone:
+                fp = np.cumsum(np.abs(fp))
+            x = np.sort(rng.uniform(xp[0], xp[-1], 500))
+            ref = PchipInterpolator(xp, fp)(x)
+            got = transforms._pchip(x, xp, fp)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(fp))
+
+    def test_sharp_peak_stays_positive(self):
+        # each interval stays between its end values, where the 4-point
+        # cubic through the same positive data dips below zero
+        xp = np.arange(6.0)
+        fp = np.array([1e-3, 1e-3, 1.0, 1e-3, 1e-3, 1e-3])
+        x = np.linspace(3.0, 4.0, 101)
+        assert np.all(transforms._pchip(x, xp, fp) >= 1e-3)
+        assert _catmull_rom(np.array([3.5]), xp, fp)[0] == pytest.approx(
+            -0.0614375)
+
+    def test_reproduces_linear_data(self):
+        xp = np.array([0.0, 0.5, 2.0, 2.25, 5.0, 5.1])
+        x = np.linspace(0.0, 5.1, 203)
+        got = transforms._pchip(x, xp, 2.0 - 3.0 * xp)
+        np.testing.assert_allclose(got, 2.0 - 3.0 * x, rtol=0, atol=1e-14)
+
+    def test_nan_falls_back_to_interp(self):
+        xp = np.arange(6.0)
+        fp = np.array([0.0, 1.0, np.nan, 3.0, 2.0, 5.0])
+        x = np.linspace(0.0, 5.0, 41)
+        np.testing.assert_array_equal(transforms._pchip(x, xp, fp),
+                                      np.interp(x, xp, fp))
 
 
 class TestSubordinate:
@@ -188,9 +249,7 @@ class TestSubordinate:
     @pytest.mark.parametrize("caller, run", [
         ("free_multiply", SUBORDINATED["free_multiply"]),
         ("free_multiply", SUBORDINATED["dressed_q0.5"]),
-        ("elliptic_student_density",
-         lambda: spectra.elliptic_student_density(
-             spectra.EllipticParams(0.5, 4.0)))],
+        ("elliptic_student_density", SUBORDINATED["elliptic_0.5_4"])],
         ids=["free_multiply", "dressed_spectrum", "elliptic_student_density"])
     def test_product_record_names_caller(self, caller, run, caplog):
         # each caller of _product labels its own record; dressed_spectrum
@@ -217,15 +276,18 @@ class TestSubordinate:
     def test_evaluations_pinned(self, case, single_stage, caplog):
         # map evaluations over all points; a single stage, every point
         # started at w = z, took single_stage, secant steps gated on a
-        # settled rho (|rho_k - rho_{k-1}| < 0.1 |rho_k|) took `gated`, and
-        # fine points opening with a plain step took `plain_opening`
-        run, caller, gated, plain_opening = EVALUATED[case]
+        # settled rho (|rho_k - rho_{k-1}| < 0.1 |rho_k|) took `gated`,
+        # fine points opening with a plain step took `plain_opening`, and
+        # fine points started from a linear interpolant of the coarse ones
+        # took `linear_start`
+        run, caller, gated, plain_opening, linear_start = EVALUATED[case]
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
             run()
         stats = _subordinate_record(caplog, caller)
         assert stats["evaluations"] <= 0.75 * single_stage
         assert stats["evaluations"] <= 0.9 * gated
         assert stats["evaluations"] <= 0.95 * plain_opening
+        assert stats["evaluations"] <= 0.88 * linear_start
         assert stats["evaluations"] >= stats["points"] * 2
 
     @pytest.mark.parametrize("case", EVALUATED)
