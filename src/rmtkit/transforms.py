@@ -3,9 +3,10 @@
 Resolvent (Stieltjes transform), its functional inverse (Blue function),
 R- and S-transforms, and free additive/multiplicative convolution by
 subordination (Belinschi & Bercovici, J. Anal. Math. 101, 2007).  One loop,
-``_subordinate``, solves every fixed point: all points of a grid at once,
-a coarse subgrid first, each point by Aitken's secant step where that step
-is safe (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  The maps need
+``_subordinate``, solves every fixed point: the points of a grid in stages
+of halving stride, each new point started from a monotone cubic of those
+solved before it and iterated by Aitken's secant step where that step is
+safe (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  The maps need
 forward evaluations of the Cauchy transform or of psi alone; both come
 from one real-arithmetic quadrature, ``_cauchy``.  A free convolution's
 density is read off the transform its map evaluates first, at each
@@ -43,16 +44,17 @@ logger = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-12
 # Subordination sweeps of one stage before giving up.  In the tests a point
-# of a free sum or product needs at most 22 and one of the elliptic bulk
-# 66; a sum of two Bernoulli laws, made only of atoms, contracts at a rate
-# of 1 - O(eps) and needs 1317.
+# of a free sum or product needs at most 16 and one of the elliptic bulk
+# 65; a sum of two Bernoulli laws, made only of atoms, contracts at a rate
+# of 1 - O(eps) and needs 451.
 MAX_SWEEPS = 2000
-# Grid stride of the coarse stage of ``_subordinate``.  Over a free sum, a
-# free product, a dressed spectrum and an elliptic bulk (the four cases of
-# the tests' evaluation caps), strides 4, 8, 16 and 32 took 24325, 21406,
-# 21413 and 23153 map evaluations in all (28260, 26036, 26014 and 27928
-# with a linear fine start).
-COARSE_STRIDE = 8
+# Grid stride of the first stage of ``_subordinate``; each later stage
+# halves it.  Over a free sum, a free product, a dressed spectrum and an
+# elliptic bulk (the four cases of the tests' evaluation caps), top strides
+# 64, 128, 256 and 512 took 17623, 17484, 17427 and 17406 map evaluations
+# in all (21406 for one stride-8 coarse stage and one fine stage); 512
+# saves 0.1% for one more stage.
+COARSE_STRIDE = 256
 # A point whose last two steps are both at most this, relative to
 # 1 + |f(w)|, sits at its fixed point to working precision.
 ROUNDING_TOL = 8 * np.finfo(float).eps
@@ -315,36 +317,41 @@ def _pchip(x, xp, fp):
     two adjacent secants (SIAM J. Sci. Stat. Comput. 5, 1984), 0 where they
     differ in sign or one is 0; the end slopes take SciPy's three-point
     rule, so ``scipy.interpolate.PchipInterpolator`` agrees.  Each interval
-    then stays between its two end values.  Fewer than 3 points, or data
-    not all finite, fall back to ``np.interp``.
+    then stays between its two end values.  Each row of a 2-D ``fp`` takes
+    its own cubic; fewer than 3 points, or a row not all finite, fall back
+    to ``np.interp``.
     """
-    if xp.size < 3 or not np.isfinite(fp).all():
-        return np.interp(x, xp, fp)
+    def interp(rows):
+        return np.apply_along_axis(lambda r: np.interp(x, xp, r), -1, rows)
+    if xp.size < 3:
+        return interp(fp)
     h = np.diff(xp)
-    m = np.diff(fp) / h
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
     d = np.zeros_like(fp)
-    same = np.sign(m[:-1]) * np.sign(m[1:]) > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(w1 + w2, w1 / m[:-1] + w2 / m[1:], out=d[1:-1], where=same)
-    for i, j in ((0, 1), (-1, -2)):  # each end and its neighbour
-        e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
-        if np.sign(e) != np.sign(m[i]):
-            e = 0.0
-        elif np.sign(m[i]) != np.sign(m[j]) and abs(e) > 3 * abs(m[i]):
-            e = 3 * m[i]
-        d[i] = e
-    # Hermite cubic on each interval, in powers of s = x - xp[k]
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c2, c3 = (m - d[:-1]) / h - t, t / h
-    k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, h.size - 1)
-    s = x - xp[k]
-    return fp[k] + s * (d[k] + s * (c2[k] + s * c3[k]))
+    with np.errstate(all="ignore"):  # rows not all finite are redone below
+        m = np.diff(fp) / h
+        ml, mr = m[..., :-1], m[..., 1:]
+        np.divide(w1 + w2, w1 / ml + w2 / mr, out=d[..., 1:-1],
+                  where=np.sign(ml) * np.sign(mr) > 0)
+        for i, j in ((0, 1), (-1, -2)):  # each end and its neighbour
+            mi, mj = m[..., i], m[..., j]
+            e = ((2 * h[i] + h[j]) * mi - h[i] * mj) / (h[i] + h[j])
+            d[..., i] = np.where(np.sign(e) != np.sign(mi), 0.0, np.where(
+                (np.sign(mi) != np.sign(mj)) & (np.abs(e) > 3 * np.abs(mi)),
+                3 * mi, e))
+        # Hermite cubic on each interval, in powers of s = x - xp[k]
+        t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+        c2, c3 = (m - d[..., :-1]) / h - t, t / h
+        k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, h.size - 1)
+        s = x - xp[k]
+        out = fp[..., k] + s * (d[..., k] + s * (c2[..., k] + s * c3[..., k]))
+    bad = ~np.isfinite(fp).all(axis=-1)
+    return np.where(bad[..., None], interp(fp), out) if bad.any() else out
 
 
 def _subordinate(f, z, grid, name):
-    """Fixed point of w <- f(w, z) at every z, coarse points first, and
-    the reading the map takes on its way there.
+    """Fixed point of w <- f(w, z) at every z, in stages of halving grid
+    stride, and the reading the map takes on its way there.
 
     ``f(w, z)`` returns ``(image, reading)``: the map's image and a value
     it computed at w, such as G_a(w) for ``free_add``.  The iterates use
@@ -352,22 +359,19 @@ def _subordinate(f, z, grid, name):
     evaluation, at the last iterate w_k, whose distance to the fixed point
     the stop below bounds; ``blue``'s map reads its own image f(w_k).
 
-    ``grid``, the lambda of each z, must increase.  The coarse stage
-    iterates every ``COARSE_STRIDE``-th point and the last from w = z.  The
-    fine stage starts every other point from the coarse fixed points,
-    interpolated in lambda by the monotone cubic ``_pchip`` (real and
-    imaginary parts apart), and iterates those points alone; coarse points
-    are not solved again.  A subordination map sends the half-plane of z
-    into itself and converges from any start in it (Belinschi & Bercovici),
-    and the monotone cubic keeps each interval's imaginary part between
-    those of its two coarse ends, so the start stays in the half-plane (a
-    4-point cubic can leave it).  A call with no point between its coarse
-    ones, such as ``blue``'s single point, runs the coarse stage alone.
-    Each coarse point keeps the last ``rho_k`` (below) it measured,
-    the map's derivative at its fixed point; a fine point's first step is
-    the secant step on that rho, interpolated as the start is, unless the
-    start's residual is already at ``ROUNDING_TOL``.  Every stop waits for
-    a measured rho_k.
+    ``grid``, the lambda of each z, must increase.  The first stage
+    iterates every ``COARSE_STRIDE``-th point and the last from w = z;
+    each later stage halves the stride and iterates the points it adds,
+    down to 1 (``blue``'s single point takes the first stage alone).  A
+    new point starts from all solved fixed points, interpolated in lambda
+    by the monotone cubic ``_pchip`` (real and imaginary parts apart).  Its
+    imaginary part then lies between two solved ones, so the start stays
+    in the half-plane that the map sends into itself and converges from
+    (Belinschi & Bercovici); a 4-point cubic can leave it.  Each solved
+    point keeps the last ``rho_k`` (below) it measured, the map's
+    derivative at its fixed point; a new point's first step is the secant
+    step on the same cubic of that rho, unless its start's residual is
+    already at ``ROUNDING_TOL``.  Every stop waits for a measured rho_k.
 
     Each sweep evaluates the map at every point still moving.  A point's
     next iterate is the secant step ``w_k + r_k / (1 - rho_k)`` on
@@ -376,8 +380,7 @@ def _subordinate(f, z, grid, name):
     ``rho_k = (f(w_k) - f(w_{k-1})) / (w_k - w_{k-1})`` the map's observed
     derivative, where ``|rho_k| < 1`` and the step stays within
     ``|Im w_k| / 2`` of w_k, which keeps it at a bounded hyperbolic
-    distance inside the half-plane.  Elsewhere it is the map's image
-    f(w_k).
+    distance inside the half-plane; elsewhere it is the image f(w_k).
 
     A point stops once ``|r_k| / (1 - |rho_k|) <= NEWTON_TOL (1 + |f(w_k)|)``,
     a bound on its distance to the fixed point where the map contracts by
@@ -388,33 +391,32 @@ def _subordinate(f, z, grid, name):
     read |rho_k| >= 1.
 
     Logs one DEBUG record on the ``rmtkit.transforms`` logger: caller,
-    points, sweeps (the most map evaluations any one point took),
+    points, stages, sweeps (the most map evaluations any one point took),
     evaluations (over all points), secant steps, rounding stops, the worst
     point's lambda and its relative bound (its relative last step for a
     rounding stop), seconds.  Raises ConvergenceError when any point is
     still moving after MAX_SWEEPS sweeps of its stage.
     """
     started = time.perf_counter()
-    stats = dict(caller=name, points=z.size, sweeps=0, evaluations=0,
-                 secant_steps=0, rounding_stops=0, worst_lambda=np.nan,
-                 bound=0.0)
-    w = np.empty_like(z)
-    reading = np.empty_like(z)
-    rho = np.full_like(z, np.nan)  # no estimate opens the coarse stage
-    coarse = np.zeros(z.size, dtype=bool)
-    coarse[::COARSE_STRIDE] = coarse[-1] = True
-    _iterate(f, z[coarse], z, np.flatnonzero(coarse), grid, w, reading, rho,
-             stats, started)
-    fine = np.flatnonzero(~coarse)
-    if fine.size:
-        x, xc = grid[fine], grid[coarse]
-
-        def cubic(v):
-            return _pchip(x, xc, v.real) + 1j * _pchip(x, xc, v.imag)
-
-        rho[fine] = cubic(rho[coarse])
-        _iterate(f, cubic(w[coarse]), z, fine, grid, w, reading, rho, stats,
-                 started)
+    stats = dict(caller=name, points=z.size, stages=0, sweeps=0,
+                 evaluations=0, secant_steps=0, rounding_stops=0,
+                 worst_lambda=np.nan, bound=0.0)
+    w, reading = np.empty_like(z), np.empty_like(z)
+    rho = np.full_like(z, np.nan)  # no estimate opens the first stage
+    solved = np.zeros(z.size, dtype=bool)
+    n, stride = np.arange(z.size), COARSE_STRIDE
+    while not solved.all():
+        idx = np.flatnonzero(((n % stride == 0) | (n == n[-1])) & ~solved)
+        stride //= 2
+        if idx.size:
+            wa = z[idx]
+            if solved.any():
+                wr, wi, rr, ri = _pchip(grid[idx], grid[solved], np.stack(
+                    [w.real, w.imag, rho.real, rho.imag])[:, solved])
+                wa, rho[idx] = wr + 1j * wi, rr + 1j * ri
+            stats["stages"] += 1
+            _iterate(f, wa, z, idx, grid, w, reading, rho, stats, started)
+            solved[idx] = True
     _log_subordinate(stats, started)
     return reading
 
@@ -488,8 +490,8 @@ def _iterate(f, wa, z, idx, grid, w, reading, rho, stats, started):
 def _log_subordinate(stats, started):
     stats["seconds"] = time.perf_counter() - started
     logger.debug("subordinate: caller=%(caller)s points=%(points)d "
-                 "sweeps=%(sweeps)d evaluations=%(evaluations)d "
-                 "secant_steps=%(secant_steps)d "
+                 "stages=%(stages)d sweeps=%(sweeps)d "
+                 "evaluations=%(evaluations)d secant_steps=%(secant_steps)d "
                  "rounding_stops=%(rounding_stops)d "
                  "worst_lambda=%(worst_lambda).6g bound=%(bound).3e "
                  "seconds=%(seconds).3f", stats)

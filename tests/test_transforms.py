@@ -132,16 +132,17 @@ SUBORDINATED = {
 }
 
 
-# case: (run, caller of _subordinate, `gated`, `plain_opening` and
-# `linear_start` of test_evaluations_pinned)
+# case: (run, caller of _subordinate, `gated`, `plain_opening`,
+# `linear_start` and `cubic_start` of test_evaluations_pinned)
 EVALUATED = {
-    "free_add": (SUBORDINATED["free_add"], "free_add", 9151, 7702, 7129),
+    "free_add": (SUBORDINATED["free_add"], "free_add", 9151, 7702, 7129,
+                 5605),
     "free_multiply": (SUBORDINATED["free_multiply"], "free_multiply", 8965,
-                      7761, 6506),
+                      7761, 6506, 5363),
     "dressed_q0.5": (SUBORDINATED["dressed_q0.5"], "free_multiply", 9146,
-                     7766, 6981),
+                     7766, 6981, 5847),
     "elliptic": (SUBORDINATED["elliptic_0.5_4"], "elliptic_student_density",
-                 7554, 6392, 5420),
+                 7554, 6392, 5420, 4591),
 }
 
 
@@ -199,6 +200,31 @@ class TestPchip:
         np.testing.assert_array_equal(transforms._pchip(x, xp, fp),
                                       np.interp(x, xp, fp))
 
+    def test_stacked_rows(self):
+        # one call on rows stacked as (k, n) equals one call per row bit for
+        # bit, the row with a NaN falling back to np.interp alone, and
+        # matches the oracle along axis 1 on the finite rows
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4, 17, 40):
+            xp = np.cumsum(rng.uniform(0.1, 2.0, n))
+            fp = rng.normal(size=(5, n))
+            fp[1] = np.cumsum(np.abs(fp[1]))
+            fp[2] = 1.0
+            fp[3, n // 2] = np.nan
+            x = np.sort(rng.uniform(xp[0], xp[-1], 300))
+            got = transforms._pchip(x, xp, fp)
+            for row, data in zip(got, fp):
+                np.testing.assert_array_equal(
+                    row, transforms._pchip(x, xp, data))
+            np.testing.assert_array_equal(got[3], np.interp(x, xp, fp[3]))
+            if n >= 3:
+                finite = [0, 1, 2, 4]
+                ref = PchipInterpolator(xp, fp[finite], axis=1)(x)
+                assert (np.max(np.abs(got[finite] - ref))
+                        <= 1e-14 * np.max(np.abs(fp[finite])))
+
 
 class TestSubordinate:
     @pytest.mark.parametrize("case", SUBORDINATED)
@@ -227,6 +253,24 @@ class TestSubordinate:
         assert np.all(np.abs(w - fixed)
                       <= transforms.NEWTON_TOL * (1 + np.abs(fixed)))
 
+    @pytest.mark.parametrize("points, stages",
+                             [(1, 1), (3, 2), (5, 3), (300, 9)])
+    def test_grid_shorter_than_stride(self, points, stages, caplog):
+        # strides that add no point run no stage; a stage after the first
+        # may start from two solved points, interpolated linearly
+        grid = np.linspace(0.0, 1.0, points)
+        z = grid - 0.5j
+
+        def f(w, z):
+            image = z + 0.3 + 0.5 * (w - (z + 0.3))
+            return image, image
+
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
+            w = transforms._subordinate(f, z, grid, "test")
+        assert _subordinate_record(caplog, "test")["stages"] == stages
+        assert np.all(np.abs(w - (z + 0.3))
+                      <= transforms.NEWTON_TOL * (1 + np.abs(z + 0.3)))
+
     @pytest.mark.parametrize("q", [0.56, 3.0])
     def test_newton_map_matches_plain_fixed_point(self, q):
         # a damped Newton map; unguarded secant steps sent points at these
@@ -242,6 +286,8 @@ class TestSubordinate:
             SUBORDINATED["free_add"]()
         stats = _subordinate_record(caplog, "free_add")
         assert stats["points"] == 2000
+        # strides 256, 128, ..., 1
+        assert stats["stages"] == 9
         assert stats["sweeps"] >= 1
         assert 0 <= stats["bound"] <= transforms.NEWTON_TOL
         assert stats["seconds"] > 0
@@ -278,9 +324,11 @@ class TestSubordinate:
         # started at w = z, took single_stage, secant steps gated on a
         # settled rho (|rho_k - rho_{k-1}| < 0.1 |rho_k|) took `gated`,
         # fine points opening with a plain step took `plain_opening`, and
-        # fine points started from a linear interpolant of the coarse ones
-        # took `linear_start`
-        run, caller, gated, plain_opening, linear_start = EVALUATED[case]
+        # one fine stage after a stride-8 coarse one, started from a linear
+        # interpolant of the coarse points, took `linear_start`, and from
+        # their monotone cubic `cubic_start`
+        run, caller, gated, plain_opening, linear_start, cubic_start = (
+            EVALUATED[case])
         with caplog.at_level(logging.DEBUG, logger="rmtkit.transforms"):
             run()
         stats = _subordinate_record(caplog, caller)
@@ -288,7 +336,36 @@ class TestSubordinate:
         assert stats["evaluations"] <= 0.9 * gated
         assert stats["evaluations"] <= 0.95 * plain_opening
         assert stats["evaluations"] <= 0.88 * linear_start
+        assert stats["evaluations"] <= 0.9 * cubic_start
         assert stats["evaluations"] >= stats["points"] * 2
+
+    @pytest.mark.parametrize("case", ["free_add", "free_multiply"])
+    def test_every_stage_starts_in_half_plane(self, case, monkeypatch):
+        # the map sends the half-plane of z (of y for the product) into
+        # itself; each stage's first call meets only points no earlier call
+        # evaluated, at their start, which must lie in that half-plane
+        starts = []
+        subordinate = transforms._subordinate
+
+        def wrapped(f, z, grid, name):
+            seen = set()
+
+            def g(w, zz):
+                new = np.array([v not in seen for v in zz.tolist()])
+                assert new.all() or not new.any()
+                if new.all():
+                    starts.append((w.copy(), zz.copy()))
+                    seen.update(zz.tolist())
+                return f(w, zz)
+
+            return subordinate(g, z, grid, name)
+
+        monkeypatch.setattr(transforms, "_subordinate", wrapped)
+        SUBORDINATED[case]()
+        assert len(starts) == 9
+        assert sum(w.size for w, _ in starts) == GRID_POINTS
+        for w, zz in starts:
+            assert np.all(np.sign(w.imag) == np.sign(zz.imag))
 
     @pytest.mark.parametrize("case", EVALUATED)
     def test_density_read_off_last_evaluation(self, case, caplog,
@@ -466,6 +543,7 @@ class TestBlue:
             transforms.blue(mp025, 0.1 + 0.2j)
         stats = _subordinate_record(caplog, "blue")
         assert stats["points"] == 1
+        assert stats["stages"] == 1
         assert stats["sweeps"] >= 1
         assert stats["bound"] <= transforms.NEWTON_TOL
 
@@ -476,6 +554,7 @@ class TestBlue:
             transforms.blue(mp025, w)
         stats = _subordinate_record(caplog, "blue")
         assert stats["points"] == 1
+        assert stats["stages"] == 1
         assert stats["sweeps"] >= 1
         assert stats["bound"] <= transforms.NEWTON_TOL
 
