@@ -43,8 +43,7 @@ class CleaningScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}; pick from {SCHEME_KINDS}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        _check_alpha(self.alpha)
 
 
 def clip(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:

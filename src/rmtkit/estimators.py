@@ -1,5 +1,5 @@
-"""Return panels, empirical correlation estimators and eigen-structure
-statistics."""
+"""Return panels, the correlation-matrix container and empirical
+correlation estimators."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ __all__ = [
     "pearson",
     "ewma_estimator",
     "student_ml",
-    "eigenportfolio_report",
-    "eigenvector_kurtosis",
 ]
 
 
@@ -441,47 +439,3 @@ def _log_student_ml(stats, started):
     logger.debug("student_ml: N=%(n)d T=%(t)d iterations=%(iterations)d "
                  "step=%(step).3e bound=%(bound).3e fallbacks=%(fallbacks)d "
                  "secant_steps=%(secant_steps)d seconds=%(seconds).3f", stats)
-
-
-@dataclass(frozen=True)
-class EigenportfolioRow:
-    eigenvalue: float
-    realized_variance: float
-    max_abs_cross_covariance: float
-
-
-def eigenportfolio_report(E: CorrelationMatrix, panel: ReturnPanel):
-    """Realized variance and mutual covariances of the eigenportfolios.
-
-    For E estimated from this panel the realized variance of portfolio alpha
-    equals its eigenvalue, and different eigenportfolios are uncorrelated.
-    """
-    P = panel.values @ E.eigenvectors  # T x N portfolio returns
-    cov = P.T @ P / panel.T
-    rows = []
-    for a in range(E.N):
-        cross = np.abs(np.delete(cov[a], a))
-        rows.append(EigenportfolioRow(
-            float(E.eigenvalues[a]), float(cov[a, a]),
-            float(cross.max()) if cross.size else 0.0))
-    return rows
-
-
-def eigenvector_kurtosis(E: CorrelationMatrix) -> np.ndarray:
-    """Excess kurtosis of the components of each eigenvector, by rank.
-
-    Rotationally invariant (Haar) eigenvectors give values near zero;
-    localized eigenvectors give large positive values.  The biased Fisher
-    estimate, m4/m2^2 - 3, in the order of operations of
-    ``scipy.stats.kurtosis`` (same bytes); a column whose m2 is zero to
-    within ``(eps * mean)**2``, as at N = 1, gives NaN.
-    """
-    V = E.eigenvectors
-    mean = V.mean(axis=0, keepdims=True)
-    s = V - mean
-    s *= s
-    m2 = s.mean(axis=0)
-    m4 = (s * s).mean(axis=0)
-    zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
-    out = np.divide(m4, m2**2.0, out=np.full_like(m2, np.nan), where=~zero)
-    return out - 3.0

@@ -1,10 +1,9 @@
 """Outlier eigenvalue theory: spike maps for Wigner and sample-correlation
-matrices, soft-edge fluctuation scales, heavy-tail regimes and a spike
-detector."""
+matrices, the soft-edge fluctuation scale and a spike detector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +17,6 @@ __all__ = [
     "bbp_map_wigner",
     "invert_spike_mp",
     "edge_scaling_mp",
-    "edge_scaling_wigner",
-    "heavy_tail_regime",
-    "HeavyTailRegime",
     "detect_spikes",
 ]
 
@@ -30,15 +26,14 @@ class EdgeScaling:
     """Soft-edge location and fluctuation scale.
 
     The largest eigenvalue of a null matrix fluctuates on the scale
-    ``gamma * N^(-width_exponent)`` around ``lambda_plus``.  For an edge
-    density vanishing like ``(lambda_plus - lambda)^theta`` the width
-    exponent is 1/(1 + theta); the square-root edge (theta = 1/2) gives 2/3.
+    ``gamma * N^(-2/3)`` around ``lambda_plus``: an edge density vanishing
+    like ``(lambda_plus - lambda)^theta`` gives the exponent 1/(1 + theta),
+    and the square-root edge (theta = 1/2) 2/3.
     """
 
     lambda_plus: float
     gamma: float
     N: int
-    theta: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
@@ -47,13 +42,9 @@ class EdgeScaling:
             raise ValueError("N must be positive")
 
     @property
-    def width_exponent(self) -> float:
-        return 1.0 / (1.0 + self.theta)
-
-    @property
     def scale(self) -> float:
-        """Absolute fluctuation scale gamma * N^(-width_exponent)."""
-        return self.gamma * self.N ** (-self.width_exponent)
+        """Absolute fluctuation scale gamma * N^(-2/3)."""
+        return self.gamma * self.N ** (-2.0 / 3.0)
 
     def threshold(self, u: float) -> float:
         return self.lambda_plus + u * self.scale
@@ -66,11 +57,6 @@ def edge_scaling_mp(q: float, N: int) -> EdgeScaling:
         raise ValueError("q must be positive and finite")
     lam_plus = (1.0 + np.sqrt(q)) ** 2
     return EdgeScaling(lam_plus, np.sqrt(q) * lam_plus ** (2.0 / 3.0), N)
-
-
-def edge_scaling_wigner(N: int) -> EdgeScaling:
-    """Wigner variant: lambda_+ = 2, gamma = 1."""
-    return EdgeScaling(2.0, 1.0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +103,6 @@ def invert_spike_mp(lambda_obs: float, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Heavy tails
-
-@dataclass(frozen=True)
-class HeavyTailRegime:
-    label: str  # TracyWidom | Frechet | Marginal
-    mu: float
-    lambda_max_exponent: float | None = None  # N-growth exponent, Frechet only
-    note: str = ""
-
-
-def heavy_tail_regime(mu: float) -> HeavyTailRegime:
-    """Classify the largest-eigenvalue statistics by the element tail index.
-
-    mu > 4: Tracy-Widom; 2 < mu < 4: Frechet with lambda_max growing as
-    N^(2/mu - 1/2); mu = 4: marginal mixture."""
-    if not mu > 2:
-        raise ValueError("mu <= 2 (infinite-variance regime) is unsupported")
-    if mu > 4:
-        return HeavyTailRegime("TracyWidom", mu)
-    if mu == 4:
-        return HeavyTailRegime(
-            "Marginal", mu,
-            note="delta peak at the bulk edge 2 plus a transformed Frechet tail")
-    return HeavyTailRegime("Frechet", mu, lambda_max_exponent=2.0 / mu - 0.5)
-
-
-# ---------------------------------------------------------------------------
 # Detector
 
 @dataclass(frozen=True)
@@ -186,9 +145,10 @@ def detect_spikes(E: CorrelationMatrix, q: float,
     """Flag eigenvalues above the bulk edge plus ``u_threshold`` fluctuation
     scales and report the implied true spikes.
 
-    The overlap estimate reuses the Wigner formula (no closed form is
-    implemented for correlation spikes) and is labelled a heuristic.  Only
-    eigenvalues are read, so E never forms its dense eigenvectors.
+    The overlap estimate is ``bbp_map_wigner``'s, the Wigner formula (no
+    closed form is implemented for correlation spikes), and is labelled a
+    heuristic.  Only eigenvalues are read, so E never forms its dense
+    eigenvectors.
     """
     if not np.isfinite(u_threshold):
         raise ValueError("u_threshold must be finite")
@@ -200,5 +160,5 @@ def detect_spikes(E: CorrelationMatrix, q: float,
             break
         implied = invert_spike_mp(float(lam), q)
         outliers.append(Outlier(rank, float(lam), implied,
-                                max(0.0, 1.0 - implied ** (-2))))
+                                bbp_map_wigner(implied)[1]))
     return SpikeReport(tuple(outliers), threshold, edge, q, u_threshold)

@@ -1,10 +1,9 @@
 """Synthetic market generators: Haar rotations, structured true-correlation
-matrices, Gaussian and heavy-tailed (common-volatility Student) panels, and a
-fourth-moment validator."""
+matrices, and Gaussian and heavy-tailed (common-volatility Student) panels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +17,10 @@ __all__ = [
     "build_true_correlation",
     "gaussian_panel",
     "student_panel",
-    "wick_check",
 ]
 
 # Recorded in output metadata so runs are reproducible across versions.
 GENERATOR_ID = "numpy-pcg64"
-# wick_check samples this many index quadruples, drawn from seed 0
-WICK_QUADRUPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,13 @@ def gaussian_panel(C: CorrelationMatrix, T: int, seed) -> ReturnPanel:
     return ReturnPanel(X @ C.sqrt())
 
 
-def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
-                  standardized: bool = True) -> ReturnPanel:
+def student_panel(C_hat: CorrelationMatrix, mu: float, T: int,
+                  seed) -> ReturnPanel:
     """Common-volatility heavy-tailed panel: r_t = sigma_t * xi_t with
     xi_t ~ Gaussian(C_hat) and sigma_t^2 = mu/s_t, s_t ~ chi-squared(mu).
 
-    The unconditional correlation is (mu/(mu-2)) C_hat; the returned panel is
-    column-standardized by default.
+    The unconditional covariance is (mu/(mu-2)) C_hat; the returned panel is
+    column-standardized.
 
     Memory: the Gaussian draw and its product with C_hat^{1/2} are alive
     together for one matrix product; the volatility scaling is then done in
@@ -127,29 +123,4 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int, seed,
     r = rng.standard_normal((T, C_hat.N)) @ C_hat.sqrt()
     s = rng.chisquare(mu, size=T)
     r *= np.sqrt(mu / s)[:, None]
-    panel = ReturnPanel(r)
-    return standardize(panel) if standardized else panel
-
-
-def wick_check(panel: ReturnPanel, mu: float) -> float:
-    """Max absolute deviation of sampled fourth moments from the elliptic
-    Wick prediction ((mu-2)/(mu-4)) [C_ij C_kl + C_ik C_jl + C_il C_jk],
-    over ``WICK_QUADRUPLES`` random index quadruples (i, j, k, l).
-
-    ``mu=inf`` checks the plain Gaussian Wick relation (prefactor 1).
-    """
-    if not mu > 4:
-        raise ValueError("mu must exceed 4 (finite fourth moments)")
-    R = panel.values
-    T, N = R.shape
-    C = R.T @ R / T
-    Rt = np.ascontiguousarray(R.T)  # asset rows: contiguous reads below
-    prefactor = 1.0 if np.isinf(mu) else (mu - 2.0) / (mu - 4.0)
-    idx = np.random.default_rng(0).integers(0, N, size=(WICK_QUADRUPLES, 4))
-    worst = 0.0
-    for i, j, k, l in idx:
-        emp = float(np.mean(Rt[i] * Rt[j] * Rt[k] * Rt[l]))
-        theory = prefactor * (C[i, j] * C[k, l] + C[i, k] * C[j, l]
-                              + C[i, l] * C[j, k])
-        worst = max(worst, abs(emp - theory))
-    return worst
+    return standardize(ReturnPanel(r))

@@ -113,6 +113,19 @@ class TestExitCodes:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    # a day of zero returns has no momentum predictor: its g / |g| was
+    # written as the row 0.5,raw,nan,nan
+    def test_zero_predictor_day_is_input_error(self, tmp_path, capsys):
+        values = np.random.default_rng(0).standard_normal((400, 5))
+        values[300] = 0.0
+        panel = tmp_path / "p.csv"
+        fileio.write_panel_csv(panel, ReturnPanel(values))
+        out = tmp_path / "bt.csv"
+        assert run(["backtest", "--panel", str(panel), "--window", "300",
+                    "--horizon", "50", "--out", str(out)]) == 1
+        assert "date index 300" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unbuildable_mp_grid_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run(["spectrum", "--law", "mp", "--q", "1e22",

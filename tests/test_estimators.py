@@ -435,33 +435,3 @@ class TestStudentML:
         assert record.args["fallbacks"] == 0
         assert len(calls) == (record.args["iterations"] + 1
                               + record.args["secant_steps"])
-
-
-class TestDiagnostics:
-    def test_eigenportfolios_realize_their_eigenvalues(self, gauss_panel):
-        E = pearson(gauss_panel)
-        rows = estimators.eigenportfolio_report(E, gauss_panel)
-        for row in rows[:5]:
-            assert row.realized_variance == pytest.approx(row.eigenvalue,
-                                                          rel=1e-6)
-            assert row.max_abs_cross_covariance < 1e-8
-
-    def test_eigenvector_kurtosis_small_for_rotation_invariant(self, gauss_panel):
-        E = pearson(gauss_panel)
-        k = estimators.eigenvector_kurtosis(E)
-        assert np.mean(np.abs(k)) < 2.0
-
-    def test_eigenvector_kurtosis_matches_scipy(self, gauss_panel):
-        from scipy.stats import kurtosis
-        E = pearson(gauss_panel)
-        ref = kurtosis(E.eigenvectors, axis=0, fisher=True, bias=True)
-        np.testing.assert_allclose(estimators.eigenvector_kurtosis(E), ref,
-                                   rtol=1e-15, atol=0)
-
-    def test_eigenvector_kurtosis_localized_and_degenerate(self):
-        # a unit vector at N = 5: m2 = 0.16, m4 = 0.0832, 3.25 - 3
-        k = estimators.eigenvector_kurtosis(CorrelationMatrix(np.eye(5)))
-        assert k == pytest.approx(np.full(5, 0.25), rel=1e-12)
-        # one component has no spread: NaN, and no warning
-        k = estimators.eigenvector_kurtosis(CorrelationMatrix([[1.0]]))
-        assert k.shape == (1,) and np.isnan(k[0])

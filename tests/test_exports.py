@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,34 @@ def test_all_names_resolve(modname):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing
+
+
+# Code budget: a public name earns its place by a caller outside its own
+# unit tests, in the package, the benchmark or an acceptance criterion.  Its
+# def/class line or assignment and its __all__ entry do not count.  Exempt:
+# r_transform, the reference TestIdentityGauge checks the transforms
+# against, and markowitz_weights, the paper's weight formula, which backtest
+# inlines because it also needs g^T E^{-1} g.
+BUDGET_EXEMPT = {"r_transform", "markowitz_weights"}
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_has_a_caller():
+    files = [*sorted((REPO / "src" / "rmtkit").glob("*.py")),
+             *sorted((REPO / "perfbench").glob("*.py")),
+             REPO / "tests" / "test_acceptance.py"]
+    text = "\n".join(re.sub(r"^__all__ = \[.*?\]", "", f.read_text(),
+                            flags=re.S | re.M) for f in files)
+    unused = []
+    for modname in MODULES:
+        mod = importlib.import_module(modname)
+        for name in set(getattr(mod, "__all__", ())) - BUDGET_EXEMPT:
+            word = re.escape(name)
+            body = re.sub(rf"^(?:def|class) {word}\b|^{word}\b[^=\n]*=", "",
+                          text, flags=re.M)
+            if not re.search(rf"\b{word}\b", body):
+                unused.append(f"{modname}.{name}")
+    assert not unused
 
 
 # Every grid size reads density.GRID_POINTS: no density builder takes one.

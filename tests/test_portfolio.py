@@ -6,7 +6,7 @@ import pytest
 from rmtkit import fileio, portfolio, synth
 from rmtkit.cleaning import CleaningScheme, apply_scheme
 from rmtkit.estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
-                               pearson, standardize)
+                               _corr, pearson, standardize)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,10 @@ class TestRiskTriple:
         assert r.in_sample == pytest.approx(ref, rel=1e-12)
         assert np.isnan(r.out_of_sample)
         assert r.true_risk is None
+
+    def test_zero_predictor_rejected(self, true_corr):
+        with pytest.raises(ValueError, match="g must be non-zero"):
+            portfolio.risk_triple(true_corr, None, np.zeros(60))
 
     def test_ordering_in_lt_true_lt_out(self, true_corr):
         rng = np.random.default_rng(1)
@@ -128,8 +132,7 @@ class TestBacktest:
     # a zero horizon averaged an empty slice into a NaN risk, a negative one
     # indexed past the panel, a zero window standardized empty windows and a
     # one-day window read as a constant column
-    @pytest.mark.parametrize("run", [portfolio.backtest,
-                                     portfolio.residual_test])
+    @pytest.mark.parametrize("run", [portfolio.backtest])
     @pytest.mark.parametrize("window, horizon, match", [
         (300, 0, "horizon must"), (300, -5, "horizon must"),
         (0, 50, "window must"), (1, 50, "window must")])
@@ -137,6 +140,21 @@ class TestBacktest:
                                           match):
         with pytest.raises(ValueError, match=match):
             run(panel, None, window=window, horizon=horizon, step=100)
+
+    def test_constant_column_raises(self):
+        values = np.random.default_rng(0).standard_normal((400, 5))
+        values[:250, 2] = 0.0
+        with pytest.raises(EstimatorError, match="constant column"):
+            portfolio.backtest(ReturnPanel(values), None, window=200,
+                               horizon=50, step=50)
+
+    # a day of zero returns has no momentum predictor: its g / |g| wrote NaN
+    def test_zero_predictor_day_rejected(self):
+        values = np.random.default_rng(0).standard_normal((400, 5))
+        values[300] = 0.0
+        with pytest.raises(ValueError, match=r"non-zero \(date index 300\)"):
+            portfolio.backtest(ReturnPanel(values), None, window=300,
+                               horizon=50)
 
     def test_random_predictor_requires_seed(self, panel):
         with pytest.raises(ValueError, match="seed"):
@@ -171,11 +189,21 @@ class TestBacktest:
         assert all(E.__dict__["_values"] is None for E in cleaned)
         assert not any("_eig" in vars(E) for E in raw + cleaned)
 
-    def test_window_standardization_is_bitwise(self, panel):
-        estimates = portfolio._window_estimates(panel, None, 300, 50, 100)
-        for t, sigma, X, _ in estimates:
-            hist = panel.values[t - 300:t]
-            assert np.array_equal(X, (hist - hist.mean(axis=0)) / sigma)
+    def test_window_standardization_is_bitwise(self, panel, monkeypatch):
+        matrices = []
+
+        def keep(values):
+            matrices.append(values)
+            return CorrelationMatrix(values)
+
+        monkeypatch.setattr(portfolio, "CorrelationMatrix", keep)
+        rows, _, _ = portfolio.backtest(panel, None, window=300, horizon=50,
+                                        step=100)
+        assert len(matrices) == len(rows) > 2
+        for row, E in zip(rows, matrices):
+            hist = panel.values[row.date_index - 300:row.date_index]
+            X = (hist - hist.mean(axis=0)) / hist.std(axis=0)
+            assert np.array_equal(E, _corr(X))
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "bt.csv"
@@ -187,22 +215,3 @@ class TestBacktest:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha", "scheme", "in_risk", "out_risk"]
         assert rows[1] == ["0.5", "clip", "1.25", "1.5"]
-
-
-class TestResidualTest:
-    def test_raw_estimate_biased_out_of_sample(self):
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("single_spike", 40, rho_bar=0.2))
-        panel = synth.gaussian_panel(C, 700, seed=9)
-        in_ratio, out_ratio = portfolio.residual_test(
-            panel, None, window=300, horizon=50, step=100)
-        # in-window the fit is flattered; out-of-window it deteriorates
-        assert in_ratio > out_ratio
-        assert 0.5 < out_ratio < 1.05
-
-    def test_constant_column_raises(self):
-        values = np.random.default_rng(0).standard_normal((400, 5))
-        values[:250, 2] = 0.0
-        with pytest.raises(EstimatorError, match="constant column"):
-            portfolio.residual_test(ReturnPanel(values), None, window=200,
-                                    horizon=50, step=50)

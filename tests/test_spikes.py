@@ -11,25 +11,13 @@ class TestEdgeScaling:
         assert e.lambda_plus == pytest.approx(2.25)
         assert e.gamma == pytest.approx(0.5 * 2.25 ** (2.0 / 3.0))
         assert e.scale == pytest.approx(e.gamma * 500 ** (-2.0 / 3.0))
+        assert e.threshold(3.0) == pytest.approx(2.25 + 3.0 * e.scale)
 
-    def test_wigner_edge(self):
-        e = spikes.edge_scaling_wigner(1000)
-        assert e.lambda_plus == 2.0
-        assert e.threshold(3.0) == pytest.approx(2.0 + 3.0 * 1000 ** (-2 / 3))
-
-    def test_width_exponent_tied_to_theta(self):
-        e = spikes.EdgeScaling(2.0, 1.0, 1000)
-        assert e.width_exponent == 2.0 / 3.0
-        e = spikes.EdgeScaling(2.0, 1.0, 1000, theta=1.0)
-        assert e.width_exponent == 0.5
-        assert e.scale == pytest.approx(1000 ** -0.5)
-
-    # one rule for both constructors and a direct EdgeScaling: N >= 1
+    # one rule for the constructor and a direct EdgeScaling: N >= 1
     @pytest.mark.parametrize("make", [
         lambda N: spikes.edge_scaling_mp(0.25, N),
-        spikes.edge_scaling_wigner,
         lambda N: spikes.EdgeScaling(2.0, 1.0, N)],
-        ids=["mp", "wigner", "direct"])
+        ids=["mp", "direct"])
     @pytest.mark.parametrize("N", [0, -8])
     def test_rejects_non_positive_N(self, make, N):
         with pytest.raises(ValueError, match="N must be positive"):
@@ -83,22 +71,6 @@ class TestBbpMap:
         assert np.mean(tops) == pytest.approx(expected, rel=0.05)
 
 
-class TestHeavyTailRegime:
-    def test_labels(self):
-        assert spikes.heavy_tail_regime(6.0).label == "TracyWidom"
-        assert spikes.heavy_tail_regime(4.0).label == "Marginal"
-        r = spikes.heavy_tail_regime(3.0)
-        assert r.label == "Frechet"
-        assert r.lambda_max_exponent == pytest.approx(2.0 / 3.0 - 0.5)
-
-    def test_infinite_variance_rejected(self):
-        with pytest.raises(ValueError):
-            spikes.heavy_tail_regime(2.0)
-
-    def test_infinite_tail_index_is_gaussian(self):
-        assert spikes.heavy_tail_regime(np.inf).label == "TracyWidom"
-
-
 # a range check written as x <= c lets NaN through
 @pytest.mark.parametrize("call", [
     lambda: spikes.edge_scaling_mp(np.nan, 100),
@@ -111,10 +83,8 @@ class TestHeavyTailRegime:
     lambda: spikes.invert_spike_mp(5.0, np.nan),
     lambda: spikes.invert_spike_mp(np.nan, 0.5),
     lambda: spikes.invert_spike_mp(np.inf, 0.5),
-    lambda: spikes.heavy_tail_regime(np.nan),
 ], ids=["edge-q-nan", "edge-q-inf", "gamma-nan", "gamma-inf", "bbp-nan",
-        "bbp-inf", "bbp-q-nan", "invert-q-nan", "invert-nan", "invert-inf",
-        "regime-nan"])
+        "bbp-inf", "bbp-q-nan", "invert-q-nan", "invert-nan", "invert-inf"])
 def test_non_finite_parameter_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -132,6 +102,10 @@ class TestDetector:
         implied = sorted(o.implied_spike for o in report.outliers)
         assert implied[0] == pytest.approx(5.0, rel=0.15)
         assert implied[1] == pytest.approx(8.0, rel=0.15)
+        # the overlap is the Wigner map's, read at the implied spike
+        for o in report.outliers:
+            assert o.overlap_estimate == spikes.bbp_map_wigner(
+                o.implied_spike)[1]
 
     def test_report_matches_eigh_based_one(self):
         N, T = 300, 900
