@@ -282,14 +282,23 @@ def standardize(panel: ReturnPanel) -> ReturnPanel:
     values = panel.values
     if panel.T < 2:
         raise EstimatorError("need at least two observations")
+    mean = values.mean(axis=0)
     std = values.std(axis=0)
-    bad = np.nonzero(std < 1e-15)[0]
+    bad = np.nonzero(_constant(std, mean, panel.T))[0]
     if bad.size:
         raise EstimatorError(
             f"constant column for asset {panel.asset_ids[bad[0]]}")
-    out = values - values.mean(axis=0)
+    out = values - mean
     out /= std
     return ReturnPanel(out, panel.asset_ids, panel.time_ids)
+
+
+def _constant(std, mean, n):
+    """Which columns of n rows with these stds and means are constant.
+
+    A column held at a level a reads a std of up to n * eps * |a|, the
+    rounding of its summed mean, so the bound scales with the level."""
+    return std <= np.maximum(1e-15, n * np.finfo(float).eps * np.abs(mean))
 
 
 def pearson(panel: ReturnPanel) -> CorrelationMatrix:

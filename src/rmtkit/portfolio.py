@@ -3,13 +3,16 @@ measures, and a rolling out-of-sample backtest for cleaning schemes."""
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cleaning import CleaningScheme, apply_scheme
-from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel, _corr
+from .estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
+                         _constant)
 
 __all__ = [
     "RiskReport",
@@ -19,6 +22,12 @@ __all__ = [
     "theoretical_risk_ratios",
     "backtest",
 ]
+
+logger = logging.getLogger(__name__)
+
+# backtest forms a window's sums again where a column's running variance has
+# cancelled to this fraction of its mean square about the shift, or below
+_CANCELLED = 1e-2
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,18 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
     sum_i (w_i/sigma_i) r_i over the next ``horizon`` days.  Returns (rows,
     mean_in_risk2, mean_out_risk2).
 
+    E comes from running sums over the window, M = sum (r - c)(r - c)^T and
+    s = sum (r - c) about a fixed shift c (Welford 1962; Chan, Golub &
+    LeVeque 1983): the next window adds the products of the ``step`` rows
+    that enter and subtracts those of the rows that leave, and with m = s/W
+    and d = 1/sigma, E = (M/W - m m^T) * (d d^T) with a unit diagonal.  The
+    sums are formed again from the window itself, with c its mean and s = 0,
+    at the first window, once ``window`` rows have entered since they were
+    last formed (so every window when ``step >= window``), and where a
+    column's variance M_ii/W - m_i^2 has cancelled to ``_CANCELLED`` of its
+    mean square about c or below.  Logs one DEBUG record on the
+    ``rmtkit.portfolio`` logger: windows, both kinds of rebuild, seconds.
+
     ``predictor='random'`` replaces g by a unit-norm random vector (requires
     a seed).  A day whose returns are all zero gives no momentum predictor
     and raises ``ValueError``.
@@ -115,19 +136,51 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
     if predictor == "random" and seed is None:
         raise ValueError("random predictor requires a seed")
     rng = np.random.default_rng(seed) if predictor == "random" else None
+    started = time.perf_counter()
+    R, W = panel.values, window
+    stats = dict(periodic=0, cancelled=0)
+    entered = W  # rows entered since the sums were formed from a window
     rows = []
-    for t in range(window, panel.T - horizon, step):
-        hist = panel.values[t - window:t]
-        sigma = hist.std(axis=0)
-        if np.any(sigma < 1e-15):
+    for t in range(W, panel.T - horizon, step):
+        rebuild = entered >= W
+        if rebuild:
+            stats["periodic"] += 1
+        else:
+            new = R[t - step:t] - c
+            old = R[t - step - W:t - W] - c
+            M += new.T @ new
+            M -= old.T @ old
+            s += new.sum(axis=0)
+            s -= old.sum(axis=0)
+            m = s / W
+            msq = M.diagonal() / W
+            var = msq - m * m
+            rebuild = bool(np.any(var <= _CANCELLED * msq))
+            stats["cancelled"] += rebuild
+        if rebuild:
+            hist = R[t - W:t]
+            c = hist.mean(axis=0)
+            X = hist - c
+            M = X.T @ X
+            del X  # the window's copy, which the update windows do not need
+            s = np.zeros(panel.N)
+            m = s
+            var = M.diagonal() / W
+            entered = 0
+        sigma = np.sqrt(var)
+        if np.any(_constant(sigma, c + m, W)):
             raise EstimatorError("constant column inside backtest window")
-        X = hist - hist.mean(axis=0)
-        X /= sigma
-        E = CorrelationMatrix(_corr(X))
+        d = 1.0 / sigma
+        V = M / W
+        V -= np.outer(m, m)
+        V *= np.outer(d, d)
+        np.fill_diagonal(V, 1.0)
+        E = CorrelationMatrix(V)
+        entered += step
         if scheme is not None:
             E = apply_scheme(E, scheme)
         if predictor == "momentum":
-            g = panel.values[t] / sigma
+            g = R[t] / sigma
         else:
             g = rng.standard_normal(panel.N)
         g = _nonzero_gain(g, f" (date index {t})")
@@ -136,10 +189,14 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
         denom = g @ Einv_g
         w = Einv_g / denom
         in_risk2 = 1.0 / denom
-        fut = panel.values[t + 1:t + 1 + horizon]
+        fut = R[t + 1:t + 1 + horizon]
         pnl = fut @ (w / sigma)
         out_risk2 = float(np.mean(pnl ** 2))
         rows.append(BacktestRow(t, float(in_risk2), out_risk2))
+    stats.update(windows=len(rows), seconds=time.perf_counter() - started)
+    logger.debug("backtest: windows=%(windows)d periodic_rebuilds=%(periodic)d "
+                 "cancellation_rebuilds=%(cancelled)d seconds=%(seconds).3f",
+                 stats)
     mean_in = math.fsum(r.in_risk2 for r in rows) / len(rows)
     mean_out = math.fsum(r.out_risk2 for r in rows) / len(rows)
     return rows, mean_in, mean_out

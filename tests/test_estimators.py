@@ -58,6 +58,22 @@ class TestStandardize:
         with pytest.raises(EstimatorError, match="A0001"):
             standardize(ReturnPanel(vals))
 
+    # a column held at a level a reads a std of up to n * eps * |a|, the
+    # rounding of its mean: at 0.3 over 5000 rows it read 2.7e-14, passed an
+    # absolute 1e-15 bound and came out as a column of ones
+    @pytest.mark.parametrize("level", [0.0, 0.3, 1.0, -7.5])
+    def test_constant_column_at_any_level_raises(self, level):
+        vals = np.random.default_rng(0).standard_normal((5000, 3))
+        vals[:, 1] = level
+        with pytest.raises(EstimatorError, match="constant column .* A0001"):
+            standardize(ReturnPanel(vals))
+
+    def test_small_spread_about_a_level_is_not_constant(self):
+        vals = np.random.default_rng(0).standard_normal((5000, 3))
+        vals[:, 1] = -7.5 + 7.5e-9 * vals[:, 1] / vals[:, 1].std()
+        out = standardize(ReturnPanel(vals)).values
+        assert out[:, 1].var() == pytest.approx(1.0, rel=1e-6)
+
     def test_matches_out_of_place_formula_bitwise(self):
         vals = 3.0 + 2.0 * np.random.default_rng(1).standard_normal((300, 7))
         expected = (vals - vals.mean(axis=0)) / vals.std(axis=0)

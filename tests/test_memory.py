@@ -7,8 +7,9 @@ weigh little beside the T x N ones.  Its traced peak may be at most
 plus one working copy, and some room for the N x N matrices, the dates and
 the NaN checks' boolean masks.
 
-Measured at N = 100, T = 3000: 1.71 copies (``backtest``) to 2.35
-(``simulate --mu``); ``svd`` 2.29, the other ``simulate`` specs 2.28-2.29,
+Measured at N = 100, T = 3000: 1.68 copies (``backtest``; 1.87 while
+each window's centred rows stayed alive through its eigendecomposition) to
+2.35 (``simulate --mu``); ``svd`` 2.29, the other ``simulate`` specs 2.28-2.29,
 ``dynamics`` 2.26, ``clean`` and ``spikes`` 2.22-2.23.  The largest is 10%
 under the budget.  ``svd`` read 4.67 copies and ``simulate --mu`` 3.35 while
 they kept their raw panels alive.

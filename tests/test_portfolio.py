@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ class TestBacktest:
             portfolio.backtest(ReturnPanel(values), None, window=200,
                                horizon=50, step=50)
 
+    # a column held at a non-zero level after the first window: its std
+    # about the window mean is the mean's rounding, n * eps * |level| at most;
+    # at 0.3 it passed an absolute 1e-15 bound and mean_out_risk2 read 3.6e28
+    @pytest.mark.parametrize("level", [0.0, 0.3, 1.0, -7.5])
+    def test_column_constant_after_first_window_raises(self, level):
+        values = np.random.default_rng(0).standard_normal((600, 5))
+        values[250:, 2] = level
+        with pytest.raises(EstimatorError, match="constant column"):
+            portfolio.backtest(ReturnPanel(values), None, window=200,
+                               horizon=50, step=50)
+
+    def test_small_spread_about_a_level_is_not_constant(self):
+        values = np.random.default_rng(0).standard_normal((600, 5))
+        values[250:, 2] = -7.5 + 7.5e-9 * values[250:, 2]
+        rows, _, mean_out = portfolio.backtest(ReturnPanel(values), None,
+                                               window=200, horizon=50,
+                                               step=50)
+        assert len(rows) == 7 and np.isfinite(mean_out)
+
     # a day of zero returns has no momentum predictor: its g / |g| wrote NaN
     def test_zero_predictor_day_rejected(self):
         values = np.random.default_rng(0).standard_normal((400, 5))
@@ -189,7 +209,36 @@ class TestBacktest:
         assert all(E.__dict__["_values"] is None for E in cleaned)
         assert not any("_eig" in vars(E) for E in raw + cleaned)
 
-    def test_window_standardization_is_bitwise(self, panel, monkeypatch):
+    # each window's E comes from running sums about a fixed shift; it must
+    # stay within 1e-12 of the direct formula where the mean sits far from
+    # zero, drifts, jumps (the stale shift cancels: the cancellation rebuild
+    # catches it), where windows do not overlap, and over many windows
+    @staticmethod
+    def window_cases():
+        C = synth.build_true_correlation(
+            synth.TrueCorrelationSpec("single_spike", 10, rho_bar=0.2))
+        base = synth.gaussian_panel(C, 2000, seed=5).values
+        T = base.shape[0]
+        sigma = base.std(axis=0)
+        ramp = np.linspace(0.0, 1e3, T)[:, None]
+        jump = np.where(np.arange(T) >= T // 2, 1e3, 0.0)[:, None]
+        many = np.random.default_rng(6).standard_normal((2200, 8))
+        return {
+            "level": (base + 1e3 * sigma, 300, 50),
+            "drift": (base + ramp * sigma, 300, 50),
+            "jump": (base + jump * sigma, 300, 50),
+            "step-ge-window": (base, 300, 300),
+            "2000-windows": (many + np.arange(8.0), 100, 1),
+        }
+
+    @pytest.mark.parametrize("case", ["fixture", "level", "drift", "jump",
+                                      "step-ge-window", "2000-windows"])
+    def test_window_estimates_match_direct_formula(self, panel, case,
+                                                   monkeypatch):
+        if case == "fixture":
+            values, window, step = panel.values, 300, 100
+        else:
+            values, window, step = self.window_cases()[case]
         matrices = []
 
         def keep(values):
@@ -197,13 +246,37 @@ class TestBacktest:
             return CorrelationMatrix(values)
 
         monkeypatch.setattr(portfolio, "CorrelationMatrix", keep)
-        rows, _, _ = portfolio.backtest(panel, None, window=300, horizon=50,
-                                        step=100)
-        assert len(matrices) == len(rows) > 2
+        rows, _, _ = portfolio.backtest(ReturnPanel(values), None,
+                                        window=window, horizon=1, step=step)
+        assert len(matrices) == len(rows) >= (2000 if step == 1 else 2)
         for row, E in zip(rows, matrices):
-            hist = panel.values[row.date_index - 300:row.date_index]
+            hist = values[row.date_index - window:row.date_index]
             X = (hist - hist.mean(axis=0)) / hist.std(axis=0)
-            assert np.array_equal(E, _corr(X))
+            assert np.max(np.abs(E - _corr(X))) <= 1e-12
+
+    @staticmethod
+    def rebuilds(caplog, values, window, step):
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.portfolio"):
+            portfolio.backtest(ReturnPanel(values), None, window=window,
+                               horizon=99, step=step)
+        (record,) = [r for r in caplog.records
+                     if r.getMessage().startswith("backtest:")]
+        stats = record.args
+        assert stats["seconds"] >= 0.0
+        return stats["windows"], stats["periodic"], stats["cancelled"]
+
+    def test_logs_windows_and_rebuilds(self, caplog):
+        values = np.random.default_rng(0).standard_normal((5000, 5))
+        # the benchmark's layout: the sums are formed again every 10 windows
+        assert self.rebuilds(caplog, values, 1000, 100) == (40, 4, 0)
+        caplog.clear()
+        # windows that do not overlap are each formed from the window
+        assert self.rebuilds(caplog, values, 300, 300) == (16, 16, 0)
+        caplog.clear()
+        # a jump leaves the shift far from the later windows' mean
+        values[2500:] += 1e3
+        windows, _, cancelled = self.rebuilds(caplog, values, 1000, 100)
+        assert windows == 40 and cancelled >= 1
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "bt.csv"
