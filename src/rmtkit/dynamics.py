@@ -50,7 +50,10 @@ def track_top(panel: ReturnPanel, epsilon: float,
     ``kernels.BOUND_TOL`` (0.8 ``kernels.POWER_TOL``); every
     ``kernels.FULL_EVERY``-th step is either proven to lie within an angle
     of ``POWER_TOL`` of the top eigenvector (by its residual and the
-    Frobenius norm of E_t) or taken exactly.
+    Frobenius norm of E_t) or taken exactly.  When E_0 is PSD the iteration
+    runs on ``E_t - sigma`` with ``sigma`` half the measured lambda_2 and
+    below lambda_1 / 2, which keeps the top eigenvector dominant and
+    contracts faster; otherwise ``sigma`` is 0.
 
     ``theta`` is the angle to ``v_ref``, and None when no ``v_ref`` is
     given.  ``v_ref`` must be a finite, non-zero vector of length N and

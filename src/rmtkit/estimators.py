@@ -73,10 +73,18 @@ class ReturnPanel:
                            self.time_ids[start:stop])
 
     def is_standardized(self) -> bool:
-        mu = self.values.mean(axis=0)
-        var = self.values.var(axis=0)
-        return bool(np.all(np.abs(mu) < STANDARDIZED_TOL)
-                    and np.all(np.abs(var - 1) < STANDARDIZED_TOL))
+        return not _unstandardized(self.values).any()
+
+
+def _unstandardized(values):
+    """Which columns miss zero mean or unit variance by STANDARDIZED_TOL.
+
+    The variance is read as the mean square less the squared mean, which
+    forms no T x N temporary; where the mean passes it cancels nothing."""
+    mu = values.mean(axis=0)
+    var = np.einsum("ij,ij->j", values, values) / values.shape[0] - mu * mu
+    return ~((np.abs(mu) < STANDARDIZED_TOL)
+             & (np.abs(var - 1) < STANDARDIZED_TOL))
 
 
 class _Eigenbasis:
@@ -278,7 +286,10 @@ class CorrelationMatrix:
 # Estimators
 
 def standardize(panel: ReturnPanel) -> ReturnPanel:
-    """Demean and rescale every column to zero mean, unit variance."""
+    """Demean and rescale every column to zero mean, unit variance.
+
+    The result passes ``is_standardized``, or ``EstimatorError`` names the
+    first column that cannot be standardized."""
     values = panel.values
     if panel.T < 2:
         raise EstimatorError("need at least two observations")
@@ -290,6 +301,20 @@ def standardize(panel: ReturnPanel) -> ReturnPanel:
             f"constant column for asset {panel.asset_ids[bad[0]]}")
     out = values - mean
     out /= std
+    # the rounding of the mean leaves a residual of up to about
+    # n * eps * |mean| / std in the output: a column whose spread is small
+    # against its level is centred and scaled a second time
+    bad = np.nonzero(_unstandardized(out))[0]
+    if bad.size:
+        col = out[:, bad]
+        col -= col.mean(axis=0)
+        col /= col.std(axis=0)
+        out[:, bad] = col
+        bad = bad[_unstandardized(col)]
+        if bad.size:
+            raise EstimatorError(
+                f"cannot standardize the column for asset "
+                f"{panel.asset_ids[bad[0]]}")
     return ReturnPanel(out, panel.asset_ids, panel.time_ids)
 
 

@@ -2,12 +2,16 @@
 
 ``track_top`` follows ``E_t = (1-eps) E_{t-1} + eps r_t r_t^T`` and returns
 the top eigenpair of every ``E_t``: exact from stacked ``eigh`` calls for
-small matrices; for large ones from a warm-started power iteration that
-stops on an estimate of its error, begins from the last step's product
-updated in O(N), and is proven to be the top pair by a residual and
-Davis-Kahan bound every ``FULL_EVERY`` steps, with a LAPACK fallback when
-the iteration stalls or the proof fails.  The sample spectra are computed
-in ``spectra`` and ``transforms``.
+small matrices; for large ones from a warm-started power iteration on
+``E_t - sigma`` that stops on an estimate of its error, begins from the
+last step's product updated in O(N), and is proven to be the top pair by a
+residual and Davis-Kahan bound every ``FULL_EVERY`` steps, with the top
+pair from LAPACK ``dsyevx`` when the iteration stalls or the proof fails.
+The shift ``sigma`` is half the lambda_2 implied by the last converged
+step's contraction rate, held below lambda_1 / 2 so that the top
+eigenvector stays dominant for a PSD ``E_t``, and 0 throughout when
+``E_0`` is not PSD.  The sample spectra are computed in ``spectra`` and
+``transforms``.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ logger = logging.getLogger(__name__)
 POWER_TOL = 1e-10
 # Between refreshes a power step stops on an estimate of its distance to the
 # fixed point.  The estimate trails that distance, because the contraction
-# rate it extrapolates rises toward lambda_2/lambda_1 as the faster parts of
-# the error die out: on spiked N=30 panels the distance ran up to 1.15x the
-# estimate.  So the estimate must fall to this, not to POWER_TOL.
+# rate it extrapolates rises toward (lambda_2 - sigma)/(lambda_1 - sigma) as
+# the faster parts of the error die out: on spiked N=30-100 panels the
+# distance ran up to 1.17x the estimate.  So the estimate must fall to this,
+# not to POWER_TOL.
 BOUND_TOL = 0.8 * POWER_TOL
 # With a clear top gap a warm-started step converges in about 10 iterations;
 # steps with a near-degenerate top pair would need hundreds, and are handed
-# to dsyevr, which costs less than iterating them out.
+# to dsyevx, which costs less than iterating them out.
 POWER_MAX_ITER = 50
 FULL_EVERY = 100
 # track_top takes every step from a stacked eigh up to this many assets.
@@ -56,9 +61,16 @@ def track_top(returns, epsilon, e_init=None):
     ``e_init``, of which only the lower triangle is read) and returns its
     top eigenpair at every step.  Up to ``STACKED_MAX_N`` assets a chunk of
     steps is built at once and decomposed exactly by one stacked ``eigh``.
-    Above it each step is a power iteration on the lower triangle of ``E``,
-    warm-started from the last vector the step before multiplied, whose
-    product it updates in O(N) instead of calling ``dsymv``.  It stops
+    Above it each step is a power iteration on ``E - sigma``, with ``E``
+    held as its lower triangle, warm-started from the last vector the step
+    before multiplied, whose product it updates in O(N) instead of calling
+    ``dsymv``.  When ``E_0`` is PSD, so is every ``E_t``, and ``sigma`` is
+    half the second eigenvalue that the last converged step's contraction
+    rate ``rho`` and eigenvalue ``lambda`` imply, ``sigma <- (sigma +
+    rho (lambda - sigma)) / 2``, clamped to at most half the norm of the
+    step's first product, which is at most lambda_1; the top eigenvector
+    then stays dominant and the iteration contracts faster.  Otherwise
+    ``sigma`` is 0 for the whole run.  It stops
     once the iterate's distance to the fixed point, estimated from the
     contraction rate of its steps, is at most ``BOUND_TOL`` (see
     ``_power``).  Every ``FULL_EVERY``-th step stops on a step of at most
@@ -67,27 +79,30 @@ def track_top(returns, epsilon, e_init=None):
     to the top eigenvector by ``|r| / gap <= POWER_TOL``, from its residual
     ``r`` and the Frobenius norm of ``E``.  A refresh the bounds cannot
     prove, and every step whose iteration cannot reach its tolerance within
-    ``POWER_MAX_ITER`` iterations, is taken by LAPACK ``dsyevr`` (top pair
+    ``POWER_MAX_ITER`` iterations, is taken by LAPACK ``dsyevx`` (top pair
     only).  Consecutive eigenvectors are sign-aligned, the first one to the
-    top eigenvector of ``E_0``.
+    top eigenvector of ``E_0``.  The DEBUG record ends with ``shift``, the
+    sigma of the last converged power step.
 
     Returns ``(lambda1, vectors)``.
     """
     returns = np.asarray(returns, dtype=float)
     T, N = returns.shape
     E = np.eye(N) if e_init is None else np.array(e_init, dtype=float)
-    v0 = np.linalg.eigh(E)[1][:, -1]
+    w, u = np.linalg.eigh(E)
     if N <= STACKED_MAX_N:
-        lam, vecs, stats = _track_stacked(returns, epsilon, E, v0)
+        lam, vecs, stats = _track_stacked(returns, epsilon, E, u[:, -1])
     else:
-        lam, vecs, stats = _track_per_step(returns, epsilon, E, v0)
+        lam, vecs, stats = _track_per_step(returns, epsilon, E, u[:, -1],
+                                           psd=w[0] >= 0)
     logger.debug("track_top: path=%(path)s N=%(n)d steps=%(steps)d "
                  "power_iterations=%(power_iterations)d "
                  "matvecs=%(matvecs)d "
                  "give_ups=%(give_ups)d exact_steps=%(exact_steps)d "
                  "certified=%(certified)d "
                  "max_sin_bound=%(max_sin_bound).2e "
-                 "max_power_bound=%(max_power_bound).2e", stats)
+                 "max_power_bound=%(max_power_bound).2e "
+                 "shift=%(shift).6g", stats)
     return lam, vecs
 
 
@@ -118,13 +133,15 @@ def _track_stacked(returns, epsilon, E, v0):
     vecs *= np.cumprod(np.where(dots < 0, -1.0, 1.0))[:, None]
     return lam, vecs, dict(path="stacked", n=N, steps=T, power_iterations=0,
                            matvecs=0, give_ups=0, exact_steps=T, certified=0,
-                           max_sin_bound=0.0, max_power_bound=0.0)
+                           max_sin_bound=0.0, max_power_bound=0.0,
+                           shift=0.0)
 
 
-def _track_per_step(returns, epsilon, E, v):
+def _track_per_step(returns, epsilon, E, v, psd):
     """Warm-started power iteration per step on the lower triangle of E,
     certified every ``FULL_EVERY`` steps, with the exact top pair from
-    ``dsyevr`` when it cannot converge or a refresh is not certified.
+    ``dsyevx`` when it cannot converge or a refresh is not certified.
+    ``psd`` says that E is PSD, which lets the iteration shift.
     ``give_ups`` counts the steps between refreshes that fall back, so
     ``exact_steps = give_ups + T // FULL_EVERY - certified``; ``matvecs``
     counts the ``dsymv`` calls, those of ``_certify`` included."""
@@ -140,6 +157,9 @@ def _track_per_step(returns, epsilon, E, v):
     # x and u = E x: the last vector a power step multiplied and its
     # product, which the next step updates in O(N) instead of a dsymv
     x = u = None
+    # the shift of the power iteration: half the lambda_2 that the last
+    # converged step's rate implies, and 0 throughout unless E_0 is PSD
+    sigma = shift = 0.0
     for t in range(T):
         r = returns[t]
         c *= 1.0 - epsilon
@@ -154,9 +174,16 @@ def _track_per_step(returns, epsilon, E, v):
                            a=epsilon * blas.ddot(r, x))
             v = x
         refresh = not (t + 1) % FULL_EVERY
-        top, w, k, bound, x, u = _power(F, c, v, u, strict=refresh)
+        top, w, k, bound, x, u, used, rho = _power(F, c, v, u,
+                                                   strict=refresh,
+                                                   shift=sigma)
         iterations += k
         matvecs += k - free
+        if w is not None:
+            shift = used
+            if psd:
+                # rho = (lambda_2 - used) / (lambda_1 - used)
+                sigma = 0.5 * (used + rho * (top - used))
         if not refresh:
             if w is None:
                 give_ups += 1
@@ -169,7 +196,7 @@ def _track_per_step(returns, epsilon, E, v):
             # starts come free, and on a 500 x 5000 spiked panel at
             # eps = 0.02 they took the same iterations and dsymv calls.
             # (_certify's daxpy overwrites E w with the residual; reusing
-            # that array as E w sent 49 more steps to dsyevr.)
+            # that array as E w sent 49 more steps to the exact top pair.)
             proof = _certify(F, c, w)
             matvecs += 1
             if proof is None:
@@ -191,12 +218,21 @@ def _track_per_step(returns, epsilon, E, v):
                            power_iterations=iterations, matvecs=matvecs,
                            give_ups=give_ups, exact_steps=exact,
                            certified=certified, max_sin_bound=worst,
-                           max_power_bound=worst_power)
+                           max_power_bound=worst_power, shift=shift)
 
 
-def _power(F, c, v, u=None, strict=False):
-    """Power iteration on ``E = c * F`` (lower triangle) from ``v``; ``u``,
-    when given, is taken as ``E v`` in place of the first ``dsymv``.
+def _power(F, c, v, u=None, strict=False, shift=0.0):
+    """Power iteration on ``E - shift`` with ``E = c * F`` (lower triangle)
+    from ``v``; ``u``, when given, is taken as ``E v`` in place of the first
+    ``dsymv``.
+
+    The shift is first clamped to at most half the norm of ``E v``, which
+    is at most lambda_1.  For a PSD E every eigenvalue of ``E - shift``
+    other than ``lambda_1 - shift`` then lies in ``[-shift, lambda_2 -
+    shift]``, so the top eigenvector stays dominant and the iteration
+    contracts at a rate of at most ``max(lambda_2 - shift, shift) /
+    (lambda_1 - shift)``, least at ``shift = lambda_2 / 2``.  The later
+    products fold the shift into ``dsymv`` through its ``beta`` and ``y``.
 
     Iteration ``k`` moves the iterate by ``d_k``.  With ``rho`` the larger
     of the last two contraction rates ``|d_k| / |d_{k-1}|``, the iterate
@@ -206,16 +242,22 @@ def _power(F, c, v, u=None, strict=False):
     which is tighter while ``rho < 1/2``.  Either stop waits for ``k >= 2``,
     so it never rests on a given product alone.  The iteration gives up as
     soon as ``rho`` says its stopping quantity cannot reach its tolerance
-    within ``POWER_MAX_ITER`` iterations, or when ``E v = 0``.
+    within ``POWER_MAX_ITER`` iterations, or when ``(E - shift) v = 0``.
 
-    Returns ``(lambda, vector, iterations, bound, x, E x)``, where ``x`` is
-    the last iterate multiplied by ``E``, the one before ``vector``.  All
-    but ``iterations`` are None when the iteration gives up."""
+    Returns ``(lambda, vector, iterations, bound, x, E x, shift, rho)``,
+    where ``lambda = |(E - shift) x| + shift``, ``x`` is the last iterate
+    multiplied, the one before ``vector``, ``E x`` is its unshifted product
+    and ``shift`` the clamped shift.  All but ``iterations`` are None when
+    the iteration gives up."""
+    if u is None:
+        u = blas.dsymv(c, F, v, lower=1)
+    shift = min(shift, 0.5 * blas.dnrm2(u))
+    u = blas.daxpy(v, u, a=-shift)
     prev = np.inf
     rate = 0.0
     for k in range(1, POWER_MAX_ITER + 1):
         if u is None:
-            u = blas.dsymv(c, F, v, lower=1)
+            u = blas.dsymv(c, F, v, beta=-shift, y=v, lower=1)
         top = blas.dnrm2(u)
         if top == 0:
             break
@@ -229,13 +271,14 @@ def _power(F, c, v, u=None, strict=False):
         bound = rho * step / (1.0 - rho) if rho < 1.0 else np.inf
         stop, tol = (step, POWER_TOL) if strict else (bound, BOUND_TOL)
         if k >= 2 and stop <= tol:
-            return top, w, k, bound, v, w * scale
+            return (top + shift, w, k, bound, v,
+                    blas.daxpy(v, w * scale, a=shift), shift, rho)
         if rho >= 1.0 or stop * rho ** (POWER_MAX_ITER - k) > tol:
             break
         prev = step
         v = w
         u = None
-    return None, None, k, None, None, None
+    return None, None, k, None, None, None, None, None
 
 
 def _certify(F, c, v):
@@ -272,7 +315,7 @@ def _certify(F, c, v):
 def _top_exact(F):
     """Top eigenpair of the symmetric matrix whose lower triangle is F."""
     N = F.shape[0]
-    w, z, _, _, info = lapack.dsyevr(F, range="I", il=N, iu=N, lower=1)
+    w, z, _, _, info = lapack.dsyevx(F, range="I", il=N, iu=N, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        raise np.linalg.LinAlgError(f"dsyevx failed with info={info}")
     return w[0], z[:, 0]

@@ -74,6 +74,18 @@ class TestStandardize:
         out = standardize(ReturnPanel(vals)).values
         assert out[:, 1].var() == pytest.approx(1.0, rel=1e-6)
 
+    # the rounding of the mean leaves a residual of up to about
+    # n * eps * |mean| / std in the output: one pass left this column with
+    # mean 1.3e-5 (7.5e-10) and pearson then refused it
+    @pytest.mark.parametrize("spread", [7.5e-10, 7.5e-9])
+    def test_small_spread_about_a_level_is_standardized(self, spread):
+        for seed in range(8):
+            vals = np.random.default_rng(seed).standard_normal((5000, 3))
+            vals[:, 1] = -7.5 + spread * vals[:, 1]
+            p = standardize(ReturnPanel(vals))
+            assert p.is_standardized()
+            assert pearson(p).N == 3
+
     def test_matches_out_of_place_formula_bitwise(self):
         vals = 3.0 + 2.0 * np.random.default_rng(1).standard_normal((300, 7))
         expected = (vals - vals.mean(axis=0)) / vals.std(axis=0)

@@ -49,9 +49,9 @@ def _spiked(N, T, spike=10.0):
     return synth.gaussian_panel(C, T, seed=1).values, None
 
 
-def _track_stats(caplog, returns, epsilon):
+def _track_stats(caplog, returns, epsilon, e_init=None):
     with caplog.at_level(logging.DEBUG, logger="rmtkit.kernels"):
-        out = track_top(returns, epsilon)
+        out = track_top(returns, epsilon, e_init=e_init)
     [stats] = [r.args for r in caplog.records
                if r.getMessage().startswith("track_top:")]
     return out, stats
@@ -148,6 +148,22 @@ class TestKernelBehaviour:
         # POWER_TOL of the eigh eigenvector
         assert _distance(vecs, vs).max() <= POWER_TOL
 
+    def test_shift_follows_psd_start(self, caplog):
+        # a PSD E_0 keeps every E_t PSD, and the power iteration runs on
+        # E - sigma; an indefinite E_0 keeps sigma at 0 for the whole run
+        returns, _ = _spiked(STACKED_MAX_N + 14, 3 * FULL_EVERY, 20.0)
+        _, stats = _track_stats(caplog, returns, 0.02)
+        assert stats["shift"] > 0
+        caplog.clear()
+        e_init = np.diag(np.linspace(2.0, -0.5, STACKED_MAX_N + 14))
+        (lam, vecs), stats = _track_stats(caplog, returns, 0.02, e_init)
+        assert stats["path"] == "per-step"
+        assert stats["power_iterations"] > 0
+        assert stats["shift"] == 0
+        vals, vs = _exact_top(returns, 0.02, e_init)
+        np.testing.assert_allclose(lam, vals, rtol=1e-10, atol=0)
+        assert _distance(vecs, vs).max() <= POWER_TOL
+
 
 class TestPowerAccuracy:
     @pytest.mark.parametrize("ratio", [0.7, 0.8, 0.9])
@@ -166,6 +182,54 @@ class TestPowerAccuracy:
         assert top == pytest.approx(1.0, rel=1e-12)
         assert bound <= POWER_TOL
         assert _distance(v, Q[:, 0]) <= POWER_TOL
+
+
+    @staticmethod
+    def _half_gap(low):
+        # lambda_1 = 1, lambda_2 = 0.5 and the rest in [low, 0.5], started
+        # about 1e-3 from v_1
+        rng = np.random.default_rng(15)
+        w = np.concatenate([[1.0, 0.5], rng.uniform(low, 0.5, 38)])
+        E, Q = _rotated(w, 6)
+        start = Q[:, 0] + 1e-3 * Q[:, 1:] @ rng.standard_normal(39) / 6.0
+        return E, Q[:, 0], start / np.linalg.norm(start)
+
+    def test_shift_takes_fewer_iterations(self):
+        # unshifted the iteration contracts at 0.5, on E - 0.25 at 1/3
+        E, v1, start = self._half_gap(0.0)
+        top, v, plain, bound, x, u, used, _ = _power(_lower(E), 1.0, start)
+        assert used == 0
+        assert top == pytest.approx(1.0, rel=1e-12)
+        assert bound <= POWER_TOL
+        assert _distance(v, v1) <= POWER_TOL
+        # the product handed on is the unshifted E x
+        np.testing.assert_allclose(u, E @ x, rtol=0, atol=1e-15)
+        top, v, shifted, bound, x, u, used, rho = _power(
+            _lower(E), 1.0, start, shift=0.25)
+        assert used == 0.25
+        assert shifted < plain
+        assert top == pytest.approx(1.0, rel=1e-12)
+        assert bound <= POWER_TOL
+        assert _distance(v, v1) <= POWER_TOL
+        np.testing.assert_allclose(u, E @ x, rtol=0, atol=1e-15)
+        # the rate measured on E - 0.25 implies lambda_2 = 0.5
+        assert used + rho * (top - used) == pytest.approx(0.5, rel=0.05)
+
+    def test_shift_clamped_below_half_lambda1(self):
+        # on E - 1 the eigenvalue farthest from 0 is lambda_40 - 1, not
+        # lambda_1 - 1 = 0; the shift is clamped to half the norm of the
+        # first product, at most lambda_1 / 2, and the iteration then
+        # contracts at about (0.5 - lambda_40) / 0.5
+        E, v1, start = self._half_gap(0.3)
+        top, v, _, bound, _, _, used, _ = _power(_lower(E), 1.0, start,
+                                                 shift=1.0)
+        assert used == pytest.approx(0.5 * np.linalg.norm(E @ start),
+                                     rel=1e-14)
+        assert used < 0.5
+        assert v is not None
+        assert top == pytest.approx(1.0, rel=1e-12)
+        assert bound <= POWER_TOL
+        assert _distance(v, v1) <= POWER_TOL
 
 
 class TestCertificate:

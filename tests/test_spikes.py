@@ -33,13 +33,6 @@ class TestBbpMap:
         q = 0.25
         assert spikes.bbp_map_mp(1.2, q) == pytest.approx((1 + np.sqrt(q)) ** 2)
 
-    def test_wigner_map_and_overlap(self):
-        lam, ov = spikes.bbp_map_wigner(2.0)
-        assert lam == pytest.approx(2.5)
-        assert ov == pytest.approx(0.75)
-        lam, ov = spikes.bbp_map_wigner(0.8)
-        assert (lam, ov) == (2.0, 0.0)
-
     def test_inverse_round_trip(self):
         for Lam in (2.0, 3.5, 10.0):
             lam = spikes.bbp_map_mp(Lam, 0.25)
@@ -102,10 +95,30 @@ class TestDetector:
         implied = sorted(o.implied_spike for o in report.outliers)
         assert implied[0] == pytest.approx(5.0, rel=0.15)
         assert implied[1] == pytest.approx(8.0, rel=0.15)
-        # the overlap is the Wigner map's, read at the implied spike
+        # the overlap is the spiked-covariance closed form, read at the
+        # implied spike
+        q = N / T
         for o in report.outliers:
-            assert o.overlap_estimate == spikes.bbp_map_wigner(
-                o.implied_spike)[1]
+            d = o.implied_spike - 1.0
+            assert o.overlap_estimate == pytest.approx(
+                (1.0 - q / d ** 2) / (1.0 + q / d), rel=1e-14)
+
+    def test_overlap_estimate_matches_measured_overlap(self):
+        # the squared overlap of the sample and true top eigenvectors,
+        # averaged over four panels: the closed form reads 0.81 at
+        # Lambda = 4, q = 1/2, where the Wigner formula reads 0.94
+        N, T = 400, 800
+        C = synth.build_true_correlation(
+            synth.TrueCorrelationSpec("multi_spike", N, spikes=(4.0,)),
+            seed=0)
+        v1 = np.linalg.eigh(C.values)[1][:, -1]
+        measured, reported = [], []
+        for seed in range(4):
+            E = pearson(standardize(synth.gaussian_panel(C, T, seed=seed)))
+            measured.append((np.linalg.eigh(E.values)[1][:, -1] @ v1) ** 2)
+            [o] = spikes.detect_spikes(E, N / T).outliers
+            reported.append(o.overlap_estimate)
+        assert np.mean(reported) == pytest.approx(np.mean(measured), abs=0.03)
 
     def test_report_matches_eigh_based_one(self):
         N, T = 300, 900
@@ -145,4 +158,4 @@ class TestDetector:
         panel = standardize(synth.gaussian_panel(C, 800, seed=6))
         text = spikes.detect_spikes(pearson(panel), 0.25).to_text()
         assert "outlier rank=1" in text
-        assert "heuristic" in text
+        assert "spiked-covariance formula" in text
