@@ -230,13 +230,11 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_svd(args) -> int:
-    # one panel at a time, and no name on a raw or standardized panel: each
-    # is freed once the next stage has it, so no more than two copies of
-    # the larger panel are alive at once
-    whiten = crosscorr.normalize_principal_components
-    Xh = whiten(standardize(fileio.read_panel_csv(args.x)))
-    Yh = whiten(standardize(fileio.read_panel_csv(args.y)))
-    result = crosscorr.cross_singulars(Xh, Yh)
+    # no name on a raw panel, which is freed once standardized; the M x N
+    # cross matrix is whitened, not the panels
+    X = standardize(fileio.read_panel_csv(args.x))
+    Y = standardize(fileio.read_panel_csv(args.y))
+    result = crosscorr.cross_singulars(X, Y)
     lo, hi = result.null_band
     sv = result.singular_values
     fileio.write_table(

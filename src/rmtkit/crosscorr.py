@@ -1,6 +1,6 @@
-"""Cross-correlations between two rectangular panels: exact whitening into
-principal components, singular values of the cross matrix, and the random
-benchmark band for significance."""
+"""Cross-correlations between two rectangular panels: singular values of the
+cross matrix between their exactly whitened principal components, whitened
+as an M x N matrix rather than as T x N panels, and the random band."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .spectra import rsvd_band
 
 __all__ = [
     "CrossCorrelationResult",
-    "normalize_principal_components",
     "cross_singulars",
 ]
 
@@ -35,56 +34,47 @@ class CrossCorrelationResult:
     threshold: float
 
 
-def normalize_principal_components(panel: ReturnPanel) -> ReturnPanel:
-    """Rotate a standardized panel onto its exactly whitened principal
-    components: unit sample variance, zero mutual sample correlation.
-
-    The components follow the eigenvectors of ``CorrelationMatrix(X^T X /
-    T)``: its descending order and its sign rule (largest-magnitude
-    component positive).  Null directions (eigenvalue below ``RANK_TOL``
-    times the top one) are dropped with a warning, so the output can have
-    fewer columns than the input.
-
-    Memory: on a standardized input, at most one T x N array besides the
-    input is alive at a time; the components are divided by sqrt(lambda) in
-    place.  A caller that keeps no other name on the input frees it when
-    this returns.
-    """
-    if not panel.is_standardized():
-        panel = standardize(panel)
-    X = panel.values
-    E = CorrelationMatrix(X.T @ X / panel.T)
+def _whitener(X: np.ndarray) -> np.ndarray:
+    """W = V diag(lambda)^(-1/2) from the eigenpairs of
+    ``CorrelationMatrix(X^T X / T)``: X W are X's exactly whitened principal
+    components, in that matrix's descending order and with its sign rule.
+    Null directions (eigenvalue below ``RANK_TOL`` times the top one) are
+    dropped with a warning, so W can have fewer columns than X."""
+    E = CorrelationMatrix(X.T @ X / X.shape[0])
     vals, vecs = E.eigenvalues, E.eigenvectors
     keep = vals > RANK_TOL * max(vals[0], 1e-30)
     if not np.all(keep):
         warnings.warn(
             f"dropping {int((~keep).sum())} null principal directions",
-            stacklevel=2)
-    vals, vecs = vals[keep], vecs[:, keep]
-    comps = X @ vecs
-    comps /= np.sqrt(vals)
-    return ReturnPanel(comps, time_ids=panel.time_ids)
+            stacklevel=3)
+    return vecs[:, keep] / np.sqrt(vals[keep])
 
 
-def cross_singulars(Xhat: ReturnPanel, Yhat: ReturnPanel) -> CrossCorrelationResult:
-    """Singular values of the T-normalized cross matrix between two whitened
-    panels, with the random benchmark band.
+def cross_singulars(X: ReturnPanel, Y: ReturnPanel) -> CrossCorrelationResult:
+    """Singular values of the T-normalized cross matrix between the whitened
+    principal components of two panels, each standardized first if it is
+    not, with the random benchmark band.
 
-    With both panels exactly whitened the singular values are bounded by 1;
-    values above sqrt(gamma_plus) plus ``EDGE_BUFFER`` fluctuation scales are
-    counted as significant.
+    ``K = W_Y^T (Y^T X / T) W_X`` (``_whitener``) is ``Yhat^T Xhat / T`` for
+    the whitened panels X W_X and Y W_Y, which are never formed.  Its
+    singular values are bounded by 1; those above sqrt(gamma_plus), read at
+    the kept counts, plus ``EDGE_BUFFER`` fluctuation scales are significant.
     """
-    if Xhat.T != Yhat.T:
+    if X.T != Y.T:
         raise EstimatorError("panels must share the same number of dates")
-    T = Xhat.T
-    E = Yhat.values.T @ Xhat.values / T  # M x N cross matrix
-    U, s, Vt = np.linalg.svd(E, full_matrices=False)
+    if not X.is_standardized():
+        X = standardize(X)
+    if not Y.is_standardized():
+        Y = standardize(Y)
+    T = X.T
+    Wx, Wy = _whitener(X.values), _whitener(Y.values)
+    K = Wy.T @ (Y.values.T @ X.values / T) @ Wx
+    U, s, Vt = np.linalg.svd(K, full_matrices=False)
     s = np.clip(s, 0.0, 1.0 + 1e-8)
-    n, m = Xhat.N / T, Yhat.N / T
-    lo, hi = rsvd_band(n, m)
+    N, M = Wx.shape[1], Wy.shape[1]
+    lo, hi = rsvd_band(N / T, M / T)
     # soft-edge fluctuation scale ~ T^(-2/3) in the effective dimension
-    scale = min(Xhat.N, Yhat.N) ** (-2.0 / 3.0)
+    scale = min(N, M) ** (-2.0 / 3.0)
     threshold = hi + EDGE_BUFFER * scale
     significant = int(np.sum(s > threshold))
     return CrossCorrelationResult(s, U, Vt.T, (lo, hi), significant, threshold)
-

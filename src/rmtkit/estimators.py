@@ -241,19 +241,29 @@ class CorrelationMatrix:
         return self._eig[1]
 
     def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
-        """The matrix with this one's eigenvectors and new eigenvalues.
+        """The matrix with this one's eigenvectors and new eigenvalues, the
+        k-th handed for this one's k-th largest.
 
-        The new matrix shares this one's factored basis, so it is never
-        decomposed: its eigenvalues are sorted to descending order and
-        checked for PSD when first read, and ``solve`` reads the basis
-        without forming the dense eigenvectors.  Its ``values``, V
-        diag(lambda) V^T symmetrised from the pairs as handed, are formed
-        only when first read, so a caller that only solves against it (as
-        ``portfolio.backtest`` does) builds no N x N matrix."""
+        It shares this one's factored basis and is never decomposed: its
+        eigenvalues are sorted and checked for PSD when first read, ``solve``
+        forms no dense eigenvectors, and its ``values`` (V diag(lambda) V^T
+        from the pairs as handed, symmetrised) are formed only when read, so
+        a caller that only solves (``portfolio.backtest``) builds no N x N
+        matrix.  Eigenvalues tied within rounding (runs of this one's sorted
+        eigenvalues with gaps at most ``N * eps * max|lambda|``) share the
+        mean of the values handed for them: E sets only a cluster's
+        projector, not the basis rounding picks inside it (Kato, ch. II)."""
+        vals, cols = self._sorted
+        new = np.array(new_eigenvalues, dtype=float)
+        tol = vals.size * np.finfo(float).eps * np.abs(vals).max()
+        starts = np.flatnonzero(np.r_[True, vals[:-1] - vals[1:] > tol])
+        if starts.size < vals.size:  # a cluster handed one value keeps it
+            counts = np.diff(np.r_[starts, vals.size])
+            first = np.repeat(new[starts], counts)
+            new = first + np.repeat(
+                np.add.reduceat(new - first, starts) / counts, counts)
         out = CorrelationMatrix.__new__(CorrelationMatrix)
-        out._values = None
-        out._held = np.array(new_eigenvalues, dtype=float)
-        out._cols = self._sorted[1]
+        out._values, out._held, out._cols = None, new, cols
         out.__dict__["_tri"] = self._tri
         out.metadata = metadata or dict(self.metadata)
         return out

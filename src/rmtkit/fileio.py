@@ -137,10 +137,11 @@ def read_panel_csv(path) -> ReturnPanel:
     header, dates, values, _ = _read_table(path, labelled=True)
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise EstimatorError(f"{path}: first header column must be 'date'")
-    if not np.all(np.isfinite(values)):
-        raise EstimatorError(f"{path}: missing values are forbidden")
-    return ReturnPanel(values, tuple(h.strip() for h in header[1:]),
-                       tuple(dates))
+    try:  # ReturnPanel rejects missing (non-finite) values
+        return ReturnPanel(values, tuple(h.strip() for h in header[1:]),
+                           tuple(dates))
+    except EstimatorError as exc:
+        raise EstimatorError(f"{path}: {exc}") from None
 
 
 def _cells(texts):

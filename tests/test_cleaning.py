@@ -84,6 +84,44 @@ class TestPowerLaw:
         assert np.all(overlap[:5] > 1.0 - 1e-6)
 
 
+class TestTiedEigenvalues:
+    """A cleaned matrix depends on E alone: eigenvalues tied within rounding
+    share one new value, so the basis rounding picks inside their
+    eigenspace does not matter."""
+
+    def test_powerlaw_solve_ignores_the_null_space_basis(self):
+        rng = np.random.default_rng(11)
+        W, N = 60, 100  # a window shorter than N: a null space of N - W + 1
+        panel = standardize(ReturnPanel(rng.standard_normal((W, N))))
+        E = pearson(panel).values
+        # rotate the null space by a random orthogonal R: Q E Q^T is E up to
+        # rounding, which moves the basis an eigensolver picks inside it
+        null = np.linalg.svd(panel.values)[2][W - 1:].T
+        R = np.linalg.qr(rng.standard_normal((N - W + 1,) * 2))[0]
+        Q = np.eye(N) + null @ (R - np.eye(N - W + 1)) @ null.T
+        rotated = Q @ E @ Q.T
+        rotated = 0.5 * (rotated + rotated.T)
+        g = rng.standard_normal(N)
+        a = cleaning.powerlaw_clean(CorrelationMatrix(E), 0.5).solve(g)
+        b = cleaning.powerlaw_clean(CorrelationMatrix(rotated), 0.5).solve(g)
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
+    def test_clip_cut_inside_a_tied_cluster(self):
+        rng = np.random.default_rng(12)
+        V = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        lam = np.array([3.0, 2.0] + [1.0] * 4 + [0.25] * 4)  # trace 10
+        E = CorrelationMatrix((V * lam) @ V.T)
+        # alpha = 0.6 keeps 4: the cut splits the cluster at 1 into two kept
+        # values and two clipped ones, (10 - 7) / 6 = 0.5
+        out = cleaning.clip(E, 0.6)
+        expected = np.array([3.0, 2.0] + [0.75] * 4 + [0.5] * 4)
+        np.testing.assert_allclose(out.eigenvalues, expected, rtol=0,
+                                   atol=1e-12)
+        # the cluster's value sits on its whole eigenspace
+        ref = (V * expected) @ V.T
+        assert np.max(np.abs(out.values - ref)) <= 1e-12
+
+
 class TestShrinkage:
     def test_identity_limits(self, noisy_estimate):
         same = cleaning.shrink_identity(noisy_estimate, 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmtkit import crosscorr
+from rmtkit import crosscorr, spectra
 from rmtkit.estimators import EstimatorError, ReturnPanel, standardize
 
 
@@ -26,44 +26,36 @@ def planted_factor_panels(N: int, M: int, T: int, strength: float, seed):
 
 
 class TestWhitening:
-    def test_exact_unit_covariance(self):
-        rng = np.random.default_rng(0)
-        panel = standardize(ReturnPanel(rng.standard_normal((500, 60))))
-        white = crosscorr.normalize_principal_components(panel)
-        E = white.values.T @ white.values / white.T
-        assert np.allclose(E, np.eye(white.N), atol=1e-10)
-
-    def test_raw_panel_is_standardized_first(self):
-        rng = np.random.default_rng(7)
-        T, N = 400, 20
-        raw = 5.0 + rng.standard_normal((T, N)) @ rng.uniform(0, 2, (N, N))
-        white = crosscorr.normalize_principal_components(ReturnPanel(raw))
-        # reference: sqrt(T) times the left singular vectors of the
-        # standardized panel, by SVD, up to each column's sign
-        U = np.linalg.svd((raw - raw.mean(axis=0)) / raw.std(axis=0),
-                          full_matrices=False)[0]
-        ref = np.sqrt(T) * U
-        ref *= np.sign(np.sum(white.values * ref, axis=0))
-        assert np.max(np.abs(white.values - ref)) <= 1e-9
-
-    def test_component_signs_follow_the_sign_rule(self):
-        rng = np.random.default_rng(8)
-        panel = standardize(ReturnPanel(rng.standard_normal((300, 40))))
-        white = crosscorr.normalize_principal_components(panel)
-        # column k of X^T C / T is sqrt(lambda_k) v_k, so its largest-
-        # magnitude entry carries v_k's sign, which the rule makes positive
-        loadings = panel.values.T @ white.values / panel.T
-        top = np.argmax(np.abs(loadings), axis=0)
-        assert np.all(loadings[top, np.arange(white.N)] > 0)
+    def test_singulars_are_qr_canonical_correlations(self):
+        X, Y = planted_factor_panels(150, 100, 1500, 0.5, seed=9)
+        res = crosscorr.cross_singulars(X, Y)
+        # the canonical correlations of the two column spaces, from
+        # orthonormal bases by QR (Bjorck & Golub 1973)
+        qx, qy = np.linalg.qr(X.values)[0], np.linalg.qr(Y.values)[0]
+        ref = np.linalg.svd(qy.T @ qx, compute_uv=False)
+        assert np.max(np.abs(res.singular_values - ref)) <= 1e-12
 
     def test_rank_deficit_dropped_with_warning(self):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((200, 30))
         vals[:, -1] = vals[:, 0] + vals[:, 1]  # exactly dependent column
-        panel = standardize(ReturnPanel(vals))
+        X = standardize(ReturnPanel(vals))
+        Y = standardize(ReturnPanel(rng.standard_normal((200, 10))))
         with pytest.warns(UserWarning, match="null principal directions"):
-            white = crosscorr.normalize_principal_components(panel)
-        assert white.N == 29
+            res = crosscorr.cross_singulars(X, Y)
+        assert res.right_vectors.shape == (29, 10)
+        assert res.null_band == spectra.rsvd_band(29 / 200, 10 / 200)
+
+    def test_raw_panel_is_standardized_first(self):
+        rng = np.random.default_rng(7)
+        T, N = 400, 20
+        raw = 5.0 + rng.standard_normal((T, N)) @ rng.uniform(0, 2, (N, N))
+        Y = standardize(ReturnPanel(rng.standard_normal((T, 15))))
+        res = crosscorr.cross_singulars(ReturnPanel(raw), Y)
+        ref = crosscorr.cross_singulars(standardize(ReturnPanel(raw)), Y)
+        assert np.array_equal(res.singular_values, ref.singular_values)
+        assert np.array_equal(res.left_vectors, ref.left_vectors)
+        assert np.array_equal(res.right_vectors, ref.right_vectors)
 
 
 class TestCrossSingulars:
@@ -72,26 +64,20 @@ class TestCrossSingulars:
         T, N, M = 1500, 180, 120
         X = standardize(ReturnPanel(rng.standard_normal((T, N))))
         Y = standardize(ReturnPanel(rng.standard_normal((T, M))))
-        res = crosscorr.cross_singulars(
-            crosscorr.normalize_principal_components(X),
-            crosscorr.normalize_principal_components(Y))
+        res = crosscorr.cross_singulars(X, Y)
         assert res.significant_count == 0
         assert res.singular_values.max() <= res.threshold
         assert res.singular_values.max() <= 1.0 + 1e-8
 
     def test_planted_factor_detected(self):
         X, Y = planted_factor_panels(150, 100, 1500, 0.8, seed=3)
-        res = crosscorr.cross_singulars(
-            crosscorr.normalize_principal_components(X),
-            crosscorr.normalize_principal_components(Y))
+        res = crosscorr.cross_singulars(X, Y)
         assert res.significant_count == 1
         assert res.singular_values[0] > res.threshold
 
     def test_weak_factor_hidden(self):
         X, Y = planted_factor_panels(150, 100, 1500, 0.05, seed=4)
-        res = crosscorr.cross_singulars(
-            crosscorr.normalize_principal_components(X),
-            crosscorr.normalize_principal_components(Y))
+        res = crosscorr.cross_singulars(X, Y)
         assert res.significant_count == 0
 
     def test_mismatched_dates_rejected(self):

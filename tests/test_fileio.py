@@ -243,7 +243,8 @@ class TestPanelCsv:
     def test_missing_values_forbidden(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("date,AAA\nd1,nan\n")
-        with pytest.raises(EstimatorError, match="missing values"):
+        with pytest.raises(EstimatorError,
+                           match=r"x\.csv: panel contains non-finite entries"):
             fileio.read_panel_csv(path)
 
     def test_comment_lines_skipped(self, tmp_path):

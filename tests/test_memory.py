@@ -9,17 +9,20 @@ the NaN checks' boolean masks.
 
 Measured at N = 100, T = 3000: 1.68 copies (``backtest``; 1.87 while
 each window's centred rows stayed alive through its eigendecomposition) to
-2.35 (``simulate --mu``); ``svd`` 2.29, the other ``simulate`` specs 2.28-2.29,
-``dynamics`` 2.26, ``clean`` and ``spikes`` 2.22-2.23.  The largest is 10%
-under the budget.  ``svd`` read 4.67 copies and ``simulate --mu`` 3.35 while
-they kept their raw panels alive.
+2.34 (``simulate --mu``); the other ``simulate`` specs 2.28-2.29,
+``dynamics`` 2.25, ``clean``, ``spikes`` and ``svd`` 2.22-2.23.  The largest
+is 10% under the budget.  ``svd`` read 2.40 copies while it whitened each
+panel into a T x N copy, and 4.67 while it kept its raw panels alive;
+``simulate --mu`` read 3.35 while it kept its raw panel alive.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from rmtkit import cli
+from rmtkit import cli, crosscorr
+from rmtkit.estimators import ReturnPanel, standardize
 
 BUDGET = 2.6
 N, T = 100, 3000
@@ -69,3 +72,23 @@ def test_peak_is_panel_plus_one_copy(name, panels, capsys):
         tracemalloc.stop()
     assert peak <= BUDGET * largest, (
         f"{name}: traced peak {peak / largest:.2f} panel copies")
+
+
+def test_cross_singulars_forms_no_panel_copy():
+    # the whitening acts on the M x N cross matrix: beside the two panels,
+    # only N x N and M x N arrays are formed
+    rng = np.random.default_rng(4)
+    X = standardize(ReturnPanel(rng.standard_normal((T, N))))
+    Y = standardize(ReturnPanel(rng.standard_normal((T, N_OTHER))))
+    tracemalloc.start()
+    try:
+        res = crosscorr.cross_singulars(X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * N * T * 8, (
+        f"traced peak {peak / (N * T * 8):.2f} panel copies")
+    # and the panels were whitened: the top canonical correlation, by QR
+    qx, qy = np.linalg.qr(X.values)[0], np.linalg.qr(Y.values)[0]
+    top = np.linalg.svd(qy.T @ qx, compute_uv=False)[0]
+    assert abs(res.singular_values[0] - top) <= 1e-12
