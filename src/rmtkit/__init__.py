@@ -5,7 +5,6 @@ synthetic market generators."""
 
 from .density import DensityError, SpectralDensity
 from .estimators import CorrelationMatrix, EstimatorError, ReturnPanel
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
 
@@ -15,6 +14,5 @@ __all__ = [
     "CorrelationMatrix",
     "ReturnPanel",
     "EstimatorError",
-    "BACKEND",
     "__version__",
 ]

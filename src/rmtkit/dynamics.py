@@ -22,9 +22,9 @@ __all__ = [
 @dataclass(frozen=True)
 class EigenTrack:
     """Time series of the top eigenpair of an exponentially weighted
-    correlation estimate.  Consecutive eigenvectors are sign-aligned."""
+    correlation estimate, one row per update, in the panel's row order.
+    Consecutive eigenvectors are sign-aligned."""
 
-    times: np.ndarray
     lambda1: np.ndarray
     v1: np.ndarray  # steps x N, unit rows
     # angle to the reference vector, radians in [0, pi]; None without one
@@ -32,7 +32,7 @@ class EigenTrack:
     epsilon: float
 
     def __post_init__(self):
-        for name in ("times", "lambda1", "v1", "theta"):
+        for name in ("lambda1", "v1", "theta"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
@@ -42,7 +42,9 @@ def track_top(panel: ReturnPanel, epsilon: float,
               v_ref: np.ndarray | None = None,
               e_init: np.ndarray | None = None) -> EigenTrack:
     """Update E_t = (1-eps) E_{t-1} + eps r_t r_t^T from E_0 = I (or
-    ``e_init``) and record the top eigenpair at each step.
+    ``e_init``) and record the top eigenpair after each of the T updates:
+    row t of the returned ``EigenTrack`` is the pair of E_t, one row per
+    panel row.
 
     Up to ``kernels.STACKED_MAX_N`` assets every pair is exact.  Above it a
     step is a power iterate whose distance to the top eigenvector, estimated
@@ -80,52 +82,49 @@ def track_top(panel: ReturnPanel, epsilon: float,
                                   epsilon, e_init=e_init)
     theta = (None if v_ref is None
              else np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0)))
-    times = np.arange(panel.T, dtype=float)
-    return EigenTrack(times, lam, vecs, theta, epsilon)
+    return EigenTrack(lam, vecs, theta, epsilon)
 
 
 def stationary_angle_density(Lambda1: float, Lambda_b: float, epsilon: float,
-                             theta_grid: np.ndarray,
-                             Lambda0: float | None = None) -> np.ndarray:
+                             theta_grid: np.ndarray) -> np.ndarray:
     """Stationary density of the angle between the tracked and the true top
     eigenvector, numerically normalized over [0, pi].
 
     P(theta) is proportional to
-    [(1 + cos 2theta (1 - Lambda_b/Lambda1)) /
-     (1 - cos 2theta (1 - Lambda1/Lambda0))]^(1/4 epsilon).
-
-    By default ``Lambda0`` is set so that the small-angle variance of the
-    density equals the stationary variance of the angle process,
+    [(2 cos^2 theta - cos 2theta Lambda_b/Lambda1) /
+     (2 sin^2 theta + cos 2theta Lambda1/Lambda0)]^(1/4 epsilon),
+    with ``Lambda0`` set so that the small-angle variance of the density
+    equals the stationary variance of the angle process,
     eps*Lambda1*Lambda_b / (2 (Lambda1 - Lambda_b)^2), which direct
-    simulation of the tracker reproduces to a few percent.  Pass ``Lambda0``
-    explicitly to evaluate other readings of the two-parameter family.
+    simulation of the tracker reproduces to a few percent.  Numerator and
+    denominator are positive for every Lambda1 > Lambda_b > 0.  The
+    normalization integrates over a grid geometric in theta, which resolves
+    the peaks at 0 and pi however narrow they are.
     """
     if not Lambda1 > Lambda_b > 0:
         raise ValueError("need Lambda1 > Lambda_b > 0")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if Lambda0 is None:
-        # choose the denominator coefficient so that the log-density
-        # curvature at theta = 0 equals -1/var with
-        # var = eps*Lambda1*Lambda_b / (2 (Lambda1-Lambda_b)^2)
-        a = 1.0 - Lambda_b / Lambda1
-        curvature_target = 2.0 * (Lambda1 - Lambda_b) ** 2 / (Lambda1 * Lambda_b)
-        Y = curvature_target - a / (1.0 + a)
-        Lambda0 = Lambda1 * (1.0 + Y)
+    # Lambda1/Lambda0 = 1/(1 + Y) puts the log-density curvature at
+    # theta = 0 at minus the inverse of that variance
+    a = 1.0 - Lambda_b / Lambda1
+    Y = 2.0 * (Lambda1 - Lambda_b) ** 2 / (Lambda1 * Lambda_b) - a / (1.0 + a)
     theta_grid = np.asarray(theta_grid, dtype=float)
 
     def log_unnorm(th):
         c = np.cos(2.0 * th)
-        num = 1.0 + c * (1.0 - Lambda_b / Lambda1)
-        den = 1.0 - c * (1.0 - Lambda1 / Lambda0)
-        if np.any(num <= 0) or np.any(den <= 0):
-            raise ValueError("non-integrable parameter combination")
+        num = 2.0 * np.cos(th) ** 2 - c * (Lambda_b / Lambda1)
+        den = 2.0 * np.sin(th) ** 2 + c / (1.0 + Y)
         return (np.log(num) - np.log(den)) / (4.0 * epsilon)
 
-    fine = np.linspace(0.0, np.pi, 20001)
-    lf = log_unnorm(fine)
+    # P is symmetric about pi/2; the first node, 1e-4 of the spread or of a
+    # radian, leaves a negligible first segment
+    spread = np.sqrt(epsilon * Lambda1 * Lambda_b / 2.0) / (Lambda1 - Lambda_b)
+    half = np.concatenate(
+        [[0.0], np.geomspace(1e-4 * min(spread, 1.0), np.pi / 2, 20000)])
+    lf = log_unnorm(half)
     shift = lf.max()
-    Z = np.trapezoid(np.exp(lf - shift), fine)
+    Z = 2.0 * np.trapezoid(np.exp(lf - shift), half)
     return np.exp(log_unnorm(theta_grid) - shift) / Z
 
 

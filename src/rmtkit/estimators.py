@@ -68,10 +68,6 @@ class ReturnPanel:
     def N(self) -> int:
         return self.values.shape[1]
 
-    def window(self, start: int, stop: int) -> "ReturnPanel":
-        return ReturnPanel(self.values[start:stop], self.asset_ids,
-                           self.time_ids[start:stop])
-
     def is_standardized(self) -> bool:
         return not _unstandardized(self.values).any()
 

@@ -187,6 +187,24 @@ class TestExitCodes:
         assert "--tau-max must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    # an option another one makes necessary: refused before any output
+    @pytest.mark.parametrize("argv, message", [
+        (["spikes", "--matrix", "{matrix}"], "field q: required with --matrix"),
+        (["backtest", "--panel", "{panel}", "--predictor", "random",
+          "--window", "200", "--horizon", "50"],
+         "field seed: required for the random predictor"),
+    ], ids=["spikes-matrix-q", "backtest-random-seed"])
+    def test_missing_dependent_field_is_input_error(self, panel_path,
+                                                    tmp_path, capsys, argv,
+                                                    message):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("X,Y\n1.0,0.2\n0.2,1.0\n")
+        out = tmp_path / "out.csv"
+        argv = [a.format(matrix=matrix, panel=panel_path) for a in argv]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"rmtkit: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
         from rmtkit.transforms import ConvergenceError
 
@@ -367,6 +385,16 @@ class TestConfigPrecedence:
                     "--out", str(tmp_path / "s.csv")]) == 1
         assert "config field law: 'foo' is not one of mp, " in (
             capsys.readouterr().err)
+
+    def test_config_value_failing_its_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("q = half\n")
+        out = tmp_path / "s.csv"
+        assert run(["--config", str(cfg), "spectrum",
+                    "--out", str(out)]) == 1
+        assert "config field q: could not convert string to float" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

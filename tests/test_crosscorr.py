@@ -50,12 +50,15 @@ class TestWhitening:
         rng = np.random.default_rng(7)
         T, N = 400, 20
         raw = 5.0 + rng.standard_normal((T, N)) @ rng.uniform(0, 2, (N, N))
-        Y = standardize(ReturnPanel(rng.standard_normal((T, 15))))
-        res = crosscorr.cross_singulars(ReturnPanel(raw), Y)
-        ref = crosscorr.cross_singulars(standardize(ReturnPanel(raw)), Y)
-        assert np.array_equal(res.singular_values, ref.singular_values)
-        assert np.array_equal(res.left_vectors, ref.left_vectors)
-        assert np.array_equal(res.right_vectors, ref.right_vectors)
+        other = standardize(ReturnPanel(rng.standard_normal((T, 15))))
+        # the raw panel as X, then as Y
+        for pair in (lambda p: (p, other), lambda p: (other, p)):
+            res = crosscorr.cross_singulars(*pair(ReturnPanel(raw)))
+            ref = crosscorr.cross_singulars(
+                *pair(standardize(ReturnPanel(raw))))
+            assert np.array_equal(res.singular_values, ref.singular_values)
+            assert np.array_equal(res.left_vectors, ref.left_vectors)
+            assert np.array_equal(res.right_vectors, ref.right_vectors)
 
 
 class TestCrossSingulars:

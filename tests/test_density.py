@@ -82,6 +82,20 @@ class TestConstructors:
         assert d.continuous_mass() == pytest.approx(0.75)
         assert d.atom_mass() == pytest.approx(0.25)
 
+    # with no continuous mass the atoms are the whole law, and must sum to 1
+    @pytest.mark.parametrize("grid", [[0.5], np.linspace(0, 1, 5)],
+                             ids=["one-point", "zero-density"])
+    def test_from_unnormalized_without_continuous_mass(self, grid):
+        grid = np.asarray(grid, dtype=float)
+        d = SpectralDensity.from_unnormalized(grid, np.zeros(grid.size),
+                                              ((0.2, 0.4), (0.7, 0.6)))
+        assert d.is_atomic
+        assert d.atom_mass() == pytest.approx(1.0)
+        assert d.mean() == pytest.approx(0.2 * 0.4 + 0.7 * 0.6)
+        with pytest.raises(DensityError, match="atoms do not sum to 1"):
+            SpectralDensity.from_unnormalized(grid, np.zeros(grid.size),
+                                              ((0.2, 0.4),))
+
     def test_from_samples(self):
         rng = np.random.default_rng(0)
         d = SpectralDensity.from_samples(rng.uniform(0, 1, 20000), nbins=50)

@@ -113,11 +113,20 @@ class TestStationaryAngleDensity:
         var = eps * L1 * Lb / (2 * (L1 - Lb) ** 2)
         assert curvature == pytest.approx(-1.0 / var, rel=1e-3)
 
-    def test_explicit_lambda0_can_be_non_integrable(self):
+    # the angle's spread, about sqrt(eps Lb / (2 L1)), is 1e-5 rad at
+    # L1 = 1e8: a fixed grid over [0, pi] took 0.16 of the mass for 1
+    @pytest.mark.parametrize("L1", [1e1, 1e2, 1e4, 1e6, 1e8])
+    def test_normalized_at_any_separation(self, L1):
+        half = np.concatenate([[0.0], np.geomspace(1e-13, np.pi / 2, 100001)])
+        th = np.concatenate([half, np.pi - half[-2::-1]])
+        p = dynamics.stationary_angle_density(L1, 1.0, 0.02, th)
+        assert np.trapezoid(p, th) == pytest.approx(1.0, abs=1e-6)
+
+    def test_finite_where_the_ratio_rounds_off(self):
+        # 1 - Lb/L1 rounds to 1 at L1 = 1e17, which made a numerator of 0
         th = np.linspace(0, np.pi, 101)
-        with pytest.raises(ValueError, match="non-integrable"):
-            dynamics.stationary_angle_density(10.0, 1.0, 0.02, th,
-                                              Lambda0=1.0)
+        p = dynamics.stationary_angle_density(1e17, 1.0, 0.02, th)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0) and p[0] > 0
 
 
 class TestVariograms:
@@ -159,7 +168,7 @@ class TestVariograms:
         phi = rng.uniform(0.0, np.pi, T)
         v1 = np.column_stack([np.cos(phi), np.sin(phi)])
         lam = rng.standard_normal(T)
-        track = dynamics.EigenTrack(np.arange(T), lam, v1, phi, 0.02)
+        track = dynamics.EigenTrack(lam, v1, phi, 0.02)
         tau = [1, 120, 399]
         val, vec = dynamics.empirical_variogram(track, tau)
         for i, t in enumerate(tau):

@@ -27,11 +27,16 @@ class TestReturnPanel:
         with pytest.raises(EstimatorError):
             ReturnPanel(vals)
 
-    def test_window_slices_time(self):
-        p = ReturnPanel(np.arange(12.0).reshape(6, 2))
-        w = p.window(1, 4)
-        assert w.T == 3
-        assert w.time_ids == (1, 2, 3)
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(values=np.zeros(6)), "T x N matrix"),
+        (dict(values=np.zeros((2, 3, 1))), "T x N matrix"),
+        (dict(values=np.zeros((4, 3)), asset_ids=("A", "B")), "asset_ids"),
+        (dict(values=np.zeros((4, 3)), time_ids=(0, 1, 2, 3, 4)),
+         "time_ids"),
+    ], ids=["1-d", "3-d", "asset-ids", "time-ids"])
+    def test_rejects_bad_shape_or_labels(self, kwargs, match):
+        with pytest.raises(EstimatorError, match=match):
+            ReturnPanel(**kwargs)
 
 
 class TestStandardize:

@@ -165,6 +165,21 @@ class TestKernelBehaviour:
         assert _distance(vecs, vs).max() <= POWER_TOL
 
 
+    def test_zero_returns_from_zero_start(self, caplog):
+        # E_t = 0 at every step: each power step's first product is zero, so
+        # it gives up and the step is taken exactly, with no warning (the
+        # suite turns every warning into an error)
+        T, N = 3 * FULL_EVERY, STACKED_MAX_N + 4
+        (lam, vecs), stats = _track_stats(caplog, np.zeros((T, N)), 0.02,
+                                          np.zeros((N, N)))
+        assert stats["path"] == "per-step"
+        assert stats["exact_steps"] == T
+        assert np.all(lam == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
 class TestPowerAccuracy:
     @pytest.mark.parametrize("ratio", [0.7, 0.8, 0.9])
     def test_slow_contraction_meets_tolerance(self, ratio):
