@@ -1,7 +1,7 @@
 """The four correlation-matrix cleaning schemes: eigenvalue clipping,
 power-law eigenvalue replacement, and shrinkage towards the identity or the
-constant-correlation target.  Each keeps the input's metadata (its asset ids
-among them) and adds its own keys."""
+constant-correlation target.  Each maps one estimate E to another with E's
+asset ids."""
 
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ class CleaningScheme:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}; pick from {SCHEME_KINDS}")
         _check_alpha(self.alpha)
+        if self.kind == "powerlaw":  # the prior's own checks on alpha and mu
+            PowerLawPrior(self.alpha, self.mu)
 
 
 def clip(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
@@ -62,8 +64,7 @@ def clip(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     if n_keep < N:
         kept = vals[:n_keep].sum()
         new_vals[n_keep:] = (N - kept) / (N - n_keep)
-    return E.with_spectrum(new_vals, {**E.metadata, "scheme": "clip",
-                                      "alpha": alpha, "kept": n_keep})
+    return E.with_spectrum(new_vals)
 
 
 def powerlaw_clean(E: CorrelationMatrix, alpha: float,
@@ -71,27 +72,22 @@ def powerlaw_clean(E: CorrelationMatrix, alpha: float,
     """Replace eigenvalues k >= 2 by the power-law ladder value, keeping the
     top (market) eigenvalue and all eigenvectors.
 
-    No global trace rescaling is applied; the resulting trace is recorded in
-    the metadata so downstream consumers can audit it.
+    No global trace rescaling is applied, so the trace of the result is that
+    of the ladder plus the top eigenvalue, not N.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     N = E.N
     prior = PowerLawPrior(alpha, mu)
     new_vals = E.eigenvalues.copy()
     k = np.arange(2, N + 1)
     new_vals[1:] = np.clip(prior.eigenvalue_ladder(N, k), EIGENVALUE_FLOOR, None)
-    return E.with_spectrum(new_vals, {**E.metadata, "scheme": "powerlaw",
-                                      "alpha": alpha, "mu": mu,
-                                      "trace": float(new_vals.sum())})
+    return E.with_spectrum(new_vals)
 
 
 def shrink_identity(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     """Linear shrinkage (1-alpha) E + alpha I."""
     _check_alpha(alpha)
     out = (1.0 - alpha) * E.values + alpha * np.eye(E.N)
-    return CorrelationMatrix(out, {**E.metadata, "scheme": "shrink",
-                                   "alpha": alpha})
+    return CorrelationMatrix(out, E.asset_ids)
 
 
 def shrink_const_corr(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
@@ -104,8 +100,7 @@ def shrink_const_corr(E: CorrelationMatrix, alpha: float) -> CorrelationMatrix:
     target = np.full((N, N), rho_bar)
     np.fill_diagonal(target, 1.0)
     out = (1.0 - alpha) * E.values + alpha * target
-    return CorrelationMatrix(out, {**E.metadata, "scheme": "ledoit",
-                                   "alpha": alpha, "rho_bar": float(rho_bar)})
+    return CorrelationMatrix(out, E.asset_ids)
 
 
 def apply_scheme(E: CorrelationMatrix, scheme: CleaningScheme) -> CorrelationMatrix:

@@ -185,19 +185,21 @@ def _cmd_spectrum(args) -> int:
 
 
 def _require_matrix(args):
-    """The matrix of ``--matrix``, or the Pearson estimate of ``--panel``."""
+    """``(E, T)``: the matrix of ``--matrix`` and None, or the Pearson
+    estimate of ``--panel`` and the panel's T."""
     if args.matrix and args.panel:
         raise _InputError("give --matrix or --panel, not both")
     if args.matrix:
-        return fileio.read_matrix_csv(args.matrix)
+        return fileio.read_matrix_csv(args.matrix), None
     if args.panel:
-        return pearson(standardize(fileio.read_panel_csv(args.panel)))
+        panel = standardize(fileio.read_panel_csv(args.panel))
+        return pearson(panel), panel.T
     raise _InputError("need --matrix or --panel")
 
 
 def _cmd_clean(args) -> int:
-    E = _require_matrix(args)
     scheme = CleaningScheme(args.scheme, args.alpha, args.mu)
+    E, _ = _require_matrix(args)
     fileio.write_matrix_csv(
         args.out, apply_scheme(E, scheme),
         header_lines=fileio.metadata_header(
@@ -208,11 +210,11 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    panel = fileio.read_panel_csv(args.panel)
     scheme = (None if args.scheme == "raw"
               else CleaningScheme(args.scheme, args.alpha, args.mu))
     if args.predictor == "random" and args.seed is None:
         raise _InputError("field seed: required for the random predictor")
+    panel = fileio.read_panel_csv(args.panel)
     _, mean_in, mean_out = portfolio.backtest(
         panel, scheme, window=args.window, horizon=args.horizon,
         step=args.step, predictor=args.predictor, seed=args.seed)
@@ -290,12 +292,12 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_spikes(args) -> int:
-    E = _require_matrix(args)
+    E, T = _require_matrix(args)
     q = args.q
     if q is None:
-        if args.matrix:
+        if T is None:
             raise _InputError("field q: required with --matrix")
-        q = E.N / E.metadata["T"]
+        q = E.N / T
     report = spikes.detect_spikes(E, q, u_threshold=args.u)
     text = report.to_text()
     if args.out:

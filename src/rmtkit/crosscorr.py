@@ -27,8 +27,6 @@ RANK_TOL = 1e-10  # least eigenvalue, relative to the top, of a kept direction
 @dataclass(frozen=True)
 class CrossCorrelationResult:
     singular_values: np.ndarray  # descending, in [0, 1]
-    left_vectors: np.ndarray  # combinations of Y principal components
-    right_vectors: np.ndarray  # combinations of X principal components
     null_band: tuple  # (sqrt(gamma_minus), sqrt(gamma_plus))
     significant_count: int
     threshold: float
@@ -69,7 +67,7 @@ def cross_singulars(X: ReturnPanel, Y: ReturnPanel) -> CrossCorrelationResult:
     T = X.T
     Wx, Wy = _whitener(X.values), _whitener(Y.values)
     K = Wy.T @ (Y.values.T @ X.values / T) @ Wx
-    U, s, Vt = np.linalg.svd(K, full_matrices=False)
+    s = np.linalg.svd(K, compute_uv=False)
     s = np.clip(s, 0.0, 1.0 + 1e-8)
     N, M = Wx.shape[1], Wy.shape[1]
     lo, hi = rsvd_band(N / T, M / T)
@@ -77,4 +75,4 @@ def cross_singulars(X: ReturnPanel, Y: ReturnPanel) -> CrossCorrelationResult:
     scale = min(N, M) ** (-2.0 / 3.0)
     threshold = hi + EDGE_BUFFER * scale
     significant = int(np.sum(s > threshold))
-    return CrossCorrelationResult(s, U, Vt.T, (lo, hi), significant, threshold)
+    return CrossCorrelationResult(s, (lo, hi), significant, threshold)

@@ -29,7 +29,6 @@ class EigenTrack:
     v1: np.ndarray  # steps x N, unit rows
     # angle to the reference vector, radians in [0, pi]; None without one
     theta: np.ndarray | None
-    epsilon: float
 
     def __post_init__(self):
         for name in ("lambda1", "v1", "theta"):
@@ -82,7 +81,7 @@ def track_top(panel: ReturnPanel, epsilon: float,
                                   epsilon, e_init=e_init)
     theta = (None if v_ref is None
              else np.arccos(np.clip(vecs @ v_ref, -1.0, 1.0)))
-    return EigenTrack(lam, vecs, theta, epsilon)
+    return EigenTrack(lam, vecs, theta)
 
 
 def stationary_angle_density(Lambda1: float, Lambda_b: float, epsilon: float,
@@ -98,17 +97,19 @@ def stationary_angle_density(Lambda1: float, Lambda_b: float, epsilon: float,
     eps*Lambda1*Lambda_b / (2 (Lambda1 - Lambda_b)^2), which direct
     simulation of the tracker reproduces to a few percent.  Numerator and
     denominator are positive for every Lambda1 > Lambda_b > 0.  The
-    normalization integrates over a grid geometric in theta, which resolves
-    the peaks at 0 and pi however narrow they are.
+    normalization integrates over a grid geometric in theta toward the peaks
+    at 0 and pi and the dip at pi/2, of width about sqrt(Lambda_b / (2
+    Lambda1)), which resolves them however narrow they are.
     """
     if not Lambda1 > Lambda_b > 0:
         raise ValueError("need Lambda1 > Lambda_b > 0")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     # Lambda1/Lambda0 = 1/(1 + Y) puts the log-density curvature at
-    # theta = 0 at minus the inverse of that variance
+    # theta = 0 at minus the inverse of that variance; Y is written with no
+    # product of the two eigenvalues, which would overflow
     a = 1.0 - Lambda_b / Lambda1
-    Y = 2.0 * (Lambda1 - Lambda_b) ** 2 / (Lambda1 * Lambda_b) - a / (1.0 + a)
+    Y = 2.0 * a * (Lambda1 - Lambda_b) / Lambda_b - a / (1.0 + a)
     theta_grid = np.asarray(theta_grid, dtype=float)
 
     def log_unnorm(th):
@@ -117,11 +118,20 @@ def stationary_angle_density(Lambda1: float, Lambda_b: float, epsilon: float,
         den = 2.0 * np.sin(th) ** 2 + c / (1.0 + Y)
         return (np.log(num) - np.log(den)) / (4.0 * epsilon)
 
-    # P is symmetric about pi/2; the first node, 1e-4 of the spread or of a
-    # radian, leaves a negligible first segment
-    spread = np.sqrt(epsilon * Lambda1 * Lambda_b / 2.0) / (Lambda1 - Lambda_b)
-    half = np.concatenate(
-        [[0.0], np.geomspace(1e-4 * min(spread, 1.0), np.pi / 2, 20000)])
+    def toward(lo):
+        # offsets from lo to pi/4 at a log step of 5e-4, on which the
+        # trapezoid rule's relative error is about step^2 / 12
+        n = int(np.log(np.pi / 4 / lo) / 5e-4) + 2
+        return np.geomspace(lo, np.pi / 4, n)
+
+    # P is symmetric about pi/2.  The first offset from 0 (from pi/2), 1e-4
+    # of the spread or of a radian (of the dip's width), leaves a negligible
+    # first segment; one below pi/2's float spacing would round to pi/2
+    spread = np.sqrt(epsilon * Lambda_b / (2.0 * Lambda1)) / a
+    dip = max(1e-4 * np.sqrt(Lambda_b / (2.0 * Lambda1)),
+              4 * np.spacing(np.pi / 2))
+    half = np.concatenate([[0.0], toward(1e-4 * min(spread, 1.0)),
+                           np.pi / 2 - toward(dip)[-2::-1], [np.pi / 2]])
     lf = log_unnorm(half)
     shift = lf.max()
     Z = 2.0 * np.trapezoid(np.exp(lf - shift), half)

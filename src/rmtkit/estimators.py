@@ -167,9 +167,10 @@ class CorrelationMatrix:
     instead, and forms ``values`` only when they are first read.
     Eigenvalues are stored in descending order; the sign of each eigenvector
     is fixed so that its largest-magnitude component is positive.
+    ``asset_ids`` labels the rows and columns (empty for unlabelled).
     """
 
-    def __init__(self, values, metadata=None):
+    def __init__(self, values, asset_ids=()):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise EstimatorError("correlation matrix must be square")
@@ -186,7 +187,7 @@ class CorrelationMatrix:
         # a held spectrum: eigenvalue k belongs to column _cols[k] of the
         # basis' vectors (column k if _cols is None)
         self._held = self._cols = None
-        self.metadata = {} if metadata is None else metadata
+        self.asset_ids = tuple(asset_ids)
 
     @property
     def values(self) -> np.ndarray:
@@ -236,9 +237,9 @@ class CorrelationMatrix:
     def eigenvectors(self) -> np.ndarray:
         return self._eig[1]
 
-    def with_spectrum(self, new_eigenvalues, metadata=None) -> "CorrelationMatrix":
-        """The matrix with this one's eigenvectors and new eigenvalues, the
-        k-th handed for this one's k-th largest.
+    def with_spectrum(self, new_eigenvalues) -> "CorrelationMatrix":
+        """The matrix with this one's eigenvectors and asset ids and new
+        eigenvalues, the k-th handed for this one's k-th largest.
 
         It shares this one's factored basis and is never decomposed: its
         eigenvalues are sorted and checked for PSD when first read, ``solve``
@@ -261,7 +262,7 @@ class CorrelationMatrix:
         out = CorrelationMatrix.__new__(CorrelationMatrix)
         out._values, out._held, out._cols = None, new, cols
         out.__dict__["_tri"] = self._tri
-        out.metadata = metadata or dict(self.metadata)
+        out.asset_ids = self.asset_ids
         return out
 
     def _invertible(self):
@@ -336,9 +337,7 @@ def pearson(panel: ReturnPanel) -> CorrelationMatrix:
     """E = X^T X with X = values/sqrt(T); requires a standardized panel."""
     if not panel.is_standardized():
         raise EstimatorError("pearson requires a standardized panel")
-    return CorrelationMatrix(_corr(panel.values),
-                             {"estimator": "pearson", "T": panel.T,
-                              "asset_ids": panel.asset_ids})
+    return CorrelationMatrix(_corr(panel.values), panel.asset_ids)
 
 
 def _corr(X: np.ndarray) -> np.ndarray:
@@ -357,7 +356,7 @@ def ewma_estimator(panel: ReturnPanel, epsilon: float) -> CorrelationMatrix:
     w = epsilon * (1.0 - epsilon) ** np.arange(T - 1, -1, -1, dtype=float)
     w /= w.sum()
     X = panel.values * np.sqrt(w)[:, None]
-    return CorrelationMatrix(X.T @ X, {"estimator": "ewma", "epsilon": epsilon})
+    return CorrelationMatrix(X.T @ X, panel.asset_ids)
 
 
 def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
@@ -431,8 +430,7 @@ def student_ml(panel: ReturnPanel, mu: float, tol: float = 1e-9,
         stats.update(iterations=iteration, step=step, bound=bound)
         if bound <= tol:
             _log_student_ml(stats, started)
-            return CorrelationMatrix(Cg + np.tril(Cg, -1).T,
-                                     {"estimator": "student_ml", "mu": mu})
+            return CorrelationMatrix(Cg + np.tril(Cg, -1).T, panel.asset_ids)
         secant = None
         # the first rate, measured at the Pearson start, extrapolates badly
         if len(rates) >= 2 and rates[-1] < 1.0:

@@ -195,12 +195,11 @@ def read_matrix_csv(path) -> CorrelationMatrix:
     assets = tuple(h.strip() for h in header)
     if values.shape != (len(assets), len(assets)):
         raise EstimatorError(f"{path}: matrix shape does not match header")
-    return CorrelationMatrix(values, {"asset_ids": assets})
+    return CorrelationMatrix(values, assets)
 
 
 def write_matrix_csv(path, M: CorrelationMatrix, header_lines=()) -> None:
-    assets = tuple(M.metadata.get("asset_ids")
-                   or (f"A{i:04d}" for i in range(M.N)))
+    assets = M.asset_ids or tuple(f"A{i:04d}" for i in range(M.N))
     write_table(path, assets, [M.values], header_lines)
 
 

@@ -88,7 +88,6 @@ def theoretical_risk_ratios(q: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BacktestRow:
-    date_index: int
     in_risk2: float
     out_risk2: float
 
@@ -192,7 +191,7 @@ def backtest(panel: ReturnPanel, scheme: CleaningScheme | None,
         fut = R[t + 1:t + 1 + horizon]
         pnl = fut @ (w / sigma)
         out_risk2 = float(np.mean(pnl ** 2))
-        rows.append(BacktestRow(t, float(in_risk2), out_risk2))
+        rows.append(BacktestRow(float(in_risk2), out_risk2))
     stats.update(windows=len(rows), seconds=time.perf_counter() - started)
     logger.debug("backtest: windows=%(windows)d periodic_rebuilds=%(periodic)d "
                  "cancellation_rebuilds=%(cancelled)d seconds=%(seconds).3f",

@@ -19,17 +19,17 @@ __all__ = [
     "student_panel",
 ]
 
-# Recorded in output metadata so runs are reproducible across versions.
+# Recorded in the header of ``rmtkit simulate``'s panel CSV, with the seed,
+# so a run can be reproduced across versions.
 GENERATOR_ID = "numpy-pcg64"
 
 
 @dataclass(frozen=True)
 class TrueCorrelationSpec:
-    """Recipe for a population correlation matrix.
+    """Recipe for a population correlation matrix of size N.
 
-    kinds: ``identity``; ``single_spike`` (unit diagonal, rho_bar
-    off-diagonal); ``multi_spike`` (given top eigenvalues, bulk adjusted to
-    keep Tr C = N); ``powerlaw`` (the ladder eigenvalues of
+    kinds: ``identity``; ``single_spike`` (unit diagonal, ``rho_bar``
+    off-diagonal); ``powerlaw`` (the ladder eigenvalues of
     ``PowerLawPrior(alpha)``, tail exponent 2, conjugated by a Haar
     rotation).
     """
@@ -37,12 +37,10 @@ class TrueCorrelationSpec:
     kind: str
     N: int
     rho_bar: float = 0.0
-    spikes: tuple = ()
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("identity", "single_spike", "multi_spike",
-                             "powerlaw"):
+        if self.kind not in ("identity", "single_spike", "powerlaw"):
             raise ValueError(f"unknown correlation kind {self.kind!r}")
         if self.N < 1:
             raise ValueError("N must be positive")
@@ -50,12 +48,6 @@ class TrueCorrelationSpec:
             raise ValueError("rho_bar must lie in [0, 1)")
         if self.kind == "powerlaw" and not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.kind == "multi_spike":
-            if not self.spikes or any(s < 1.0 for s in self.spikes):
-                raise ValueError("multi_spike needs eigenvalues >= 1")
-            if sum(self.spikes) > self.N:
-                raise ValueError("spikes exceed the trace budget Tr C = N")
-        object.__setattr__(self, "spikes", tuple(float(s) for s in self.spikes))
 
 
 def haar_rotation(N: int, seed) -> np.ndarray:
@@ -71,27 +63,19 @@ def haar_rotation(N: int, seed) -> np.ndarray:
 
 def build_true_correlation(spec: TrueCorrelationSpec, seed=None) -> CorrelationMatrix:
     N = spec.N
-    meta = {"kind": spec.kind, "N": N, "generator": GENERATOR_ID, "seed": seed}
     if spec.kind == "identity":
-        return CorrelationMatrix(np.eye(N), meta)
+        return CorrelationMatrix(np.eye(N))
     if spec.kind == "single_spike":
         C = np.full((N, N), spec.rho_bar)
         np.fill_diagonal(C, 1.0)
-        return CorrelationMatrix(C, {**meta, "rho_bar": spec.rho_bar})
-    if spec.kind == "multi_spike":
-        k = len(spec.spikes)
-        bulk = (N - sum(spec.spikes)) / (N - k) if N > k else 0.0
-        vals = np.concatenate([np.asarray(spec.spikes), np.full(N - k, bulk)])
-        O = haar_rotation(N, seed)
-        C = (O * vals) @ O.T
-        return CorrelationMatrix(C, {**meta, "spikes": spec.spikes})
+        return CorrelationMatrix(C)
     # powerlaw
     prior = PowerLawPrior(spec.alpha)
     vals = prior.eigenvalue_ladder(N, np.arange(1, N + 1))
     vals = np.clip(vals, 1e-8, None)
     O = haar_rotation(N, seed)
     C = (O * vals) @ O.T
-    return CorrelationMatrix(C, {**meta, "alpha": spec.alpha})
+    return CorrelationMatrix(C)
 
 
 def gaussian_panel(C: CorrelationMatrix, T: int, seed) -> ReturnPanel:

@@ -129,15 +129,6 @@ def _cauchy(x, c, z):
     return out.reshape(z.shape)[()]
 
 
-def _psi(x, c, y):
-    """psi(y) = sum_k c_k x_k y/(1 - x_k y) at every y.
-
-    Each term is x_k c_k / (1/y - x_k): the Cauchy sum of the size-biased
-    weights ``x c`` at ``1/y``, with no cancellation.
-    """
-    return _cauchy(x, x * c, 1.0 / np.asarray(y, dtype=complex))
-
-
 def _lone_atom(density: SpectralDensity, name: str):
     """Location of the atom when ``density`` is one atom, else None.
 
@@ -594,20 +585,23 @@ def _product(a: SpectralDensity, b: SpectralDensity, grid, eps: float,
     With y = 1/z, psi_{ab}(y) = psi_a(w), where w is the fixed point of
     w <- y * h_b(y * h_a(w)) with h = eta/id and eta = psi/(1 + psi);
     then G_{ab}(z) = y * (1 + psi_a(w)), with psi_a(w) the map's first
-    quadrature at each point's last iterate.  The product holds an atom at
-    zero of mass m0 = max(a({0}), b({0})); its part m0 * y of G is taken
-    out before the density is read.
+    quadrature at each point's last iterate: psi(w) = sum_k c_k x_k w /
+    (1 - x_k w), the Cauchy sum of the size-biased weights ``x c`` at 1/w
+    with no cancellation.  The product holds an atom at zero of mass m0 =
+    max(a({0}), b({0})); its part m0 * y of G is taken out before the
+    density is read.
     """
     (xa, ca), (xb, cb) = _nodes(a), _nodes(b)
+    ca, cb = xa * ca, xb * cb  # size-biased
 
     def h(p, w):
         # eta/id at w, from p = psi(w)
         return p / ((1.0 + p) * w)
 
     def f(w, y):
-        p = _psi(xa, ca, w)
+        p = _cauchy(xa, ca, 1.0 / w)
         v = y * h(p, w)
-        return y * h(_psi(xb, cb, v), v), p
+        return y * h(_cauchy(xb, cb, 1.0 / v), v), p
 
     y = 1.0 / (grid - 1j * eps)
     psi = _subordinate(f, y, grid, name)

@@ -9,6 +9,11 @@ from rmtkit.estimators import (CorrelationMatrix, ReturnPanel, pearson,
                                standardize)
 
 
+def _kept(E, out):
+    """How many of E's eigenvalues ``out`` holds unchanged."""
+    return int(np.isin(out.eigenvalues, E.eigenvalues).sum())
+
+
 @pytest.fixture(scope="module")
 def noisy_estimate():
     rng = np.random.default_rng(4)
@@ -22,6 +27,15 @@ class TestScheme:
         with pytest.raises(ValueError):
             CleaningScheme("clip", 1.5)
 
+    def test_powerlaw_takes_the_priors_checks(self):
+        # clip and shrinkage accept alpha = 0 and ignore mu
+        CleaningScheme("clip", 0.0, mu=0.5)
+        with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\]"):
+            CleaningScheme("powerlaw", 0.0)
+        for mu in (1.0, 0.5, np.inf):
+            with pytest.raises(ValueError, match="mu must"):
+                CleaningScheme("powerlaw", 0.5, mu)
+
 
 class TestClip:
     def test_trace_preserved(self, noisy_estimate):
@@ -31,19 +45,21 @@ class TestClip:
 
     def test_kept_count_and_flat_bulk(self, noisy_estimate):
         out = cleaning.clip(noisy_estimate, 0.6)
-        n_keep = out.metadata["kept"]
+        n_keep = _kept(noisy_estimate, out)
         assert n_keep == int(np.ceil(0.4 * 100))
         bulk = out.eigenvalues[n_keep:]
         assert np.ptp(bulk) < 1e-10
 
     def test_kept_count_exact_for_decimal_alpha(self):
         # ceil((1 - k/100) N) = N - floor(kN/100) in integers; the float
-        # product (1 - 0.45) * 100 reads 55.00000000000001
+        # product (1 - 0.45) * 100 reads 55.00000000000001.  E's trace is
+        # below N, so the value clip gives the rest exceeds all of E's
+        # eigenvalues and _kept counts the kept ones alone
         wrong = []
         for N in (10, 40, 100, 200, 500, 1000):
-            E = CorrelationMatrix(np.eye(N))
+            E = CorrelationMatrix(np.diag(np.linspace(0.9, 0.1, N)))
             for k in range(1, 100):
-                kept = cleaning.clip(E, k / 100).metadata["kept"]
+                kept = _kept(E, cleaning.clip(E, k / 100))
                 if kept != N - k * N // 100:
                     wrong.append((N, k / 100, kept))
         assert not wrong
@@ -72,7 +88,7 @@ class TestPowerLaw:
     def test_ladder_descends_and_trace_recorded(self, market_estimate):
         out = cleaning.powerlaw_clean(market_estimate, 0.4)
         assert np.all(np.diff(out.eigenvalues) <= 1e-12)
-        assert out.metadata["trace"] == pytest.approx(
+        assert np.trace(out.values) == pytest.approx(
             float(out.eigenvalues.sum()))
 
     def test_leading_eigenvectors_preserved(self, market_estimate):
@@ -131,7 +147,7 @@ class TestShrinkage:
 
     def test_const_corr_target(self, noisy_estimate):
         out = cleaning.shrink_const_corr(noisy_estimate, 1.0)
-        rho = out.metadata["rho_bar"]
+        rho = noisy_estimate.values[~np.eye(100, dtype=bool)].mean()
         off = out.values[~np.eye(100, dtype=bool)]
         assert np.allclose(off, rho, atol=1e-12)
         assert np.allclose(np.diag(out.values), 1.0)

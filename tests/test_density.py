@@ -27,6 +27,10 @@ class TestInvariants:
         with pytest.raises(DensityError):
             SpectralDensity(grid, dens)
 
+    def test_grid_and_density_lengths_must_match(self):
+        with pytest.raises(DensityError, match="same length"):
+            SpectralDensity(np.linspace(0, 1, 3), np.ones(2))
+
     def test_atom_mass_bounds(self):
         with pytest.raises(DensityError):
             SpectralDensity([1.0], [0.0], ((1.0, 1.5),))
@@ -115,6 +119,14 @@ class TestQueries:
         assert lo == pytest.approx(0.5)
         assert hi == pytest.approx(1.5)
 
+    def test_support_of_a_zeroed_density(self):
+        # the arrays stay writable, so a density zeroed in place after its
+        # checks has no support to report
+        d = uniform(0.5, 1.5)
+        d.density[:] = 0.0
+        with pytest.raises(DensityError, match="empty density"):
+            d.support()
+
     def test_cdf(self):
         d = uniform(0, 1)
         assert d.cdf(-1) == 0.0
@@ -141,6 +153,15 @@ class TestManipulation:
         s = d.scaled(2.0)
         assert s.mean() == pytest.approx(2.0, abs=1e-9)
         assert s.mass() == pytest.approx(1.0)
+
+    def test_scaled_by_zero_is_an_atom_at_zero(self):
+        s = uniform(1, 2).scaled(0.0)
+        assert s.atoms == ((0.0, 1.0),) and s.continuous_mass() == 0.0
+
+    def test_atom_interpolates_to_zero(self):
+        # a one-point grid has no continuous part to interpolate
+        d = SpectralDensity.atom(1.0)
+        assert np.array_equal(d.interpolate([0.5, 1.0, 2.0]), np.zeros(3))
 
     def test_scaled_negative_flips(self):
         d = uniform(1, 2)

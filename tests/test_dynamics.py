@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import spiked_correlation
+
 from rmtkit import dynamics, fileio, synth
 from rmtkit.estimators import ReturnPanel
 
 
 @pytest.fixture(scope="module")
 def spiked_track():
-    C = synth.build_true_correlation(
-        synth.TrueCorrelationSpec("multi_spike", 50, spikes=(10.0,)), seed=0)
+    C = spiked_correlation(50, (10.0,), seed=0)
     panel = synth.gaussian_panel(C, 3000, seed=1)
     v_ref = C.eigenvectors[:, 0]
     return dynamics.track_top(panel, 0.02, v_ref), C
@@ -95,6 +96,9 @@ class TestStationaryAngleDensity:
         th = np.linspace(0, np.pi, 101)
         with pytest.raises(ValueError):
             dynamics.stationary_angle_density(1.0, 2.0, 0.02, th)
+        for eps in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="epsilon must lie"):
+                dynamics.stationary_angle_density(10.0, 1.0, eps, th)
 
     def test_symmetric_under_theta_to_pi_minus_theta(self):
         th = np.linspace(0, np.pi, 4001)
@@ -121,6 +125,36 @@ class TestStationaryAngleDensity:
         th = np.concatenate([half, np.pi - half[-2::-1]])
         p = dynamics.stationary_angle_density(L1, 1.0, 0.02, th)
         assert np.trapezoid(p, th) == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def half_grid(n, lo):
+        """[0, pi/2], geometric from ``lo`` toward 0 and from 1e-15 toward
+        pi/2, n points each."""
+        a = np.geomspace(lo, np.pi / 4, n)
+        b = np.geomspace(1e-15, np.pi / 4, n)
+        return np.concatenate([[0.0], a, (np.pi / 2 - b)[-2::-1],
+                               [np.pi / 2]])
+
+    # the density dips at pi/2 with a width of about sqrt(Lb / (2 L1)),
+    # 7e-5 rad at L1 = 1e8; a normalization grid geometric toward 0 alone
+    # took 1 + 2.6e-6 there at eps = 0.99
+    @pytest.mark.parametrize("eps", [0.02, 0.99])
+    @pytest.mark.parametrize("L1", [1e1, 1e4, 1e8])
+    def test_normalized_with_the_dip_resolved(self, eps, L1):
+        half = self.half_grid(100001, 1e-13)
+        th = np.concatenate([half, np.pi - half[-2::-1]])
+        p = dynamics.stationary_angle_density(L1, 1.0, eps, th)
+        assert np.trapezoid(p, th) == pytest.approx(1.0, abs=1e-6)
+
+    # (L1 - Lb)^2 overflowed at 1e300.  The peak at pi is 1e-151 rad wide,
+    # below the float spacing there, so the mass is read on [0, pi/2], about
+    # which the density is symmetric
+    @pytest.mark.parametrize("eps", [0.02, 0.99])
+    def test_finite_and_normalized_at_1e300(self, eps):
+        half = self.half_grid(400001, 1e-160)
+        p = dynamics.stationary_angle_density(1e300, 1.0, eps, half)
+        assert np.all(np.isfinite(p))
+        assert 2 * np.trapezoid(p, half) == pytest.approx(1.0, abs=1e-6)
 
     def test_finite_where_the_ratio_rounds_off(self):
         # 1 - Lb/L1 rounds to 1 at L1 = 1e17, which made a numerator of 0
@@ -168,7 +202,7 @@ class TestVariograms:
         phi = rng.uniform(0.0, np.pi, T)
         v1 = np.column_stack([np.cos(phi), np.sin(phi)])
         lam = rng.standard_normal(T)
-        track = dynamics.EigenTrack(lam, v1, phi, 0.02)
+        track = dynamics.EigenTrack(lam, v1, phi)
         tau = [1, 120, 399]
         val, vec = dynamics.empirical_variogram(track, tau)
         for i, t in enumerate(tau):
@@ -182,6 +216,12 @@ class TestVariograms:
     def test_theoretical_parameter_validation(self, epsilon):
         with pytest.raises(ValueError, match="epsilon > 0"):
             dynamics.theoretical_variograms(4.0, 1.0, epsilon, [1, 10])
+
+    def test_non_positive_lag_left_zero(self, spiked_track):
+        track, _ = spiked_track
+        val, vec = dynamics.empirical_variogram(track, [0, -3, 5])
+        assert val[0] == val[1] == vec[0] == vec[1] == 0.0
+        assert val[2] > 0 and vec[2] > 0
 
     def test_lag_validation(self, spiked_track):
         track, _ = spiked_track

@@ -40,6 +40,10 @@ class TestReturnPanel:
 
 
 class TestStandardize:
+    def test_needs_two_observations(self):
+        with pytest.raises(EstimatorError, match="at least two"):
+            standardize(ReturnPanel(np.ones((1, 3))))
+
     def test_zero_mean_unit_variance(self):
         rng = np.random.default_rng(0)
         p = standardize(ReturnPanel(3.0 + 2.0 * rng.standard_normal((200, 5))))
@@ -98,6 +102,20 @@ class TestStandardize:
 
 
 class TestCorrelationMatrix:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_requires_a_square_matrix(self, shape):
+        with pytest.raises(EstimatorError, match="must be square"):
+            CorrelationMatrix(np.zeros(shape))
+
+    def test_every_estimator_carries_the_panels_asset_ids(self, gauss_panel):
+        ids = gauss_panel.asset_ids
+        for E in (pearson(gauss_panel),
+                  ewma_estimator(gauss_panel, 0.05),
+                  estimators.student_ml(gauss_panel, 5.0)):
+            assert E.asset_ids == ids
+            assert E.with_spectrum(E.eigenvalues).asset_ids == ids
+        assert CorrelationMatrix(np.eye(2)).asset_ids == ()
+
     def test_requires_symmetry(self):
         with pytest.raises(EstimatorError, match="symmetric"):
             CorrelationMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
@@ -248,7 +266,7 @@ class TestCorrelationMatrix:
         # reference: clip by hand on eigh's pairs of the dense middle matrix
         vals, vecs = np.linalg.eigh(mid.values)
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        k = out.metadata["kept"]
+        k = -(-E.N // 2)  # alpha = 0.5 keeps ceil(N / 2)
         vals[k:] = (E.N - vals[:k].sum()) / (E.N - k)
         ref = (vecs * vals) @ vecs.T
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -378,6 +396,11 @@ class TestStudentML:
         for mu in (2.0, np.nan, np.inf):
             with pytest.raises(EstimatorError, match="mu must"):
                 estimators.student_ml(gauss_panel, mu)
+
+    def test_requires_standardized(self):
+        p = ReturnPanel(5.0 * np.random.default_rng(0).standard_normal((50, 4)))
+        with pytest.raises(EstimatorError, match="standardized panel"):
+            estimators.student_ml(p, 5.0)
 
     @pytest.fixture(scope="class")
     def heavy_panel(self):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -31,9 +32,12 @@ def test_all_names_resolve(modname):
 # callers are read from the syntax tree, so a docstring, a comment or a
 # string does not count.  A module-level name needs a read of the name or of
 # an attribute of that name; a public method or classmethod of an exported
-# class needs a ``.name(...)`` call, and a public property a ``.name`` read.
-# Each exempt entry keeps its reason, and must still be exempt: it exists
-# and has no caller.
+# class needs a ``.name(...)`` call, a public property a ``.name`` read, and
+# a field of an exported dataclass a ``.field`` read.  A defaulted parameter
+# of a public function, method or dataclass constructor needs a call of that
+# name that passes it, by keyword or by position.  Names are matched alone,
+# whatever object they belong to.  Each exempt entry keeps its reason, and
+# must still be exempt: it exists and has no caller.
 _MEASURE = "a measure test_spectra and test_transforms read results with"
 BUDGET_EXEMPT = {
     "portfolio.markowitz_weights":
@@ -41,47 +45,102 @@ BUDGET_EXEMPT = {
         "needs g^T E^{-1} g",
     "transforms.r_transform": "the identity gauge's oracle",
     "transforms.s_transform": "the identity gauge's oracle",
+    "transforms.resolvent":
+        "the benchmark's tracer wraps it; its one other reader checks that "
+        "the tracer wraps and restores it",
     "SpectralDensity.variance": _MEASURE,
     "SpectralDensity.cdf": _MEASURE,
     "SpectralDensity.l1_distance": _MEASURE,
     "SpectralDensity.from_samples": _MEASURE,
 }
 REPO = Path(__file__).resolve().parents[1]
+# the benchmark's own unit tests are not callers
+CALLERS = [*sorted((REPO / "src" / "rmtkit").glob("*.py")),
+           *sorted(p for p in (REPO / "perfbench").glob("*.py")
+                   if p.name != "test_perfbench.py"),
+           REPO / "tests" / "test_acceptance.py"]
 
 
 def _references():
-    """``(read, called)``: every name or attribute name read, and every
-    attribute name called, in the files that count as callers."""
-    files = [*sorted((REPO / "src" / "rmtkit").glob("*.py")),
-             *sorted((REPO / "perfbench").glob("*.py")),
-             REPO / "tests" / "test_acceptance.py"]
-    read, called = set(), set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    """``(read, called, passed)``: every name or attribute name read, every
+    attribute name called, and for each name called how many positional
+    arguments its calls pass at most and which keywords, in the files that
+    count as callers.  A ``*args`` passes every position, a ``**kwargs``
+    every keyword (``"**"``).  A call of a name imported from outside rmtkit
+    (``np.clip``) passes nothing to rmtkit's name."""
+    read, called, passed = set(), set(), {}
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), str(path))
+        bindings = _bindings(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                called.add(node.func.attr)
-    return read, called
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                called.add(name)
+            elif isinstance(node.func, ast.Name):
+                name = node.func.id
+            else:
+                continue
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if (isinstance(root, ast.Name) and root.id in bindings
+                    and not bindings[root.id].startswith("rmtkit")):
+                continue
+            npos, keywords = passed.setdefault(name, [0, set()])
+            passed[name][0] = max(npos, float("inf") if any(
+                isinstance(a, ast.Starred) for a in node.args)
+                else len(node.args))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    return read, called, passed
+
+
+def _unset(label, name, params, passed):
+    """``label(p=)`` for each defaulted parameter p in ``params`` that no
+    call of ``name`` passes; none for a name never called, which the name
+    rule reports."""
+    if name not in passed:
+        return set()
+    npos, keywords = passed[name]
+    return {f"{label}({p.name}=)" for i, p in enumerate(params)
+            if p.default is not p.empty
+            and not (p.kind is not p.KEYWORD_ONLY and i < npos)
+            and not {p.name, "**"} & keywords}
+
+
+def _params(func, drop_self=False):
+    params = [p for p in inspect.signature(func).parameters.values()
+              if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+    return params[1:] if drop_self else params
 
 
 def _uncalled():
-    """Each public name, method or property without a caller."""
-    read, called = _references()
+    """Each public name, method, property, field or option without a
+    caller."""
+    read, called, passed = _references()
     out, classes = set(), {}
     for modname in MODULES:
         mod = importlib.import_module(modname)
+        short = modname.removeprefix("rmtkit.")
         for name in getattr(mod, "__all__", ()):
             obj = getattr(mod, name)
             if name not in read:
-                out.add(f"{modname.removeprefix('rmtkit.')}.{name}")
+                out.add(f"{short}.{name}")
             if inspect.isclass(obj):
                 classes[obj.__qualname__] = obj
+            elif inspect.isfunction(obj):
+                out |= _unset(f"{short}.{name}", name, _params(obj), passed)
     for qualname, cls in classes.items():
+        if dataclasses.is_dataclass(cls):
+            out |= {f"{qualname}.{f.name}" for f in dataclasses.fields(cls)
+                    if f.name not in read}
+            out |= _unset(qualname, qualname, _params(cls), passed)
         for attr, value in vars(cls).items():
             if attr.startswith("_"):
                 continue
@@ -90,6 +149,8 @@ def _uncalled():
             elif inspect.isfunction(value) or isinstance(
                     value, (classmethod, staticmethod)):
                 used = attr in called
+                out |= _unset(f"{qualname}.{attr}", attr, _params(
+                    getattr(cls, attr), inspect.isfunction(value)), passed)
             else:  # a field's default
                 continue
             if not used:

@@ -270,10 +270,10 @@ class TestMatrixCsv:
         iu = np.triu_indices(n)
         values[iu] = np.resize(EDGE_VALUES, len(iu[0]))
         values = values + np.triu(values, 1).T
-        M = CorrelationMatrix(values, {"asset_ids": ("X,1", 'Y"2', "Z", "U", "V")})
+        M = CorrelationMatrix(values, ("X,1", 'Y"2', "Z", "U", "V"))
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
         fileio.write_matrix_csv(ours, M, header_lines=["command: test"])
-        reference_csv(ref, M.metadata["asset_ids"],
+        reference_csv(ref, M.asset_ids,
                       ([f"{x:.12g}" for x in row] for row in M.values),
                       ["command: test"])
         assert ours.read_bytes() == ref.read_bytes()
@@ -290,25 +290,25 @@ class TestMatrixCsv:
         assert np.array_equal(ours[2], values)
         M2 = fileio.read_matrix_csv(path)
         assert np.array_equal(M2.values, values)
-        assert M2.metadata["asset_ids"] == tuple(header)
+        assert M2.asset_ids == tuple(header)
 
     def test_quoted_asset_ids_roundtrip(self, tmp_path):
         M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
-                              {"asset_ids": ("X,1", 'Y"2')})
+                              ("X,1", 'Y"2'))
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
         M2 = fileio.read_matrix_csv(path)
         assert np.array_equal(M2.values, M.values)
-        assert M2.metadata["asset_ids"] == ("X,1", 'Y"2')
+        assert M2.asset_ids == ("X,1", 'Y"2')
 
     def test_asset_id_starting_with_a_comment_character(self, tmp_path):
         M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
-                              {"asset_ids": ("#A", "B")})
+                              ("#A", "B"))
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
         M2 = fileio.read_matrix_csv(path)
         assert np.array_equal(M2.values, M.values)
-        assert M2.metadata["asset_ids"] == ("#A", "B")
+        assert M2.asset_ids == ("#A", "B")
 
     def test_extra_field_error_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -319,12 +319,12 @@ class TestMatrixCsv:
 
     def test_roundtrip(self, tmp_path):
         M = CorrelationMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]),
-                              {"asset_ids": ("X", "Y")})
+                              ("X", "Y"))
         path = tmp_path / "m.csv"
         fileio.write_matrix_csv(path, M, header_lines=["command: test"])
         M2 = fileio.read_matrix_csv(path)
         assert np.allclose(M2.values, M.values)
-        assert M2.metadata["asset_ids"] == ("X", "Y")
+        assert M2.asset_ids == ("X", "Y")
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "x.csv"

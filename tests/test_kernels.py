@@ -3,6 +3,8 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import spiked_correlation
+
 from rmtkit import synth
 from rmtkit.kernels import (FULL_EVERY, POWER_TOL, STACKED_MAX_N, _certify,
                             _power, track_top)
@@ -44,8 +46,7 @@ def _two_level(T):
 
 
 def _spiked(N, T, spike=10.0):
-    C = synth.build_true_correlation(
-        synth.TrueCorrelationSpec("multi_spike", N, spikes=(spike,)), seed=0)
+    C = spiked_correlation(N, (spike,), seed=0)
     return synth.gaussian_panel(C, T, seed=1).values, None
 
 

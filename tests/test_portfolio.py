@@ -176,6 +176,11 @@ class TestBacktest:
             portfolio.backtest(ReturnPanel(values), None, window=300,
                                horizon=50)
 
+    def test_unknown_predictor_rejected(self, panel):
+        with pytest.raises(ValueError, match="'momentum' or 'random'"):
+            portfolio.backtest(panel, None, window=300, horizon=50,
+                               predictor="mean")
+
     def test_random_predictor_requires_seed(self, panel):
         with pytest.raises(ValueError, match="seed"):
             portfolio.backtest(panel, None, window=300, horizon=50,
@@ -249,8 +254,8 @@ class TestBacktest:
         rows, _, _ = portfolio.backtest(ReturnPanel(values), None,
                                         window=window, horizon=1, step=step)
         assert len(matrices) == len(rows) >= (2000 if step == 1 else 2)
-        for row, E in zip(rows, matrices):
-            hist = values[row.date_index - window:row.date_index]
+        for t, E in zip(range(window, len(values), step), matrices):
+            hist = values[t - window:t]
             X = (hist - hist.mean(axis=0)) / hist.std(axis=0)
             assert np.max(np.abs(E - _corr(X))) <= 1e-12
 

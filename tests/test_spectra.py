@@ -322,6 +322,11 @@ class TestRsvdBenchmark:
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(2.0 * np.sqrt(0.25 * 0.75))
 
+    @pytest.mark.parametrize("n, m", [(0.0, 0.1), (0.1, 1.0), (1.2, 0.1)])
+    def test_ratios_must_lie_in_the_unit_interval(self, n, m):
+        with pytest.raises(ValueError, match="must lie in"):
+            spectra.rsvd_benchmark(n, m)
+
     def test_density_masses(self):
         n, m = 0.125, 0.085
         d = spectra.rsvd_benchmark(n, m)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import spiked_correlation
+
 from rmtkit import spikes, synth
 from rmtkit.estimators import CorrelationMatrix, pearson, standardize
 
@@ -54,8 +56,7 @@ class TestBbpMap:
         rng = np.random.default_rng(12)
         N, T, Lam = 400, 800, 4.0
         q = N / T
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("multi_spike", N, spikes=(Lam,)), seed=0)
+        C = spiked_correlation(N, (Lam,), seed=0)
         tops = []
         for seed in range(4):
             panel = standardize(synth.gaussian_panel(C, T, seed))
@@ -86,9 +87,7 @@ def test_non_finite_parameter_rejected(call):
 class TestDetector:
     def test_finds_planted_spike(self):
         N, T = 300, 900
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("multi_spike", N, spikes=(8.0, 5.0)),
-            seed=3)
+        C = spiked_correlation(N, (8.0, 5.0), seed=3)
         panel = standardize(synth.gaussian_panel(C, T, seed=4))
         report = spikes.detect_spikes(pearson(panel), N / T)
         assert len(report.outliers) == 2
@@ -108,9 +107,7 @@ class TestDetector:
         # averaged over four panels: the closed form reads 0.81 at
         # Lambda = 4, q = 1/2, where the Wigner formula reads 0.94
         N, T = 400, 800
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("multi_spike", N, spikes=(4.0,)),
-            seed=0)
+        C = spiked_correlation(N, (4.0,), seed=0)
         v1 = np.linalg.eigh(C.values)[1][:, -1]
         measured, reported = [], []
         for seed in range(4):
@@ -122,9 +119,7 @@ class TestDetector:
 
     def test_report_matches_eigh_based_one(self):
         N, T = 300, 900
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("multi_spike", N, spikes=(8.0, 5.0)),
-            seed=3)
+        C = spiked_correlation(N, (8.0, 5.0), seed=3)
         E = pearson(standardize(synth.gaussian_panel(C, T, seed=4)))
         ours = spikes.detect_spikes(E, N / T).to_text()
         assert "_eig" not in E.__dict__  # eigenvalues only, no eigenvectors
@@ -152,9 +147,7 @@ class TestDetector:
             spikes.detect_spikes(E, 0.25, u_threshold=u)
 
     def test_report_text_format(self):
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("multi_spike", 200, spikes=(10.0,)),
-            seed=5)
+        C = spiked_correlation(200, (10.0,), seed=5)
         panel = standardize(synth.gaussian_panel(C, 800, seed=6))
         text = spikes.detect_spikes(pearson(panel), 0.25).to_text()
         assert "outlier rank=1" in text

@@ -42,19 +42,6 @@ class TestTrueCorrelation:
         assert C.eigenvalues[0] == pytest.approx(1 + 99 * 0.3)
         assert np.allclose(np.diag(C.values), 1.0)
 
-    def test_multi_spike_trace_budget(self):
-        C = synth.build_true_correlation(
-            TrueCorrelationSpec("multi_spike", 50, spikes=(5.0, 3.0)), seed=1)
-        assert np.trace(C.values) == pytest.approx(50.0)
-        assert C.eigenvalues[0] == pytest.approx(5.0)
-        assert C.eigenvalues[1] == pytest.approx(3.0)
-
-    def test_multi_spike_validation(self):
-        with pytest.raises(ValueError):
-            TrueCorrelationSpec("multi_spike", 5, spikes=(4.0, 3.0))
-        with pytest.raises(ValueError):
-            TrueCorrelationSpec("multi_spike", 5, spikes=(0.5,))
-
     def test_powerlaw_unit_trace_density(self):
         C = synth.build_true_correlation(
             TrueCorrelationSpec("powerlaw", 200, alpha=0.35), seed=2)
@@ -64,6 +51,21 @@ class TestTrueCorrelation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             TrueCorrelationSpec("diagonalish", 5)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(kind="identity", N=0), "N must be positive"),
+        (dict(kind="single_spike", N=5, rho_bar=1.0), "rho_bar"),
+        (dict(kind="single_spike", N=5, rho_bar=-0.1), "rho_bar"),
+        (dict(kind="powerlaw", N=5, alpha=0.0), "alpha"),
+        (dict(kind="powerlaw", N=5, alpha=1.5), "alpha"),
+    ])
+    def test_spec_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrueCorrelationSpec(**kwargs)
+
+    def test_haar_rotation_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="N must be positive"):
+            synth.haar_rotation(0, seed=0)
 
 
 class TestPanels:
@@ -103,6 +105,11 @@ class TestPanels:
         for mu in (np.nan, np.inf):
             with pytest.raises(ValueError, match="mu must be finite"):
                 synth.student_panel(C, mu, 100, seed=0)
+
+    def test_student_panel_needs_two_rows(self):
+        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
+        with pytest.raises(ValueError, match="at least 2"):
+            synth.student_panel(C, 5.0, 1, seed=0)
 
 
 class TestWickCheck:

@@ -56,7 +56,9 @@ class TestQuadrature:
         y = np.concatenate([1 / (np.array([0.3, 1.0, 1.7, 3.0]) - 0.01j),
                             [0.4 + 0.3j, -0.5 + 0.2j, 2.0 - 1.0j]])
         direct = np.array([np.sum(c * x * yy / (1 - x * yy)) for yy in y])
-        got = transforms._psi(*transforms._nodes(mixed), y)
+        # _product's psi: the Cauchy sum of the size-biased weights at 1/y
+        xk, ck = transforms._nodes(mixed)
+        got = transforms._cauchy(xk, xk * ck, 1 / y)
         assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct))
 
 
@@ -459,6 +461,11 @@ class TestResolvent:
         with pytest.raises(PoleOnSupportError):
             transforms.resolvent(mp025, 1.0)
 
+    def test_pole_at_an_atom_raises(self):
+        two = SpectralDensity([1.0], [0.0], ((1.0, 0.5), (2.0, 0.5)))
+        with pytest.raises(PoleOnSupportError):
+            transforms.resolvent(two, 2.0)
+
     def test_density_recovery(self, mp025):
         lo, hi = spectra.mp_edges(0.25)
         grid = np.linspace(lo + 0.05, hi - 0.05, 50)
@@ -651,6 +658,14 @@ class TestSTransform:
         with pytest.raises(TransformError, match="non-negative support"):
             transforms.s_transform(semicircle.shifted(1.0), 0.1 + 0.1j)
 
+    def test_undefined_at_zero(self, mp025):
+        with pytest.raises(TransformError, match="w != 0"):
+            transforms.s_transform(mp025, 0.0)
+
+    def test_zero_mean_raises(self):
+        with pytest.raises(TransformError, match="non-zero mean"):
+            transforms.s_transform(SpectralDensity.atom(0.0), 0.3)
+
 
 class TestFreeAdd:
     def test_semicircle_self_convolution(self, semicircle):
@@ -806,6 +821,18 @@ class TestFreeMultiply:
     def test_atom_scaling_shortcut(self, mp025):
         out = transforms.free_multiply(mp025, SpectralDensity.atom(2.0))
         assert out.support()[1] == pytest.approx(2.0 * 2.25, abs=1e-5)
+
+    def test_atom_at_zero_annihilates(self, mp025):
+        out = transforms.free_multiply(SpectralDensity.atom(0.0), mp025)
+        assert out.atoms == ((0.0, 1.0),) and out.continuous_mass() == 0.0
+
+    def test_two_atom_factor(self, mp025):
+        # a law of atoms alone has no quantile grid: its bulk reaches its
+        # largest atom.  Means multiply: 1.5 * 1 (1.50029 measured)
+        two = SpectralDensity([1.0], [0.0], ((1.0, 0.5), (2.0, 0.5)))
+        out = transforms.free_multiply(two, mp025)
+        assert out.atoms == () and out.mass() == pytest.approx(1.0)
+        assert out.mean() == pytest.approx(1.5, rel=1e-3)
 
     def test_negative_support_rejected(self, semicircle, mp025):
         with pytest.raises(TransformError):
