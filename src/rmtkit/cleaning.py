@@ -24,7 +24,6 @@ __all__ = [
 
 SCHEME_KINDS = ("clip", "powerlaw", "shrink", "ledoit")
 
-EIGENVALUE_FLOOR = 1e-8
 # (1-alpha)N within this of an integer is that integer: binary rounding of a
 # decimal alpha leaves the product off by up to about N * 2^-52 ((1 - 0.45)
 # * 100 reads 55.00000000000001), which ceil would round up to one
@@ -79,7 +78,7 @@ def powerlaw_clean(E: CorrelationMatrix, alpha: float,
     prior = PowerLawPrior(alpha, mu)
     new_vals = E.eigenvalues.copy()
     k = np.arange(2, N + 1)
-    new_vals[1:] = np.clip(prior.eigenvalue_ladder(N, k), EIGENVALUE_FLOOR, None)
+    new_vals[1:] = prior.eigenvalue_ladder(N, k)
     return E.with_spectrum(new_vals)
 
 

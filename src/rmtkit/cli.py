@@ -171,8 +171,7 @@ def _cmd_spectrum(args) -> int:
     elif args.law == "wigner":
         dens = spectra.wigner_semicircle()
     elif args.law == "elliptic":
-        dens = spectra.elliptic_student_density(
-            spectra.EllipticParams(args.q, args.mu))
+        dens = spectra.elliptic_student_density(args.q, args.mu)
     elif args.law == "rsvd":
         dens = spectra.rsvd_benchmark(args.n, args.m)
     else:  # powerlaw-dressed
@@ -252,13 +251,11 @@ def _cmd_simulate(args) -> int:
     if args.seed is None:
         raise _InputError("field seed: required for simulate")
     if args.spec == "identity":
-        spec = synth.TrueCorrelationSpec("identity", args.N)
+        C = synth.constant_correlation(args.N, 0.0)
     elif args.spec == "spike":
-        spec = synth.TrueCorrelationSpec("single_spike", args.N,
-                                         rho_bar=args.rho)
+        C = synth.constant_correlation(args.N, args.rho)
     else:
-        spec = synth.TrueCorrelationSpec("powerlaw", args.N, alpha=args.alpha)
-    C = synth.build_true_correlation(spec, args.seed)
+        C = synth.powerlaw_correlation(args.N, args.alpha, args.seed)
     if args.mu is None:
         panel = synth.gaussian_panel(C, args.T, args.seed + 1)
     else:

@@ -47,7 +47,8 @@ class SpectralDensity:
     ``density`` holds non-negative values of the continuous part at the grid
     points; ``atoms`` is a list of ``(location, mass)`` pairs.  Grid,
     density and atoms must be finite, and the total mass (trapezoid
-    integral plus atom masses) must be 1 within ``MASS_TOL``.
+    integral plus atom masses) must be 1 within ``MASS_TOL``.  Both arrays
+    are stored read-only.
     """
 
     grid: np.ndarray
@@ -55,7 +56,7 @@ class SpectralDensity:
     atoms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
+        grid = np.array(self.grid, dtype=float, ndmin=1)
         dens = np.atleast_1d(np.asarray(self.density, dtype=float))
         if grid.size != dens.size:
             raise DensityError("grid and density must have the same length")
@@ -66,6 +67,9 @@ class SpectralDensity:
             raise DensityError("density must be non-negative")
         dens = np.clip(dens, 0.0, None)
         atoms = _as_atoms(self.atoms)
+        # both arrays are copies, stored read-only: no write breaks the
+        # checks once they pass, and the caller's arrays stay writable
+        grid.flags.writeable = dens.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", dens)
         object.__setattr__(self, "atoms", atoms)
@@ -147,13 +151,12 @@ class SpectralDensity:
         if self.atoms:
             los.append(self.atoms[0][0])
             his.append(self.atoms[-1][0])
-        if self.grid.size and self.continuous_mass() > 1e-12:
+        # the checked unit mass leaves a density with no atoms a
+        # continuous part, hence a positive maximum
+        if self.continuous_mass() > 1e-12:
             nz = np.nonzero(self.density > 1e-12 * self.density.max())[0]
-            if nz.size:
-                los.append(float(self.grid[nz[0]]))
-                his.append(float(self.grid[nz[-1]]))
-        if not los:
-            raise DensityError("empty density")
+            los.append(float(self.grid[nz[0]]))
+            his.append(float(self.grid[nz[-1]]))
         return min(los), max(his)
 
     def cdf(self, x: float) -> float:

@@ -109,7 +109,11 @@ def stationary_angle_density(Lambda1: float, Lambda_b: float, epsilon: float,
     # theta = 0 at minus the inverse of that variance; Y is written with no
     # product of the two eigenvalues, which would overflow
     a = 1.0 - Lambda_b / Lambda1
-    Y = 2.0 * a * (Lambda1 - Lambda_b) / Lambda_b - a / (1.0 + a)
+    with np.errstate(over="ignore"):  # NumPy scalars overflow as floats do
+        Y = 2.0 * a * (Lambda1 - Lambda_b) / Lambda_b - a / (1.0 + a)
+    if not np.isfinite(Y):  # the density at theta = 0 would take log(0)
+        raise ValueError(f"Lambda1/Lambda_b = {Lambda1:.3g}/{Lambda_b:.3g} "
+                         "is too large: 2 Lambda1/Lambda_b overflows")
     theta_grid = np.asarray(theta_grid, dtype=float)
 
     def log_unnorm(th):

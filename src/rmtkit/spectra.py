@@ -19,7 +19,6 @@ from .transforms import ConvergenceError
 
 __all__ = [
     "PowerLawPrior",
-    "EllipticParams",
     "mp_density",
     "mp_edges",
     "wigner_semicircle",
@@ -39,6 +38,7 @@ ATOM_Q = 1e-8  # below this q the densities collapse to an atom at 1
 EWMA_MEAN_TOL = 5e-3
 PRIOR_TAIL_MASS = 1e-4  # tail mass beyond the power-law prior's truncation
 ELLIPTIC_LAM_MAX = 1000.0  # upper end of the elliptic ensemble's grid
+EIGENVALUE_FLOOR = 1e-8  # least eigenvalue of the power-law ladder
 
 
 def _edge_grid(lo: float, hi: float, npoints: int) -> np.ndarray:
@@ -181,9 +181,11 @@ class PowerLawPrior:
         return 1.0 - self.mu * (1.0 - self.alpha) / (self.mu - 1.0)
 
     def eigenvalue_ladder(self, N: int, k) -> np.ndarray:
-        """Typical k-th largest eigenvalue, lambda_k = x0 + (A N / k)^(1/mu)."""
+        """Typical k-th largest eigenvalue, lambda_k = x0 + (A N / k)^(1/mu),
+        floored at ``EIGENVALUE_FLOOR``."""
         k = np.asarray(k, dtype=float)
-        return self.lambda0 + (self.amplitude * N / k) ** (1.0 / self.mu)
+        lam = self.lambda0 + (self.amplitude * N / k) ** (1.0 / self.mu)
+        return np.clip(lam, EIGENVALUE_FLOOR, None)
 
 
 def powerlaw_prior_density(p: PowerLawPrior) -> SpectralDensity:
@@ -205,22 +207,9 @@ def powerlaw_prior_density(p: PowerLawPrior) -> SpectralDensity:
 # ---------------------------------------------------------------------------
 # Elliptic (common stochastic volatility) ensemble
 
-@dataclass(frozen=True)
-class EllipticParams:
-    """Aspect ratio q and tail index mu of the volatility mixture."""
-
-    q: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0 < self.q < np.inf:
-            raise ValueError("q must be positive and finite")
-        if not self.mu > 2:
-            raise ValueError("mu must exceed 2")
-
-
-def elliptic_student_density(p: EllipticParams) -> SpectralDensity:
-    """Sample spectrum of returns with a common random volatility.
+def elliptic_student_density(q: float, mu: float) -> SpectralDensity:
+    """Sample spectrum of returns with a common random volatility, at aspect
+    ratio q = N/T in (0, 1) and tail index mu > 2.
 
     With ``d_t = mu/s_t``, ``s_t ~ chi-squared(mu)``, the nonzero spectrum of
     E is ``q (rho_D [x] MP(1/q))``, the generalised Marcenko-Pastur law
@@ -240,13 +229,14 @@ def elliptic_student_density(p: EllipticParams) -> SpectralDensity:
     density has no upper edge and decays as ``lambda^(-1 - mu/2)``; the
     grid is truncated at ``ELLIPTIC_LAM_MAX``.
     """
-    if p.q >= 1:
+    if not 0 < q < 1:
         raise ValueError(
-            "q >= 1 is unsupported for the elliptic ensemble (the spectrum "
-            "acquires an atom at zero)")
-    if p.mu >= 1e5:
-        return mp_density(p.q)
-    q, mu = p.q, p.mu
+            "q must be positive and below 1 for the elliptic ensemble (at "
+            "q >= 1 the spectrum acquires an atom at zero)")
+    if not mu > 2:
+        raise ValueError("mu must exceed 2")
+    if mu >= 1e5:
+        return mp_density(q)
     # chi-squared(mu) puts less than 1e-17 of its mass outside [s_lo, s_hi]
     s_lo = 2.0 * gammaincinv(0.5 * mu, 1e-17)
     s_hi = 2.0 * gammainccinv(0.5 * mu, 1e-17)

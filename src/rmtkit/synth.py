@@ -3,8 +3,6 @@ matrices, and Gaussian and heavy-tailed (common-volatility Student) panels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .estimators import CorrelationMatrix, ReturnPanel, standardize
@@ -12,9 +10,9 @@ from .spectra import PowerLawPrior
 
 __all__ = [
     "GENERATOR_ID",
-    "TrueCorrelationSpec",
     "haar_rotation",
-    "build_true_correlation",
+    "constant_correlation",
+    "powerlaw_correlation",
     "gaussian_panel",
     "student_panel",
 ]
@@ -22,32 +20,6 @@ __all__ = [
 # Recorded in the header of ``rmtkit simulate``'s panel CSV, with the seed,
 # so a run can be reproduced across versions.
 GENERATOR_ID = "numpy-pcg64"
-
-
-@dataclass(frozen=True)
-class TrueCorrelationSpec:
-    """Recipe for a population correlation matrix of size N.
-
-    kinds: ``identity``; ``single_spike`` (unit diagonal, ``rho_bar``
-    off-diagonal); ``powerlaw`` (the ladder eigenvalues of
-    ``PowerLawPrior(alpha)``, tail exponent 2, conjugated by a Haar
-    rotation).
-    """
-
-    kind: str
-    N: int
-    rho_bar: float = 0.0
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "single_spike", "powerlaw"):
-            raise ValueError(f"unknown correlation kind {self.kind!r}")
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        if self.kind == "single_spike" and not 0.0 <= self.rho_bar < 1.0:
-            raise ValueError("rho_bar must lie in [0, 1)")
-        if self.kind == "powerlaw" and not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
 
 
 def haar_rotation(N: int, seed) -> np.ndarray:
@@ -61,21 +33,25 @@ def haar_rotation(N: int, seed) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def build_true_correlation(spec: TrueCorrelationSpec, seed=None) -> CorrelationMatrix:
-    N = spec.N
-    if spec.kind == "identity":
-        return CorrelationMatrix(np.eye(N))
-    if spec.kind == "single_spike":
-        C = np.full((N, N), spec.rho_bar)
-        np.fill_diagonal(C, 1.0)
-        return CorrelationMatrix(C)
-    # powerlaw
-    prior = PowerLawPrior(spec.alpha)
-    vals = prior.eigenvalue_ladder(N, np.arange(1, N + 1))
-    vals = np.clip(vals, 1e-8, None)
-    O = haar_rotation(N, seed)
-    C = (O * vals) @ O.T
+def constant_correlation(N: int, rho: float) -> CorrelationMatrix:
+    """Unit diagonal and ``rho`` everywhere else: one eigenvalue
+    1 + (N-1) rho (the market mode) above N-1 eigenvalues at 1 - rho.  At
+    rho = 0 this is the identity, bit for bit."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    C = np.full((N, N), rho)
+    np.fill_diagonal(C, 1.0)
     return CorrelationMatrix(C)
+
+
+def powerlaw_correlation(N: int, alpha: float, seed) -> CorrelationMatrix:
+    """The ladder eigenvalues of ``PowerLawPrior(alpha)`` (tail exponent 2)
+    conjugated by a Haar rotation."""
+    vals = PowerLawPrior(alpha).eigenvalue_ladder(N, np.arange(1, N + 1))
+    O = haar_rotation(N, seed)
+    return CorrelationMatrix((O * vals) @ O.T)
 
 
 def gaussian_panel(C: CorrelationMatrix, T: int, seed) -> ReturnPanel:

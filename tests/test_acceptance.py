@@ -96,7 +96,7 @@ def test_criterion_03_risk_ratios():
     t0 = time.perf_counter()
     q, N, replicas = 0.5, 250, 100
     T = int(N / q)
-    C = synth.build_true_correlation(synth.TrueCorrelationSpec("identity", N))
+    C = synth.constant_correlation(N, 0.0)
     rng = np.random.default_rng(303)
     r_in, r_out = [], []
     for seed in range(replicas):
@@ -204,8 +204,7 @@ def test_criterion_08_dressed_spectrum():
     dens = spectra.dressed_spectrum(prior, q)
     eigs = []
     for seed in range(replicas):
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("powerlaw", N, alpha=alpha), seed=seed)
+        C = synth.powerlaw_correlation(N, alpha, seed)
         panel = standardize(synth.gaussian_panel(C, T, seed=1000 + seed))
         eigs.append(pearson(panel).eigenvalues)
     l1 = _binned_l1(np.concatenate(eigs), dens, nbins=12)
@@ -217,7 +216,7 @@ def test_criterion_08_dressed_spectrum():
 def test_criterion_09_student_ensembles():
     # (a) tail exponent of the heavy-tailed scale-mixture density
     mu, q = 4.0, 0.5
-    d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+    d = spectra.elliptic_student_density(q, mu)
     mask = (d.grid > 30.0) & (d.grid < 300.0) & (d.density > 0)
     slope = float(np.polyfit(np.log(d.grid[mask]),
                              np.log(d.density[mask]), 1)[0])
@@ -227,7 +226,7 @@ def test_criterion_09_student_ensembles():
     # (b) the maximum-likelihood estimator on heavy-tailed data is free of
     # the fat-tail distortion: its spectrum follows the null law again
     N, T, replicas, mu_ml = 300, 600, 8, 5.0
-    C = synth.build_true_correlation(synth.TrueCorrelationSpec("identity", N))
+    C = synth.constant_correlation(N, 0.0)
     eigs = []
     for seed in range(replicas):
         panel = synth.student_panel(C, mu_ml, T, seed=seed)
@@ -310,8 +309,7 @@ def test_criterion_12_cleaning_efficacy():
                 for a in alphas}
     raw_out, raw_ratio = [], []
     for seed in range(replicas):
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("powerlaw", N, alpha=0.5), seed=seed)
+        C = synth.powerlaw_correlation(N, 0.5, seed)
         panel = standardize(synth.gaussian_panel(C, T, seed=2000 + seed))
         E = pearson(panel)
         g = rng.standard_normal(N)
@@ -369,12 +367,11 @@ def test_criterion_13_invariant_battery(tmp_path):
     check("density csv round-trip", roundtrip)
 
     # sampling determinism
-    spec = synth.TrueCorrelationSpec("powerlaw", 40, alpha=0.5)
     check("correlation build determinism",
           lambda: np.array_equal(
-              synth.build_true_correlation(spec, seed=5).values,
-              synth.build_true_correlation(spec, seed=5).values))
-    C = synth.build_true_correlation(spec, seed=5)
+              synth.powerlaw_correlation(40, 0.5, 5).values,
+              synth.powerlaw_correlation(40, 0.5, 5).values))
+    C = synth.powerlaw_correlation(40, 0.5, 5)
     check("panel determinism",
           lambda: np.array_equal(synth.gaussian_panel(C, 50, seed=6).values,
                                  synth.gaussian_panel(C, 50, seed=6).values))

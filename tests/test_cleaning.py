@@ -73,8 +73,7 @@ class TestClip:
 @pytest.fixture(scope="module")
 def market_estimate():
     # a real market mode far above the replacement ladder
-    C = synth.build_true_correlation(
-        synth.TrueCorrelationSpec("single_spike", 100, rho_bar=0.3))
+    C = synth.constant_correlation(100, 0.3)
     panel = standardize(synth.gaussian_panel(C, 400, seed=6))
     return pearson(panel)
 
@@ -176,8 +175,7 @@ class TestApplyScheme:
     def test_cleaning_helps_out_of_sample_risk(self):
         # cleaned minimum-variance portfolios carry less true risk than raw
         from rmtkit import portfolio
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("powerlaw", 100, alpha=0.35), seed=1)
+        C = synth.powerlaw_correlation(100, 0.35, 1)
         rng = np.random.default_rng(2)
         g = rng.standard_normal(100)
         raw_out, clean_out = [], []

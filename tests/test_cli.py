@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmtkit import cli, dynamics, fileio, portfolio
+from rmtkit import cli, dynamics, fileio, portfolio, synth
 from rmtkit.cleaning import CleaningScheme
 from rmtkit.estimators import ReturnPanel, pearson, standardize
 
@@ -242,6 +242,40 @@ class TestSimulate:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # each --spec is one builder call, the identity constant_correlation at
+    # rho = 0 whatever --rho says
+    @pytest.mark.parametrize("spec, build", [
+        ("identity", lambda: synth.constant_correlation(12, 0.0)),
+        ("spike", lambda: synth.constant_correlation(12, 0.25)),
+        ("powerlaw", lambda: synth.powerlaw_correlation(12, 0.5, 4))],
+        ids=["identity", "spike", "powerlaw"])
+    def test_panel_is_the_builders(self, spec, build, tmp_path, monkeypatch):
+        panels = []
+        monkeypatch.setattr(cli.fileio, "write_panel_csv",
+                            lambda path, panel, header: panels.append(panel))
+        assert run(["simulate", "--spec", spec, "--rho", "0.25", "--alpha",
+                    "0.5", "--N", "12", "--T", "30", "--seed", "4",
+                    "--out", str(tmp_path / "p.csv")]) == 0
+        expected = synth.gaussian_panel(build(), 30, 5)
+        assert panels[0].values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "1", "--N", "0"], "N must be positive"),
+        (["simulate", "--seed", "1", "--spec", "spike", "--rho", "1.0"],
+         "rho must lie in [0, 1)"),
+        (["simulate", "--seed", "1", "--spec", "powerlaw", "--alpha", "0"],
+         "alpha must lie in (0, 1]"),
+        (["spectrum", "--law", "elliptic", "--q", "1.5"], "q must be positive"),
+        (["spectrum", "--law", "elliptic", "--mu", "2"], "mu must exceed 2"),
+    ], ids=["simulate-N", "simulate-rho", "simulate-alpha", "elliptic-q",
+            "elliptic-mu"])
+    def test_builder_check_is_input_error(self, argv, message, tmp_path,
+                                          capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"rmtkit: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metadata_recorded(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -119,13 +119,18 @@ class TestQueries:
         assert lo == pytest.approx(0.5)
         assert hi == pytest.approx(1.5)
 
-    def test_support_of_a_zeroed_density(self):
-        # the arrays stay writable, so a density zeroed in place after its
-        # checks has no support to report
-        d = uniform(0.5, 1.5)
-        d.density[:] = 0.0
-        with pytest.raises(DensityError, match="empty density"):
-            d.support()
+    def test_arrays_are_read_only(self):
+        # a density zeroed in place after its checks would have mass 0; the
+        # caller's own arrays stay writable, and writing them leaves the
+        # density as it was checked
+        grid, dens = np.linspace(0.5, 1.5, 50), np.ones(50)
+        d = SpectralDensity(grid, dens)
+        with pytest.raises(ValueError, match="read-only"):
+            d.density[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.grid[0] = 0.0
+        grid[0], dens[:] = 0.0, 0.0
+        assert d.grid[0] == 0.5 and d.mass() == pytest.approx(1.0)
 
     def test_cdf(self):
         d = uniform(0, 1)

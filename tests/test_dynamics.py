@@ -156,6 +156,17 @@ class TestStationaryAngleDensity:
         assert np.all(np.isfinite(p))
         assert 2 * np.trapezoid(p, half) == pytest.approx(1.0, abs=1e-6)
 
+    # where 2 L1/Lb overflows, the density at 0 took log(0); each pair's
+    # neighbour below the overflow still has a finite density
+    @pytest.mark.parametrize("over, under", [
+        ((9e307, 1.0), (8.9e307, 1.0)), ((1e300, 1e-8), (1e300, 1e-7))])
+    def test_overflowing_ratio_raises(self, over, under):
+        th = np.linspace(0, np.pi, 101)
+        with pytest.raises(ValueError, match="Lambda1/Lambda_b"):
+            dynamics.stationary_angle_density(*over, 0.02, th)
+        p = dynamics.stationary_angle_density(*under, 0.02, th)
+        assert np.all(np.isfinite(p))
+
     def test_finite_where_the_ratio_rounds_off(self):
         # 1 - Lb/L1 rounds to 1 at L1 = 1e17, which made a numerator of 0
         th = np.linspace(0, np.pi, 101)

@@ -383,8 +383,7 @@ class TestEwmaEstimator:
 class TestStudentML:
     def test_recovers_structure_on_student_data(self):
         from rmtkit import synth
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("single_spike", 20, rho_bar=0.4))
+        C = synth.constant_correlation(20, 0.4)
         panel = synth.student_panel(C, 5.0, 4000, seed=8)
         ml = estimators.student_ml(panel, 5.0)
         off = ml.values[np.triu_indices(20, 1)]
@@ -407,8 +406,7 @@ class TestStudentML:
         # q = N/T = 0.5, where the plain normalised map contracts at ~0.58
         # (~0.95 without the normalisation)
         from rmtkit import synth
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("identity", 100))
+        C = synth.constant_correlation(100, 0.0)
         return synth.student_panel(C, 5.0, 200, seed=0)
 
     def test_error_bounded(self, heavy_panel):
@@ -464,8 +462,7 @@ class TestStudentML:
     @pytest.mark.parametrize("N", [50, 100])
     def test_error_bounded_across_shapes(self, N, q, mu):
         from rmtkit import synth
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("identity", N))
+        C = synth.constant_correlation(N, 0.0)
         T = round(N / q)
         panel = synth.student_panel(C, mu, T, seed=N + T + int(mu))
         ref = estimators.student_ml(panel, mu, tol=1e-12, max_iter=2000)

@@ -35,7 +35,8 @@ def test_all_names_resolve(modname):
 # class needs a ``.name(...)`` call, a public property a ``.name`` read, and
 # a field of an exported dataclass a ``.field`` read.  A defaulted parameter
 # of a public function, method or dataclass constructor needs a call of that
-# name that passes it, by keyword or by position.  Names are matched alone,
+# name that passes it, by keyword or by position, anything but a literal
+# equal to its default.  Names are matched alone,
 # whatever object they belong to.  Each exempt entry keeps its reason, and
 # must still be exempt: it exists and has no caller.
 _MEASURE = "a measure test_spectra and test_transforms read results with"
@@ -48,6 +49,9 @@ BUDGET_EXEMPT = {
     "transforms.resolvent":
         "the benchmark's tracer wraps it; its one other reader checks that "
         "the tracer wraps and restores it",
+    "spectra.wigner_semicircle(sigma=)":
+        "its one caller, the benchmark, passes the default 1.0 by position, "
+        "so deleting the option breaks that call",
     "SpectralDensity.variance": _MEASURE,
     "SpectralDensity.cdf": _MEASURE,
     "SpectralDensity.l1_distance": _MEASURE,
@@ -61,13 +65,24 @@ CALLERS = [*sorted((REPO / "src" / "rmtkit").glob("*.py")),
            REPO / "tests" / "test_acceptance.py"]
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
 def _references():
     """``(read, called, passed)``: every name or attribute name read, every
-    attribute name called, and for each name called how many positional
-    arguments its calls pass at most and which keywords, in the files that
-    count as callers.  A ``*args`` passes every position, a ``**kwargs``
-    every keyword (``"**"``).  A call of a name imported from outside rmtkit
-    (``np.clip``) passes nothing to rmtkit's name."""
+    attribute name called, and for each name called its calls, in the files
+    that count as callers.  A call is ``(args, keywords)``: the value of each
+    positional argument and of each keyword, ``_NOT_LITERAL`` where it is not
+    a literal.  A ``*args`` passes every position (``args`` is None), a
+    ``**kwargs`` every keyword (``"**"``).  A call of a name imported from
+    outside rmtkit (``np.clip``) passes nothing to rmtkit's name."""
     read, called, passed = set(), set(), {}
     for path in CALLERS:
         tree = ast.parse(path.read_text(), str(path))
@@ -93,25 +108,36 @@ def _references():
             if (isinstance(root, ast.Name) and root.id in bindings
                     and not bindings[root.id].startswith("rmtkit")):
                 continue
-            npos, keywords = passed.setdefault(name, [0, set()])
-            passed[name][0] = max(npos, float("inf") if any(
-                isinstance(a, ast.Starred) for a in node.args)
-                else len(node.args))
-            keywords.update(k.arg or "**" for k in node.keywords)
+            args = (None if any(isinstance(a, ast.Starred) for a in node.args)
+                    else [_literal(a) for a in node.args])
+            passed.setdefault(name, []).append(
+                (args, {k.arg or "**": _literal(k.value)
+                        for k in node.keywords}))
     return read, called, passed
+
+
+def _sets(call, i, p):
+    """Whether ``call`` passes parameter ``p``, the i-th, a value other
+    than a literal equal to its default."""
+    args, keywords = call
+    if p.kind is not p.KEYWORD_ONLY and (args is None or i < len(args)):
+        value = _NOT_LITERAL if args is None else args[i]
+    elif "**" in keywords or p.name in keywords:
+        value = keywords.get(p.name, _NOT_LITERAL)
+    else:
+        return False
+    return not (type(value) is type(p.default) and value == p.default)
 
 
 def _unset(label, name, params, passed):
     """``label(p=)`` for each defaulted parameter p in ``params`` that no
-    call of ``name`` passes; none for a name never called, which the name
+    call of ``name`` sets; none for a name never called, which the name
     rule reports."""
     if name not in passed:
         return set()
-    npos, keywords = passed[name]
     return {f"{label}({p.name}=)" for i, p in enumerate(params)
             if p.default is not p.empty
-            and not (p.kind is not p.KEYWORD_ONLY and i < npos)
-            and not {p.name, "**"} & keywords}
+            and not any(_sets(call, i, p) for call in passed[name])}
 
 
 def _params(func, drop_self=False):

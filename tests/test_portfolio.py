@@ -12,8 +12,7 @@ from rmtkit.estimators import (CorrelationMatrix, EstimatorError, ReturnPanel,
 
 @pytest.fixture(scope="module")
 def true_corr():
-    return synth.build_true_correlation(
-        synth.TrueCorrelationSpec("single_spike", 60, rho_bar=0.2))
+    return synth.constant_correlation(60, 0.2)
 
 
 class TestWeights:
@@ -88,8 +87,7 @@ class TestRiskTriple:
         # sqrt(1-q) and 1/sqrt(1-q)
         N, T = 100, 200
         q = N / T
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("identity", N))
+        C = synth.constant_correlation(N, 0.0)
         rng = np.random.default_rng(2)
         rin2, rout2 = [], []
         for seed in range(20):
@@ -107,8 +105,7 @@ class TestRiskTriple:
 
 @pytest.fixture(scope="module")
 def panel():
-    C = synth.build_true_correlation(
-        synth.TrueCorrelationSpec("single_spike", 40, rho_bar=0.2))
+    C = synth.constant_correlation(40, 0.2)
     return synth.gaussian_panel(C, 700, seed=3)
 
 
@@ -220,8 +217,7 @@ class TestBacktest:
     # catches it), where windows do not overlap, and over many windows
     @staticmethod
     def window_cases():
-        C = synth.build_true_correlation(
-            synth.TrueCorrelationSpec("single_spike", 10, rho_bar=0.2))
+        C = synth.constant_correlation(10, 0.2)
         base = synth.gaussian_panel(C, 2000, seed=5).values
         T = base.shape[0]
         sigma = base.std(axis=0)

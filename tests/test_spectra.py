@@ -207,9 +207,12 @@ class TestPowerLawPrior:
     (lambda: spectra.ewma_edges(np.nan), "q must be positive"),
     (lambda: spectra.ewma_density(np.nan), "q must be positive"),
     (lambda: spectra.ewma_density(np.inf), "q must be positive"),
-    (lambda: spectra.EllipticParams(np.nan, 4.0), "q must be positive"),
-    (lambda: spectra.EllipticParams(np.inf, 4.0), "q must be positive"),
-    (lambda: spectra.EllipticParams(0.5, np.nan), "mu must exceed 2"),
+    (lambda: spectra.elliptic_student_density(np.nan, 4.0),
+     "q must be positive"),
+    (lambda: spectra.elliptic_student_density(np.inf, 4.0),
+     "q must be positive"),
+    (lambda: spectra.elliptic_student_density(0.5, np.nan),
+     "mu must exceed 2"),
     (lambda: spectra.PowerLawPrior(0.35, np.nan), "mu must be finite"),
     (lambda: spectra.PowerLawPrior(0.35, np.inf), "mu must be finite"),
 ], ids=["mp-nan", "mp-inf", "ewma_edges-nan", "ewma-nan", "ewma-inf",
@@ -224,36 +227,38 @@ class TestEllipticStudent:
     def test_mean_matches_volatility_mixture(self):
         # E[sigma^2] = mu/(mu-2) for the inverse-chi-squared volatility
         for mu in (3.0, 6.0):
-            d = spectra.elliptic_student_density(
-                spectra.EllipticParams(0.25, mu))
+            d = spectra.elliptic_student_density(0.25, mu)
             assert d.mean() == pytest.approx(mu / (mu - 2.0), rel=0.03)
 
     def test_large_mu_approaches_mp(self):
-        d = spectra.elliptic_student_density(spectra.EllipticParams(0.25, 1e6))
+        d = spectra.elliptic_student_density(0.25, 1e6)
         assert d.l1_distance(spectra.mp_density(0.25)) < 0.02
 
     def test_tail_exponent(self):
-        d = spectra.elliptic_student_density(spectra.EllipticParams(0.5, 4.0))
+        d = spectra.elliptic_student_density(0.5, 4.0)
         mask = (d.grid > 30.0) & (d.grid < 300.0) & (d.density > 0)
         slope = np.polyfit(np.log(d.grid[mask]), np.log(d.density[mask]), 1)[0]
         assert slope == pytest.approx(-3.0, abs=0.15)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            spectra.elliptic_student_density(spectra.EllipticParams(1.5, 4.0))
-        with pytest.raises(ValueError):
-            spectra.EllipticParams(0.5, 2.0)
+        # q = N/T in (0, 1): at q >= 1 the spectrum has an atom at zero
+        for q in (0.0, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match="q must be positive"):
+                spectra.elliptic_student_density(q, 4.0)
+        for mu in (2.0, np.nan):
+            with pytest.raises(ValueError, match="mu must exceed 2"):
+                spectra.elliptic_student_density(0.5, mu)
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
     @pytest.mark.parametrize("mu", [4.0, 10.0])
     def test_mean_is_exact(self, q, mu):
         # the part of the mean beyond lam_max = 1000 is below 0.2% of it here
-        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        d = spectra.elliptic_student_density(q, mu)
         assert d.mean() == pytest.approx(mu / (mu - 2.0), rel=1e-2)
 
     @pytest.mark.parametrize("q, mu", [(0.25, 2.5), (0.75, 3.0)])
     def test_heaviest_tails_return(self, q, mu):
-        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        d = spectra.elliptic_student_density(q, mu)
         assert np.all(np.isfinite(d.density))
         assert d.mass() == pytest.approx(1.0, abs=1e-6)
 
@@ -269,7 +274,7 @@ class TestEllipticStudent:
             eigs.append(np.linalg.eigvalsh((X.T * d) @ X / T))
         edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
         sample = np.histogram(np.concatenate(eigs), edges)[0] / (N * draws)
-        dens = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        dens = spectra.elliptic_student_density(q, mu)
         mass = np.diff([dens.cdf(e) for e in edges])
         assert np.abs(mass - sample).max() < 2.5e-3
 
@@ -299,14 +304,14 @@ class TestEllipticStudent:
         h = 1e-4 * g
         rp = (pv_r(g + h) - pv_r(g - h)) / (2.0 * h)
         rho = mu * P(q * mu * g) * g * g / (1.0 - g * g * rp)
-        d = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        d = spectra.elliptic_student_density(q, mu)
         assert d.interpolate(lam) == pytest.approx(rho, rel=1e-3)
 
     def test_splice_is_continuous(self):
         # the bulk's grid is finer than the tail's, so the splice is where
         # the step grows most; the tail, extrapolated back along its own
         # log-log slope to the last bulk point, must meet the bulk there
-        d = spectra.elliptic_student_density(spectra.EllipticParams(0.5, 4.0))
+        d = spectra.elliptic_student_density(0.5, 4.0)
         x, r = d.grid, d.density
         step = np.diff(x)
         i = int(np.argmax(step[1:] / step[:-1])) + 1

@@ -131,9 +131,8 @@ class TestDetector:
     def test_null_matrix_clean(self):
         rng = np.random.default_rng(7)
         panel = standardize(
-            synth.gaussian_panel(
-                synth.build_true_correlation(
-                    synth.TrueCorrelationSpec("identity", 200)), 800, seed=7))
+            synth.gaussian_panel(synth.constant_correlation(200, 0.0), 800,
+                                 seed=7))
         report = spikes.detect_spikes(pearson(panel), 0.25)
         assert report.outliers == ()
         assert "no outliers" in report.to_text()

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from rmtkit import synth
-from rmtkit.synth import TrueCorrelationSpec
 
 
 class TestSeeding:
     def test_same_seed_same_panel(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 10))
+        C = synth.constant_correlation(10, 0.0)
         a = synth.gaussian_panel(C, 20, seed=42)
         b = synth.gaussian_panel(C, 20, seed=42)
         assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 10))
+        C = synth.constant_correlation(10, 0.0)
         a = synth.gaussian_panel(C, 20, seed=1)
         b = synth.gaussian_panel(C, 20, seed=2)
         assert not np.array_equal(a.values, b.values)
@@ -33,35 +32,38 @@ class TestHaarRotation:
 
 class TestTrueCorrelation:
     def test_identity(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
-        assert np.array_equal(C.values, np.eye(5))
+        # rho = 0 gives np.eye's bits, so the identity needs no builder
+        for N in (1, 5, 64):
+            C = synth.constant_correlation(N, 0.0)
+            assert C.values.tobytes() == np.eye(N).tobytes()
 
-    def test_single_spike_top_eigenvalue(self):
-        C = synth.build_true_correlation(
-            TrueCorrelationSpec("single_spike", 100, rho_bar=0.3))
+    def test_market_mode_top_eigenvalue(self):
+        C = synth.constant_correlation(100, 0.3)
         assert C.eigenvalues[0] == pytest.approx(1 + 99 * 0.3)
         assert np.allclose(np.diag(C.values), 1.0)
 
     def test_powerlaw_unit_trace_density(self):
-        C = synth.build_true_correlation(
-            TrueCorrelationSpec("powerlaw", 200, alpha=0.35), seed=2)
+        C = synth.powerlaw_correlation(200, 0.35, 2)
         assert np.trace(C.values) / 200 == pytest.approx(1.0, abs=0.1)
         assert C.eigenvalues[-1] >= 0.0
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TrueCorrelationSpec("diagonalish", 5)
-
+    # a dict with alpha holds powerlaw_correlation's arguments, any other
+    # constant_correlation's
     @pytest.mark.parametrize("kwargs, match", [
-        (dict(kind="identity", N=0), "N must be positive"),
-        (dict(kind="single_spike", N=5, rho_bar=1.0), "rho_bar"),
-        (dict(kind="single_spike", N=5, rho_bar=-0.1), "rho_bar"),
-        (dict(kind="powerlaw", N=5, alpha=0.0), "alpha"),
-        (dict(kind="powerlaw", N=5, alpha=1.5), "alpha"),
+        (dict(N=0, rho=0.0), "N must be positive"),
+        (dict(N=5, rho=1.0), "rho"),
+        (dict(N=5, rho=-0.1), "rho"),
+        (dict(N=5, alpha=0.0, seed=0), "alpha"),
+        (dict(N=5, alpha=1.5, seed=0), "alpha"),
+        (dict(N=-1, rho=0.3), "N must be positive"),
+        (dict(N=5, rho=np.nan), "rho"),
+        (dict(N=0, alpha=0.35, seed=0), "N must be positive"),
     ])
     def test_spec_validation(self, kwargs, match):
+        build = (synth.powerlaw_correlation if "alpha" in kwargs
+                 else synth.constant_correlation)
         with pytest.raises(ValueError, match=match):
-            TrueCorrelationSpec(**kwargs)
+            build(**kwargs)
 
     def test_haar_rotation_needs_a_positive_size(self):
         with pytest.raises(ValueError, match="N must be positive"):
@@ -70,20 +72,19 @@ class TestTrueCorrelation:
 
 class TestPanels:
     def test_gaussian_panel_covariance(self):
-        C = synth.build_true_correlation(
-            TrueCorrelationSpec("single_spike", 30, rho_bar=0.4))
+        C = synth.constant_correlation(30, 0.4)
         panel = synth.gaussian_panel(C, 20000, seed=3)
         emp = panel.values.T @ panel.values / panel.T
         assert np.max(np.abs(emp - C.values)) < 0.05
 
     def test_gaussian_panel_needs_two_rows(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
+        C = synth.constant_correlation(5, 0.0)
         with pytest.raises(ValueError, match="at least 2"):
             synth.gaussian_panel(C, 1, seed=0)
         assert synth.gaussian_panel(C, 2, seed=0).T == 2
 
     def test_student_panel_standardized(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 20))
+        C = synth.constant_correlation(20, 0.0)
         panel = synth.student_panel(C, 5.0, 500, seed=4)
         np.testing.assert_allclose(panel.values.mean(axis=0), 0.0, rtol=0,
                                    atol=1e-10)
@@ -91,7 +92,7 @@ class TestPanels:
                                    atol=1e-10)
 
     def test_student_panel_heavy_tails(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 10))
+        C = synth.constant_correlation(10, 0.0)
         student = synth.student_panel(C, 3.0, 20000, seed=5)
         gauss = synth.gaussian_panel(C, 20000, seed=5)
         k_student = np.mean(student.values ** 4)
@@ -99,7 +100,7 @@ class TestPanels:
         assert k_student > 2.0 * k_gauss
 
     def test_student_mu_validation(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
+        C = synth.constant_correlation(5, 0.0)
         with pytest.raises(ValueError):
             synth.student_panel(C, 2.0, 100, seed=0)
         for mu in (np.nan, np.inf):
@@ -107,7 +108,7 @@ class TestPanels:
                 synth.student_panel(C, mu, 100, seed=0)
 
     def test_student_panel_needs_two_rows(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 5))
+        C = synth.constant_correlation(5, 0.0)
         with pytest.raises(ValueError, match="at least 2"):
             synth.student_panel(C, 5.0, 1, seed=0)
 
@@ -118,6 +119,6 @@ class TestWickCheck:
     # moment is finite, so the pooled estimate converges at the 1/sqrt(T)
     # rate (sd 0.048 over seeds 0-99 at this size, largest deviation 0.123)
     def test_student_needs_elliptic_prefactor(self):
-        C = synth.build_true_correlation(TrueCorrelationSpec("identity", 20))
+        C = synth.constant_correlation(20, 0.0)
         panel = synth.student_panel(C, 10.0, 20000, seed=7)
         assert np.mean(panel.values ** 4) == pytest.approx(4.0, abs=0.25)

@@ -127,10 +127,8 @@ SUBORDINATED = {
     # where the cubic fine start moved the density most
     "dressed_q1.1": lambda: spectra.dressed_spectrum(
         spectra.powerlaw_prior_density(spectra.PowerLawPrior(0.35)), 1.1),
-    "elliptic_0.5_4": lambda: spectra.elliptic_student_density(
-        spectra.EllipticParams(0.5, 4.0)),
-    "elliptic_0.05_10": lambda: spectra.elliptic_student_density(
-        spectra.EllipticParams(0.05, 10.0)),
+    "elliptic_0.5_4": lambda: spectra.elliptic_student_density(0.5, 4.0),
+    "elliptic_0.05_10": lambda: spectra.elliptic_student_density(0.05, 10.0),
 }
 
 
@@ -799,7 +797,7 @@ class TestIdentityGauge:
         # the bulk is q (rho_D [x] MP(1/q)) without the product's atom
         # (0, 1 - q); rho_D is built as elliptic_student_density builds it
         q, mu = 0.5, 4.0
-        E = spectra.elliptic_student_density(spectra.EllipticParams(q, mu))
+        E = spectra.elliptic_student_density(q, mu)
         law = SpectralDensity(E.grid / q, q**2 * E.density,
                               ((0.0, 1.0 - q),))
         s_lo = 2.0 * gammaincinv(0.5 * mu, 1e-17)
