@@ -6,11 +6,14 @@ integral of the continuous part plus the atom masses equals one.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["SpectralDensity", "DensityError"]
+
+logger = logging.getLogger(__name__)
 
 MASS_TOL = 1e-6
 # grid size of every density that ``spectra`` and ``transforms`` build
@@ -86,7 +89,12 @@ class SpectralDensity:
 
     @classmethod
     def from_unnormalized(cls, grid, density, atoms=()) -> "SpectralDensity":
-        """Build a density, rescaling the continuous part to unit total mass."""
+        """Build a density, rescaling the continuous part to unit total mass.
+
+        Before the rescale it logs, at DEBUG and credited to its caller, the
+        mass the grid lost: ``lost_mass`` = (1 - atom mass) - trapezoid
+        mass of the continuous part, positive where the density falls short.
+        """
         grid = np.asarray(grid, dtype=float)
         density = np.asarray(density, dtype=float)
         _check_finite(grid, density)
@@ -94,6 +102,8 @@ class SpectralDensity:
         atoms = _as_atoms(atoms)
         atom_mass = sum(m for _, m in atoms)
         cont = float(np.trapezoid(density, grid)) if grid.size >= 2 else 0.0
+        logger.debug("from_unnormalized: lost_mass=%(lost_mass).7e",
+                     {"lost_mass": 1.0 - atom_mass - cont}, stacklevel=2)
         if cont <= 0:
             if abs(atom_mass - 1.0) > MASS_TOL:
                 raise DensityError("no continuous mass and atoms do not sum to 1")

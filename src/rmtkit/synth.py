@@ -17,9 +17,14 @@ __all__ = [
     "student_panel",
 ]
 
+# Rows of standard normals drawn and multiplied by C^{1/2} at a time.  The
+# panel's bits depend on it (BLAS may round a product's rows differently
+# with the number of rows), so GENERATOR_ID names it.
+BLOCK_ROWS = 256
+
 # Recorded in the header of ``rmtkit simulate``'s panel CSV, with the seed,
 # so a run can be reproduced across versions.
-GENERATOR_ID = "numpy-pcg64"
+GENERATOR_ID = f"numpy-pcg64-rows{BLOCK_ROWS}"
 
 
 def haar_rotation(N: int, seed) -> np.ndarray:
@@ -54,13 +59,30 @@ def powerlaw_correlation(N: int, alpha: float, seed) -> CorrelationMatrix:
     return CorrelationMatrix((O * vals) @ O.T)
 
 
+def _correlated_normals(rng, S: np.ndarray, T: int) -> np.ndarray:
+    """X S for a T x N standard normal X, drawn ``BLOCK_ROWS`` rows at a
+    time into one preallocated T x N array.  The stream is read in the
+    order of one ``(T, N)`` draw, so X keeps its bits; only the blocks'
+    products may round differently from one whole product."""
+    out = np.empty((T, S.shape[0]))
+    for i in range(0, T, BLOCK_ROWS):
+        j = min(i + BLOCK_ROWS, T)
+        np.matmul(rng.standard_normal((j - i, S.shape[0])), S, out=out[i:j])
+    return out
+
+
 def gaussian_panel(C: CorrelationMatrix, T: int, seed) -> ReturnPanel:
-    """T IID Gaussian rows with covariance C, built as X C^{1/2}."""
+    """T IID Gaussian rows with covariance C, built as X C^{1/2}.
+
+    The product is formed in blocks of ``BLOCK_ROWS`` rows, so besides the
+    panel only one block of X is alive.  Up to ``BLOCK_ROWS`` rows it is
+    the one product ``X @ C.sqrt()`` bit for bit; beyond, an entry may
+    differ from that product within its dot product's rounding.
+    """
     if T < 2:
         raise ValueError("T must be at least 2")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((T, C.N))
-    return ReturnPanel(X @ C.sqrt())
+    return ReturnPanel(_correlated_normals(rng, C.sqrt(), T))
 
 
 def student_panel(C_hat: CorrelationMatrix, mu: float, T: int,
@@ -71,16 +93,19 @@ def student_panel(C_hat: CorrelationMatrix, mu: float, T: int,
     The unconditional covariance is (mu/(mu-2)) C_hat; the returned panel is
     column-standardized.
 
-    Memory: the Gaussian draw and its product with C_hat^{1/2} are alive
-    together for one matrix product; the volatility scaling is then done in
-    place, and ``standardize`` copies the only unstandardized panel left.
+    All the normals are drawn before the chi-squares.
+
+    Memory: the Gaussian product is formed in row blocks into one panel, as
+    in ``gaussian_panel``, so only one block of the draw is alive beside
+    it; the volatility scaling is then done in place, and ``standardize``
+    copies the only unstandardized panel left.
     """
     if not 2 < mu < np.inf:
         raise ValueError("mu must be finite and exceed 2")
     if T < 2:
         raise ValueError("T must be at least 2")
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal((T, C_hat.N)) @ C_hat.sqrt()
+    r = _correlated_normals(rng, C_hat.sqrt(), T)
     s = rng.chisquare(mu, size=T)
     r *= np.sqrt(mu / s)[:, None]
     return standardize(ReturnPanel(r))

@@ -283,8 +283,9 @@ class TestSimulate:
              "--out", str(out)])
         head = out.read_text().splitlines()[:2]
         assert head[0].startswith("# command: simulate")
-        assert "generator=numpy-pcg64" in head[1]
-        assert "seed=1" in head[1]
+        # the id names the row-block rule the panel's bits depend on
+        assert "generator=numpy-pcg64-rows256" in head[1].split()
+        assert "seed=1" in head[1].split()
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,22 @@ class TestConstructors:
         with pytest.raises(DensityError, match="atoms do not sum to 1"):
             SpectralDensity.from_unnormalized(grid, np.zeros(grid.size),
                                               ((0.2, 0.4),))
+
+    def test_from_unnormalized_logs_lost_mass(self, caplog):
+        # the radius-2 semicircle cut to [-1.5, 1.5] loses the mass outside,
+        # 1 - (a sqrt(4 - a^2) + 4 asin(a/2)) / (2 pi) at a = 1.5; the
+        # trapezoid rule on 2000 points is off by 6.8e-8
+        a = 1.5
+        grid = np.linspace(-a, a, 2000)
+        with caplog.at_level(logging.DEBUG, logger="rmtkit.density"):
+            SpectralDensity.from_unnormalized(
+                grid, np.sqrt(4 - grid**2) / (2 * np.pi))
+        (record,) = caplog.records
+        # stacklevel=2 credits the record to the caller
+        assert record.funcName == "test_from_unnormalized_logs_lost_mass"
+        cut = 1 - (a * np.sqrt(4 - a**2) + 4 * np.arcsin(a / 2)) / (2 * np.pi)
+        assert cut == pytest.approx(0.1442936, abs=1e-7)
+        assert record.args["lost_mass"] == pytest.approx(cut, abs=1e-6)
 
     def test_from_samples(self):
         rng = np.random.default_rng(0)

@@ -2,17 +2,21 @@
 
 Each command runs in-process under ``tracemalloc``, which sees NumPy's array
 buffers, on panels with T much larger than N, so that the N x N matrices
-weigh little beside the T x N ones.  Its traced peak may be at most
-``BUDGET`` times the bytes of its largest panel: the input (or output) panel
-plus one working copy, and some room for the N x N matrices, the dates and
-the NaN checks' boolean masks.
+weigh little beside the T x N ones.  Its traced peak may be at most its
+budget times the bytes of its largest panel: for most commands ``BUDGET``,
+the input (or output) panel plus one working copy, and some room for the
+N x N matrices, the dates and the NaN checks' boolean masks.  The Gaussian
+``simulate`` specs form their panel in row blocks, so they hold the panel,
+one block of the draw and the N x N matrices: at most 1.5 copies.
 
-Measured at N = 100, T = 3000: 1.68 copies (``backtest``; 1.87 while
-each window's centred rows stayed alive through its eigendecomposition) to
-2.34 (``simulate --mu``); the other ``simulate`` specs 2.28-2.29,
-``dynamics`` 2.25, ``clean``, ``spikes`` and ``svd`` 2.22-2.23.  The largest
-is 10% under the budget.  ``svd`` read 2.40 copies while it whitened each
-panel into a T x N copy, and 4.67 while it kept its raw panels alive;
+Measured at N = 100, T = 3000: 1.36-1.37 copies (the Gaussian
+``simulate`` specs; 2.28-2.29 while one product kept the whole draw alive
+beside the panel), 1.67 (``backtest``; 1.87 while each window's centred
+rows stayed alive through its eigendecomposition), 2.22-2.23 (``clean``,
+``spikes`` and ``svd``), 2.25 (``dynamics``) and 2.35 (``simulate --mu``,
+whose ``standardize`` copies the panel).  Each budget is about 10% or more
+above its command's peak.  ``svd`` read 2.40 copies while it whitened each panel
+into a T x N copy, and 4.67 while it kept its raw panels alive;
 ``simulate --mu`` read 3.35 while it kept its raw panel alive.
 """
 
@@ -25,6 +29,8 @@ from rmtkit import cli, crosscorr
 from rmtkit.estimators import ReturnPanel, standardize
 
 BUDGET = 2.6
+BUDGETS = {"simulate-identity": 1.5, "simulate-spike": 1.5,
+           "simulate-powerlaw": 1.5, "simulate-spike-mu": 2.58}
 N, T = 100, 3000
 N_OTHER = 40  # svd's second panel
 
@@ -70,7 +76,7 @@ def test_peak_is_panel_plus_one_copy(name, panels, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= BUDGET * largest, (
+    assert peak <= BUDGETS.get(name, BUDGET) * largest, (
         f"{name}: traced peak {peak / largest:.2f} panel copies")
 
 

@@ -122,3 +122,55 @@ class TestWickCheck:
         C = synth.constant_correlation(20, 0.0)
         panel = synth.student_panel(C, 10.0, 20000, seed=7)
         assert np.mean(panel.values ** 4) == pytest.approx(4.0, abs=0.25)
+
+
+class TestRowBlocks:
+    # the panels are drawn and multiplied by C^{1/2} BLOCK_ROWS rows at a
+    # time; the stream is read as by one (T, N) draw.  At N = 300 OpenBLAS
+    # rounds some rows of a product differently with its number of rows
+    C = synth.constant_correlation(300, 0.3)
+    B = synth.BLOCK_ROWS
+
+    @staticmethod
+    def _one_shot(C, T, seed):
+        X = np.random.default_rng(seed).standard_normal((T, C.N))
+        return X, X @ C.sqrt()
+
+    @staticmethod
+    def _rounding_bound(C, X):
+        # the rounding of an N-term dot product: N eps (|X| @ |C^{1/2}|)
+        return C.N * np.finfo(float).eps * (np.abs(X) @ np.abs(C.sqrt()))
+
+    @pytest.mark.parametrize("T", [2, 37, B])
+    def test_one_block_is_the_one_shot_product(self, T):
+        _, ref = self._one_shot(self.C, T, 11)
+        got = synth.gaussian_panel(self.C, T, 11).values
+        assert got.tobytes() == ref.tobytes()
+
+    def test_blocks_within_rounding_of_one_shot(self):
+        T = 3 * self.B + 77
+        X, ref = self._one_shot(self.C, T, 12)
+        got = synth.gaussian_panel(self.C, T, 12).values
+        assert np.all(np.abs(got - ref) <= self._rounding_bound(self.C, X))
+
+    @pytest.mark.parametrize("k", [B, 2 * B, 3 * B])
+    def test_leading_blocks_are_the_shorter_panel(self, k):
+        full = synth.gaussian_panel(self.C, 3 * self.B + 77, 13).values
+        assert (full[:k].tobytes()
+                == synth.gaussian_panel(self.C, k, 13).values.tobytes())
+
+    def test_student_reads_normals_then_chi_squares(self):
+        mu, T = 5.0, 2 * self.B + 31
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((T, self.C.N))
+        scale = np.sqrt(mu / rng.chisquare(mu, size=T))[:, None]
+        r = (X @ self.C.sqrt()) * scale
+        ref = (r - r.mean(axis=0)) / r.std(axis=0)
+        got = synth.student_panel(self.C, mu, T, 14).values
+        # the products' rounding, carried through the scaling and the
+        # standardization (a shift of each column's mean and spread), plus
+        # a few eps of the standardization's own rounding
+        d = self._rounding_bound(self.C, X) * scale
+        bound = ((d + d.mean(axis=0) + 2 * np.abs(ref) * d.max(axis=0))
+                 / r.std(axis=0) + 8 * np.finfo(float).eps * (1 + np.abs(ref)))
+        assert np.all(np.abs(got - ref) <= bound)
